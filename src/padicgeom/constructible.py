@@ -22,10 +22,10 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .scalars import NormValue
-from .series import NormEstimate, RigidPoint, Series, Space, VarSpec, compare_le
-from .formulas import (And, Atom, Formula, LE, LT, Not, dnf_to_formula,
-                       eval_formula, lift_formula, negate,
-                       rename_formula_var, tautology, to_dnf)
+from .series import RigidPoint, Series, Space, VarSpec, compare_le
+from .formulas import (And, Atom, Formula, LE, LT, Not, Seminorms,
+                       dnf_to_formula, lift_formula, negate,
+                       rename_formula_var, tautology, to_dnf, truth)
 
 
 @dataclass(frozen=True)
@@ -153,42 +153,34 @@ def full_set(space: Space) -> ConstructibleSet:
 # -- membership -----------------------------------------------------------------
 
 
-def _kleene_and(a: Optional[bool], b: Optional[bool]) -> Optional[bool]:
-    if a is False or b is False:
-        return False
-    if a is None or b is None:
-        return None
-    return True
+def _chain_membership(chain: DatumChain, base: Seminorms) -> Optional[bool]:
+    """Kleene truth of one chain, walked outermost-in from the base point.
 
-
-def _chain_membership(chain: DatumChain, x: RigidPoint) -> Optional[bool]:
-    out = eval_formula(chain.base_region, x)
+    Each chart constraint (g != 0, |f| <= s|g|) and each region is read
+    from the Seminorms of the point it lives over; every extended point
+    gets its own, checked when its first series is evaluated.
+    """
+    out = truth(chain.base_region, base)
     if out is False:
         return False
-    pt = x
+    ev = base
     for link in chain.links:
         f, g = link.f, link.g
-        val_f = f.eval_exact(pt.coords)
-        val_g = g.eval_exact(pt.coords)
-        p = link.domain.prime
-        lhs = NormEstimate(NormValue.of_scalar(val_f, p), f.tail)
-        rhs = NormEstimate(NormValue.of_scalar(val_g, p), g.tail)
-        exact = f.tail.is_zero and g.tail.is_zero
-        if g.tail.is_zero and val_g == 0:
+        lhs, rhs = ev(f), ev(g)
+        if g.tail.is_zero and rhs.value.is_zero:
             return False
-        nonzero = True if (g.tail.is_zero or g.tail < rhs.value) else None
-        bounded = compare_le(lhs, rhs.scaled(link.s))
-        if bounded is False:
+        if compare_le(lhs, rhs.scaled(link.s)) is False:
             return False
-        if nonzero is None or bounded is None or not exact:
+        if not (f.tail.is_zero and g.tail.is_zero):
             # the chart value is uncertain: nothing deeper is decidable
             return None
-        t_val = val_f / val_g
-        pt = pt.extend(VarSpec(link.t_name, link.r), t_val)
-        rv = eval_formula(link.region, pt)
+        t_val = ev.value(f) / ev.value(g)
+        ev = Seminorms(ev.point.extend(VarSpec(link.t_name, link.r), t_val))
+        rv = truth(link.region, ev)
         if rv is False:
             return False
-        out = _kleene_and(out, rv)
+        if rv is None:
+            out = None
     return out
 
 
@@ -198,14 +190,20 @@ def membership(cs: ConstructibleSet, x: RigidPoint) -> Optional[bool]:
     Unknown arises only from tail uncertainty; tail-free data evaluate
     two-valued.  Non-rigid points are out of scope: chart values live in
     the residue field of the point and are not materialized.
+
+    One pass: x is checked against the base polydisc once, every point
+    (x and each extension by chart values) is checked once per distinct
+    space its series live on, and each series object is evaluated once
+    per point for the whole call, chart constraints and regions alike.
     """
     if not isinstance(x, RigidPoint):
         raise ValueError("constructible membership is defined at rigid "
                          "points only")
     x.check_in(cs.space)
+    base = Seminorms(x, checked=cs.space)
     out: Optional[bool] = False
     for chain in cs.chains:
-        v = _chain_membership(chain, x)
+        v = _chain_membership(chain, base)
         if v is True:
             return True
         if v is None:

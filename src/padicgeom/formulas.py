@@ -16,7 +16,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .scalars import NormValue, parse_norm
-from .series import (Point, Series, Space, compare_le, compare_lt)
+from .series import (NormEstimate, Point, RigidPoint, Series, Space,
+                     compare_le, compare_lt)
 
 LE = "<="
 LT = "<"
@@ -187,36 +188,63 @@ def dnf_to_formula(conjuncts: Sequence[BasicConjunct]) -> Formula:
 # -- evaluation -----------------------------------------------------------------
 
 
-def eval_atom(atom: Atom, x: Point) -> Optional[bool]:
-    lhs = atom.f.eval_seminorm(x).scaled(atom.alpha)
-    rhs = atom.g.eval_seminorm(x).scaled(atom.beta)
-    if atom.op == LE:
-        return compare_le(lhs, rhs)
-    return compare_lt(lhs, rhs)
+class Seminorms:
+    """Certified seminorms |f(x)| at one point x, for the length of one call.
 
-
-def eval_formula(phi: Formula, x: Point) -> Optional[bool]:
-    """Kleene three-valued truth of phi at a rigid or monomial point.
-
-    Exact (never None) whenever every atom series has a zero tail.
+    The point is checked against each distinct space object once, on the
+    first series asked about that lives there, and each series object is
+    evaluated once: the memo is keyed by object identity (it holds the
+    series, so an identity cannot be reused while it lives).  ``checked``
+    names a space the caller has already checked x against.  At a rigid
+    point ``value(f)`` is the exact value of f's stored part, from the
+    same single evaluation.
     """
+
+    __slots__ = ("point", "_rigid", "_spaces", "_memo")
+
+    def __init__(self, x: Point, checked: Optional[Space] = None):
+        self.point = x
+        self._rigid = isinstance(x, RigidPoint)
+        self._spaces = {} if checked is None else {id(checked): checked}
+        self._memo = {}
+
+    def _evaluate(self, f: Series):
+        sp = f.space
+        if id(sp) not in self._spaces:
+            self.point.check_in(sp)
+            self._spaces[id(sp)] = sp
+        if self._rigid:
+            val = f.eval_exact(self.point.coords)
+            hit = (f, f.seminorm_of(val), val)
+        else:
+            hit = (f, f.seminorm_at(self.point), None)
+        self._memo[id(f)] = hit
+        return hit
+
+    def __call__(self, f: Series) -> NormEstimate:
+        return (self._memo.get(id(f)) or self._evaluate(f))[1]
+
+    def value(self, f: Series) -> Fraction:
+        return (self._memo.get(id(f)) or self._evaluate(f))[2]
+
+
+def truth(phi: Formula, seminorm) -> Optional[bool]:
+    """Kleene truth of phi, where ``seminorm(f)`` is the certified |f| at
+    the point in question.  And/Or stop at the first deciding argument."""
     if isinstance(phi, Atom):
-        return eval_atom(phi, x)
+        lhs = seminorm(phi.f).scaled(phi.alpha)
+        rhs = seminorm(phi.g).scaled(phi.beta)
+        if phi.op == LE:
+            return compare_le(lhs, rhs)
+        return compare_lt(lhs, rhs)
     if isinstance(phi, Not):
-        v = eval_formula(phi.arg, x)
+        v = truth(phi.arg, seminorm)
         return None if v is None else (not v)
     if isinstance(phi, And):
-        out: Optional[bool] = True
-        for a in phi.args:
-            v = eval_formula(a, x)
-            if v is False:
-                return False
-            if v is None:
-                out = None
-        return out
+        return truth_all(phi.args, seminorm)
     out = False
     for a in phi.args:
-        v = eval_formula(a, x)
+        v = truth(a, seminorm)
         if v is True:
             return True
         if v is None:
@@ -224,15 +252,34 @@ def eval_formula(phi: Formula, x: Point) -> Optional[bool]:
     return out
 
 
-def eval_conjunct(conj: BasicConjunct, x: Point) -> Optional[bool]:
+def truth_all(args: Sequence[Formula], seminorm) -> Optional[bool]:
+    """Kleene conjunction of ``truth`` over args."""
     out: Optional[bool] = True
-    for a in conj.atoms:
-        v = eval_atom(a, x)
+    for a in args:
+        v = truth(a, seminorm)
         if v is False:
             return False
         if v is None:
             out = None
     return out
+
+
+def eval_atom(atom: Atom, x: Point) -> Optional[bool]:
+    return truth(atom, Seminorms(x))
+
+
+def eval_formula(phi: Formula, x: Point) -> Optional[bool]:
+    """Kleene three-valued truth of phi at a rigid or monomial point.
+
+    Exact (never None) whenever every atom series has a zero tail.  One
+    pass: x is checked once per distinct space its atoms live on, and each
+    series object is evaluated once per call (see ``Seminorms``).
+    """
+    return truth(phi, Seminorms(x))
+
+
+def eval_conjunct(conj: BasicConjunct, x: Point) -> Optional[bool]:
+    return truth_all(conj.atoms, Seminorms(x))
 
 
 # -- printing --------------------------------------------------------------------
@@ -254,10 +301,7 @@ def formula_text(phi: Formula) -> str:
     if isinstance(phi, Atom):
         return atom_text(phi)
     if isinstance(phi, Not):
-        inner = formula_text(phi.arg)
-        if isinstance(phi.arg, Atom):
-            return f"!({inner})"
-        return f"!({inner})"
+        return f"!({formula_text(phi.arg)})"
     if isinstance(phi, And):
         parts = []
         for a in phi.args:

@@ -44,12 +44,18 @@ def valuation(a: Rational, p: int):
     a = _as_fraction(a)
     if a == 0:
         return INFINITY
+    return _valuation(a.numerator, a.denominator, p)
+
+
+def _valuation(n: int, d: int, p: int) -> int:
+    """v_p(n/d) for n != 0, d > 0 and p >= 2."""
+    if p == 2:
+        # n & -n is the lowest set bit of n, which is 2^v_2(n)
+        return (n & -n).bit_length() - (d & -d).bit_length()
     v = 0
-    n = a.numerator
     while n % p == 0:
         n //= p
         v += 1
-    d = a.denominator
     while d % p == 0:
         d //= p
         v -= 1
@@ -87,7 +93,11 @@ class NormValue:
         a = _as_fraction(a)
         if a == 0:
             return _ZERO
-        return NormValue(Fraction(-valuation(a, p)))
+        if p < 2:
+            raise ValueError("prime must be >= 2")
+        e = -_valuation(a.numerator, a.denominator, p)
+        nv = _SMALL_POWERS.get(e)
+        return NormValue(Fraction(e)) if nv is None else nv
 
     # -- predicates --------------------------------------------------------
 
@@ -172,6 +182,12 @@ class NormValue:
 
 _ZERO = NormValue(None)
 _ONE = NormValue(Fraction(0))
+
+# Shared instances p^e for small integer e, so that scalar norms (almost
+# all of them have a small exponent) cost no allocation.  Fixed at import;
+# exponents outside the table are built on demand.
+_SMALL_POWERS = {e: NormValue(Fraction(e)) for e in range(-64, 65)}
+_SMALL_POWERS[0] = _ONE
 
 _NORM_RE = re.compile(r"^(\d+)\^(-?\d+)(?:/(\d+))?$")
 

@@ -479,11 +479,15 @@ class Series:
     def eval_seminorm(self, point: "Point") -> NormEstimate:
         """Certified |f(x)| at a rigid or monomial point of the polydisc."""
         point.check_in(self.space)
-        p = self.space.prime
+        return self.seminorm_at(point)
+
+    def seminorm_at(self, point: "Point") -> NormEstimate:
+        """``eval_seminorm`` without the point check: the caller has
+        already run ``point.check_in(self.space)``."""
         if isinstance(point, RigidPoint):
-            val = self.eval_exact(point.coords)
-            return NormEstimate(NormValue.of_scalar(val, p), self.tail)
+            return self.seminorm_of(self.eval_exact(point.coords))
         # monomial: recenter at the center with the point's radii
+        p = self.space.prime
         target = Space(p, tuple(VarSpec(v.name, rho)
                                 for v, rho in zip(self.space.vars, point.rho)))
         assignment = {}
@@ -492,6 +496,12 @@ class Series:
                                   + Series.constant(target, a))
         recentered = self.substitute(assignment)
         return recentered.gauss_norm()
+
+    def seminorm_of(self, value: Fraction) -> NormEstimate:
+        """Certified |f(x)| at a rigid point x, given the exact value there
+        of the stored polynomial (``eval_exact``)."""
+        return NormEstimate(NormValue.of_scalar(value, self.space.prime),
+                            self.tail)
 
     # -- printing -------------------------------------------------------------
 

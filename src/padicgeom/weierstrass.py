@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .scalars import NormValue, nv_max, nv_min
+from .scalars import NormValue, nv_max, nv_min, valuation
 from .series import Series, Space
 
 _MAX_DIVISION_PASSES = 400
@@ -205,23 +205,10 @@ def _rows_norm(rows, pivot_exp, rest_exp, p) -> NormValue:
     for k, row in rows.items():
         ek = pivot_exp(k)
         for rest, c in row.items():
-            e = ek + rest_exp(rest) - _val(c, p)
+            e = ek + rest_exp(rest) - valuation(c, p)
             if best is None or e > best:
                 best = e
     return NormValue.zero() if best is None else NormValue(best)
-
-
-def _val(c: Fraction, p: int) -> Fraction:
-    v = 0
-    n = c.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = c.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return Fraction(v)
 
 
 def _truncate_at_order(g: Series, pivot: str, s: int) -> Tuple[Series, NormValue]:

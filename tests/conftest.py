@@ -5,9 +5,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
-from padicgeom import (NormValue, RigidPoint, Series, Space, VarSpec,
+from padicgeom import (Atom, ConstructibleSet, DatumChain, ElementaryDatum,
+                       NormValue, RigidPoint, Series, Space, VarSpec,
                        distinguished_order)
+from padicgeom.formulas import tautology
+
+
+# Property tests run derandomized with a bounded example count, so the suite
+# is reproducible and its run time bounded; no example database is kept.
+settings.register_profile("padicgeom", derandomize=True, max_examples=100,
+                          deadline=None, database=None)
+settings.load_profile("padicgeom")
 
 
 def space(p, *specs):
@@ -82,6 +92,43 @@ def rand_rigid(rng, sp):
     coords = [rand_point_coord(rng, sp.prime, v.radius.exp)
               for v in sp.vars]
     return RigidPoint(sp, coords)
+
+
+def rand_constructible(rng, sp, max_links=2):
+    """A random constructible set (the criterion-6 generator): one or two
+    chains of up to ``max_links`` chart links each, exact data."""
+    chains = []
+    for _ in range(rng.randint(1, 2)):
+        links = []
+        domain = sp
+        for k in range(rng.randint(0, max_links)):
+            f = rand_nonzero_series(rng, domain, max_terms=2, max_deg=1,
+                                    vmin=0, vmax=2)
+            g = rand_nonzero_series(rng, domain, max_terms=2, max_deg=1,
+                                    vmin=0, vmax=1)
+            ext = domain.extend(VarSpec(f"t{k + 1}", nv(1)))
+            if rng.random() < 0.5:
+                region = tautology(ext)
+            else:
+                region = Atom(ONE,
+                              rand_nonzero_series(rng, ext, max_terms=2,
+                                                  max_deg=1, vmin=0),
+                              rng.choice(["<=", "<"]), ONE,
+                              rand_nonzero_series(rng, ext, max_terms=2,
+                                                  max_deg=1, vmin=0))
+            links.append(ElementaryDatum(f"t{k + 1}", f, g, nv(1), ONE,
+                                         region))
+            domain = ext
+        if rng.random() < 0.4:
+            base_region = Atom(
+                ONE, rand_nonzero_series(rng, sp, max_terms=2, max_deg=1,
+                                         vmin=0),
+                "<=", ONE, rand_nonzero_series(rng, sp, max_terms=2,
+                                               max_deg=1, vmin=0))
+        else:
+            base_region = tautology(sp)
+        chains.append(DatumChain(sp, base_region, tuple(links)))
+    return ConstructibleSet(sp, tuple(chains))
 
 
 def rand_distinguished(rng, sp, pivot, max_order=4, series_unit=False,

@@ -11,18 +11,18 @@ from fractions import Fraction
 
 import pytest
 
-from padicgeom import (And, Atom, ConstructibleSet, DatumChain,
-                       ElementaryDatum, MonomialPoint, Not, NormValue, Or,
+from padicgeom import (And, Atom, MonomialPoint, Not, NormValue, Or,
                        RigidPoint, Series, Space, SplitAtom, SplitPoly,
-                       VarSpec, apply_shear, certify_unit, complement,
+                       apply_shear, certify_unit, complement,
                        decide_exists, distinguished_order, eval_formula,
                        gauss_point, intersect, make_distinguished, membership,
                        pushforward_eval, qe_prepare, to_dnf, union,
                        weierstrass_divide, weierstrass_prepare)
-from padicgeom.formulas import dnf_to_formula, eval_conjunct, tautology
-from conftest import (ONE, ZERO, ceil_frac, nv, poly, rand_distinguished,
-                      rand_nonzero_series, rand_point_coord, rand_rigid,
-                      rand_scalar, rand_unit_scalar, space)
+from padicgeom.formulas import dnf_to_formula, eval_conjunct
+from conftest import (ONE, ZERO, ceil_frac, nv, poly, rand_constructible,
+                      rand_distinguished, rand_nonzero_series,
+                      rand_point_coord, rand_rigid, rand_scalar,
+                      rand_unit_scalar, space)
 
 
 def report(num, label, detail=""):
@@ -169,41 +169,6 @@ def test_criterion_5_distinguishing_transform():
 # ----------------------------------------------------------------------- 6 --
 
 
-def _random_constructible(rng, sp):
-    chains = []
-    for _ in range(rng.randint(1, 2)):
-        links = []
-        domain = sp
-        for k in range(rng.randint(0, 2)):
-            f = rand_nonzero_series(rng, domain, max_terms=2, max_deg=1,
-                                    vmin=0, vmax=2)
-            g = rand_nonzero_series(rng, domain, max_terms=2, max_deg=1,
-                                    vmin=0, vmax=1)
-            ext = domain.extend(VarSpec(f"t{k + 1}", nv(1)))
-            if rng.random() < 0.5:
-                region = tautology(ext)
-            else:
-                region = Atom(ONE,
-                              rand_nonzero_series(rng, ext, max_terms=2,
-                                                  max_deg=1, vmin=0),
-                              rng.choice(["<=", "<"]), ONE,
-                              rand_nonzero_series(rng, ext, max_terms=2,
-                                                  max_deg=1, vmin=0))
-            links.append(ElementaryDatum(f"t{k + 1}", f, g, nv(1), ONE,
-                                         region))
-            domain = ext
-        if rng.random() < 0.4:
-            base_region = Atom(
-                ONE, rand_nonzero_series(rng, sp, max_terms=2, max_deg=1,
-                                         vmin=0),
-                "<=", ONE, rand_nonzero_series(rng, sp, max_terms=2,
-                                               max_deg=1, vmin=0))
-        else:
-            base_region = tautology(sp)
-        chains.append(DatumChain(sp, base_region, tuple(links)))
-    return ConstructibleSet(sp, tuple(chains))
-
-
 def test_criterion_6_boolean_calculus():
     rng = random.Random(106)
     t0 = time.time()
@@ -211,8 +176,8 @@ def test_criterion_6_boolean_calculus():
         p = rng.choice([2, 3])
         sp = space(p, ("x", 0)) if rng.random() < 0.5 \
             else space(p, ("x", 0), ("y", 0))
-        A = _random_constructible(rng, sp)
-        B = _random_constructible(rng, sp)
+        A = rand_constructible(rng, sp)
+        B = rand_constructible(rng, sp)
         notA = complement(A)
         AB = intersect(A, B)
         AuB = union(A, B)

@@ -1,14 +1,17 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from padicgeom import (Atom, ConstructibleSet, DatumChain, ElementaryDatum,
+from padicgeom import (ConstructibleSet, DatumChain, ElementaryDatum,
                        NormValue, RigidPoint, Series, VarSpec, complement,
                        formula_set, intersect, membership, neighborhood_datum,
                        parse_formula, simplify_divisible, union,
                        unit_coefficient_covering)
 from padicgeom.formulas import tautology
-from conftest import ONE, ZERO, nv, poly, rand_nonzero_series, rand_rigid, space
+from conftest import (ONE, ZERO, nv, poly, rand_constructible, rand_rigid,
+                      space)
 
 
 def B2(p=2):
@@ -41,6 +44,52 @@ def test_membership_chart_region():
     assert membership(S2, RigidPoint(sp, (2, 2))) is False
 
 
+def test_membership_reads_a_shared_region_at_each_chart_value():
+    # both chains use one region object; their chart values differ at (2, 2)
+    sp = B2()
+    ext = sp.extend(VarSpec("t", nv(1)))
+    region = parse_formula("|t| <= 2^-1*|1|", ext)
+    x, y = Series.variable(sp, "x"), Series.variable(sp, "y")
+    d1 = ElementaryDatum("t", y, x, nv(1), ONE, region)           # t = 1
+    d2 = ElementaryDatum("t", y.scale(2), x, nv(1), ONE, region)  # t = 2
+    chains = tuple(DatumChain(sp, tautology(sp), (d,)) for d in (d1, d2))
+    pt = RigidPoint(sp, (2, 2))
+    assert membership(ConstructibleSet(sp, chains[:1]), pt) is False
+    assert membership(ConstructibleSet(sp, chains), pt) is True
+
+
+def other_space_atom(sp):
+    """An atom over a space that differs from sp only in a radius."""
+    other = space(sp.prime, *((v.name, 1) for v in sp.vars))
+    return tautology(other)
+
+
+def test_membership_rejects_base_region_on_another_space():
+    sp = B2()
+    S = formula_set(sp, other_space_atom(sp))
+    with pytest.raises(ValueError, match="point/space mismatch"):
+        membership(S, RigidPoint(sp, (2, 4)))
+
+
+def test_membership_rejects_chart_region_on_another_space():
+    S = worked_datum()
+    sp = S.space
+    link = S.chains[0].links[0]
+    bad = ElementaryDatum(link.t_name, link.f, link.g, link.r, link.s,
+                          other_space_atom(link.extended))
+    S_bad = ConstructibleSet(sp, (DatumChain(sp, tautology(sp), (bad,)),))
+    with pytest.raises(ValueError, match="point/space mismatch"):
+        membership(S_bad, RigidPoint(sp, (2, 4)))
+    # the region is read only where the chart holds: at (0, 0), g = 0
+    assert membership(S_bad, RigidPoint(sp, (0, 0))) is False
+
+
+def test_membership_rejects_point_outside_polydisc():
+    S = worked_datum()
+    with pytest.raises(ValueError, match="outside"):
+        membership(S, RigidPoint(S.space, (Fraction(1, 2), 0)))
+
+
 def test_complement_formula_base_case():
     sp = B2()
     S = formula_set(sp, parse_formula("|x| <= 2^-1*|1|", sp))
@@ -58,39 +107,6 @@ def test_complement_catches_vanishing_denominator():
     assert membership(C, RigidPoint(sp, (2, 4))) is False
 
 
-def random_set(rng, sp, max_links=2):
-    chains = []
-    for _ in range(rng.randint(1, 2)):
-        links = []
-        domain = sp
-        for k in range(rng.randint(0, max_links)):
-            f = rand_nonzero_series(rng, domain, max_terms=2, max_deg=1,
-                                    vmin=0, vmax=2)
-            g = rand_nonzero_series(rng, domain, max_terms=2, max_deg=1,
-                                    vmin=0, vmax=1)
-            ext = domain.extend(VarSpec(f"t{k + 1}", nv(1)))
-            if rng.random() < 0.5:
-                region = tautology(ext)
-            else:
-                region = Atom(ONE, rand_nonzero_series(rng, ext, max_terms=2,
-                                                       max_deg=1, vmin=0),
-                              rng.choice(["<=", "<"]), ONE,
-                              rand_nonzero_series(rng, ext, max_terms=2,
-                                                  max_deg=1, vmin=0))
-            links.append(ElementaryDatum(f"t{k + 1}", f, g, nv(1), ONE, region))
-            domain = ext
-        if rng.random() < 0.4:
-            base_region = Atom(ONE, rand_nonzero_series(rng, sp, max_terms=2,
-                                                        max_deg=1, vmin=0),
-                               "<=", ONE,
-                               rand_nonzero_series(rng, sp, max_terms=2,
-                                                   max_deg=1, vmin=0))
-        else:
-            base_region = tautology(sp)
-        chains.append(DatumChain(sp, base_region, tuple(links)))
-    return ConstructibleSet(sp, tuple(chains))
-
-
 def kleene_not(v):
     return None if v is None else (not v)
 
@@ -99,8 +115,8 @@ def test_boolean_calculus_pointwise(rng):
     for p in (2, 3):
         sp = space(p, ("x", 0), ("y", 0))
         for _ in range(8):
-            A = random_set(rng, sp)
-            B = random_set(rng, sp)
+            A = rand_constructible(rng, sp)
+            B = rand_constructible(rng, sp)
             notA = complement(A)
             AB = intersect(A, B)
             AuB = union(A, B)
@@ -113,10 +129,28 @@ def test_boolean_calculus_pointwise(rng):
                 assert membership(AuB, x) is (va or vb)
 
 
+@given(st.integers(0, 2 ** 32 - 1))
+def test_kleene_identities_property(seed):
+    rng = random.Random(seed)
+    p = rng.choice([2, 3])
+    sp = space(p, ("x", 0)) if rng.random() < 0.5 \
+        else space(p, ("x", 0), ("y", 0))
+    A = rand_constructible(rng, sp)
+    B = rand_constructible(rng, sp)
+    notA, AB, AuB = complement(A), intersect(A, B), union(A, B)
+    for _ in range(10):
+        x = rand_rigid(rng, sp)
+        va, vb = membership(A, x), membership(B, x)
+        assert va is not None and vb is not None
+        assert membership(notA, x) is (not va)
+        assert membership(AB, x) is (va and vb)
+        assert membership(AuB, x) is (va or vb)
+
+
 def test_double_complement(rng):
     sp = B2()
     for _ in range(4):
-        A = random_set(rng, sp, max_links=1)
+        A = rand_constructible(rng, sp, max_links=1)
         CC = complement(complement(A))
         for _ in range(20):
             x = rand_rigid(rng, sp)
@@ -126,7 +160,7 @@ def test_double_complement(rng):
 def test_intersect_with_full_space_is_identity(rng):
     sp = B2()
     from padicgeom.constructible import full_set
-    A = random_set(rng, sp)
+    A = rand_constructible(rng, sp)
     F = full_set(sp)
     AF = intersect(A, F)
     for _ in range(30):
@@ -144,14 +178,14 @@ def test_intersect_concatenates_complexity(rng):
 
 def random_set_with_links(rng, sp, n_links):
     while True:
-        s = random_set(rng, sp, max_links=n_links)
+        s = rand_constructible(rng, sp, max_links=n_links)
         if s.complexity == n_links:
             return s
 
 
 def test_intersection_associative_pointwise(rng):
     sp = B2()
-    A, B, C = (random_set(rng, sp, max_links=1) for _ in range(3))
+    A, B, C = (rand_constructible(rng, sp, max_links=1) for _ in range(3))
     left = intersect(intersect(A, B), C)
     right = intersect(A, intersect(B, C))
     for _ in range(25):

@@ -36,6 +36,27 @@ def test_parse_connectives_and_equality_encoding():
     assert eval_formula(zero_atom, x1) is False
 
 
+def test_eval_rejects_point_outside_polydisc():
+    sp = XY()
+    phi = parse_formula("|x| <= |1| & |y| <= |x|", sp)
+    outside = RigidPoint(sp, (0, Fraction(1, 4)))
+    with pytest.raises(ValueError, match="outside"):
+        eval_formula(phi, outside)
+    with pytest.raises(ValueError, match="outside"):
+        eval_conjunct(to_dnf(phi)[0], outside)
+
+
+def test_eval_rejects_atom_on_another_space():
+    sp = XY()
+    other = space(2, ("x", 0), ("y", 1))
+    phi = And((parse_formula("|x| <= 0*|1|", sp),
+               parse_formula("|y| <= |x|", other)))
+    with pytest.raises(ValueError, match="point/space mismatch"):
+        eval_formula(phi, RigidPoint(sp, (0, 1)))
+    # a false conjunct decides before the other space is reached
+    assert eval_formula(phi, RigidPoint(sp, (1, 1))) is False
+
+
 def test_parse_errors():
     sp = XY()
     with pytest.raises(FormulaSyntaxError):

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from padicgeom import NormValue, parse_norm, valuation
 from conftest import nv, ZERO, ONE, rand_scalar
@@ -14,11 +15,51 @@ def test_valuation_examples():
     assert valuation(Fraction(1, 2), 2) == -1
 
 
+def reference_valuation(a, p):
+    v, n, d = 0, a.numerator, a.denominator
+    while n % p == 0:
+        n //= p
+        v += 1
+    while d % p == 0:
+        d //= p
+        v -= 1
+    return v
+
+
+# signed rationals of a few hundred bits, times p^k so that large
+# valuations of either sign occur
+primes = st.sampled_from([2, 3, 5, 7])
+big = st.integers(-2 ** 300, 2 ** 300).filter(bool)
+shifts = st.integers(-300, 300)
+
+
+def shifted(n, d, p, k):
+    return Fraction(n, d) * Fraction(p) ** k
+
+
+@given(big, big, primes, shifts)
+def test_valuation_matches_reference(n, d, p, k):
+    a = shifted(n, abs(d), p, k)
+    assert valuation(a, p) == reference_valuation(a, p)
+    if a.denominator == 1:
+        assert valuation(a.numerator, p) == reference_valuation(a, p)
+
+
+@given(big, big, primes, shifts)
+def test_of_scalar_matches_valuation(n, d, p, k):
+    a = shifted(n, abs(d), p, k)
+    assert NormValue.of_scalar(a, p) == NormValue(Fraction(-valuation(a, p)))
+
+
 def test_scalar_norms():
     assert NormValue.of_scalar(4, 2) == nv(-2)
     assert NormValue.of_scalar(Fraction(1, 2), 2) == nv(1)
     assert NormValue.of_scalar(7, 5) == ONE
     assert NormValue.of_scalar(0, 5) == ZERO
+    # across both edges of the shared small-exponent table
+    for p in (2, 3):
+        for e in range(-80, 81):
+            assert NormValue.of_scalar(Fraction(p) ** -e, p) == nv(e)
 
 
 def test_value_group_arithmetic():
