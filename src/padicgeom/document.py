@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
-from .scalars import parse_norm, parse_scalar, scalar_text
+from .scalars import parse_norm, parse_scalar, require_prime, scalar_text
 from .series import (MonomialPoint, Point, RigidPoint, Series, Space, VarSpec)
 from .formulas import Formula, formula_text, parse_formula, tautology
 from .constructible import ConstructibleSet, DatumChain, ElementaryDatum
@@ -44,7 +44,10 @@ def _load_series(obj, p: int) -> Series:
     space = Space(p, _load_varspecs(obj["vars"], p))
     coeffs = {}
     for entry in obj.get("coeffs", []):
-        coeffs[tuple(entry["mono"])] = parse_scalar(entry["c"])
+        mono = entry["mono"]
+        if not isinstance(mono, list) or any(type(e) is not int for e in mono):
+            raise ValueError(f"field 'mono' must be a list of integers, not {mono!r}")
+        coeffs[tuple(mono)] = parse_scalar(entry["c"])
     tail = parse_norm(obj.get("tail", "0"), p)
     return Series(space, coeffs, tail)
 
@@ -92,9 +95,11 @@ def _load_chain(obj, p: int, base: Space, series: Dict[str, Series]) -> DatumCha
 def load_document(path: str) -> Document:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    p = int(raw["prime"])
-    if p < 2:
-        raise ValueError("prime must be >= 2")
+    p = raw["prime"]
+    try:
+        require_prime(p)
+    except ValueError as exc:
+        raise ValueError(f"field 'prime': {exc}") from None
     doc = Document(prime=p)
     for name, items in raw.get("spaces", {}).items():
         doc.spaces[name] = Space(p, _load_varspecs(items, p))

@@ -374,14 +374,10 @@ class _Parser:
 
     def disjunction(self) -> Formula:
         parts = [self.conjunction()]
-        while self.peek()[0] == "bar" and self._bar_is_or():
+        while self.peek()[0] == "bar":
             self.take("bar")
             parts.append(self.conjunction())
         return parts[0] if len(parts) == 1 else Or(tuple(parts))
-
-    def _bar_is_or(self) -> bool:
-        # in well-formed input, a bar after a finished conjunction is OR
-        return True
 
     def conjunction(self) -> Formula:
         parts = [self.literal()]

@@ -47,6 +47,44 @@ def valuation(a: Rational, p: int):
     return _valuation(a.numerator, a.denominator, p)
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin with the bases above decides primality for n below this
+# bound (Sorenson-Webster 2015); larger moduli are refused, not guessed.
+_MR_LIMIT = 3317044064679887385961981
+_PRIMES = set()  # integers already shown prime by require_prime
+
+
+def require_prime(p) -> None:
+    """Raise ValueError unless p is a prime int (memoised per integer)."""
+    if type(p) is not int:
+        raise ValueError(f"prime must be an integer, not {p!r}")
+    if p in _PRIMES:
+        return
+    if p < 2:
+        raise ValueError("prime must be >= 2")
+    if p >= _MR_LIMIT:
+        raise ValueError(f"prime {p} is too large to certify")
+    if p not in _MR_BASES:
+        for a in _MR_BASES:
+            if p % a == 0:
+                raise ValueError(f"{p} is not a prime")
+        d, r = p - 1, 0
+        while d % 2 == 0:
+            d //= 2
+            r += 1
+        for a in _MR_BASES:
+            x = pow(a, d, p)
+            if x in (1, p - 1):
+                continue
+            for _ in range(r - 1):
+                x = x * x % p
+                if x == p - 1:
+                    break
+            else:
+                raise ValueError(f"{p} is not a prime")
+    _PRIMES.add(p)
+
+
 def _valuation(n: int, d: int, p: int) -> int:
     """v_p(n/d) for n != 0, d > 0 and p >= 2."""
     if p == 2:
@@ -194,6 +232,8 @@ _NORM_RE = re.compile(r"^(\d+)\^(-?\d+)(?:/(\d+))?$")
 
 def parse_norm(text: str, p: int) -> NormValue:
     """Parse a norm literal: `0` or `p^q` with q a rational (e.g. `2^-3/2`)."""
+    if not isinstance(text, str):
+        raise ValueError(f"bad norm literal: {text!r}")
     text = text.strip()
     if text == "0":
         return _ZERO
@@ -207,12 +247,19 @@ def parse_norm(text: str, p: int) -> NormValue:
         raise ValueError(f"norm literal base {base} does not match prime {p}")
     num = int(m.group(2))
     den = int(m.group(3)) if m.group(3) else 1
+    if den == 0:
+        raise ValueError(f"bad norm literal: {text!r}")
     return NormValue(Fraction(num, den))
 
 
 def parse_scalar(text: str) -> Fraction:
     """Parse a scalar literal: `<int>` or `<int>/<int>`."""
-    return Fraction(text.strip())
+    if not isinstance(text, str):
+        raise ValueError(f"bad scalar literal: {text!r}")
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"bad scalar literal: {text!r}") from None
 
 
 def scalar_text(a: Rational) -> str:

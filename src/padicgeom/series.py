@@ -18,9 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, mul
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .scalars import NormValue, Rational, _as_fraction, nv_max, scalar_text
+from .scalars import (NormValue, Rational, _as_fraction, _valuation, nv_max,
+                      require_prime, scalar_text)
 
 Exponents = Tuple[int, ...]
 
@@ -45,8 +48,7 @@ class Space:
     vars: Tuple[VarSpec, ...]
 
     def __post_init__(self):
-        if self.prime < 2:
-            raise ValueError("prime must be >= 2")
+        require_prime(self.prime)
         names = [v.name for v in self.vars]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names in {names}")
@@ -87,6 +89,117 @@ class Space:
             if e:
                 w = w * (v.radius ** e)
         return w
+
+    def scaled_radii(self) -> Tuple[int, Tuple[int, ...]]:
+        """(D, (D e_1, ..., D e_n)) for radii p^e_i, with D the lcm of the
+        denominators of the e_i: the radius exponents as integers over D.
+
+        Computed on first use and kept on the instance (not a field, so
+        equality and hashing ignore it); spaces built on hot paths that
+        never take a norm pay nothing.
+        """
+        scaled = self.__dict__.get("_scaled_radii")
+        if scaled is None:
+            exps = [v.radius.exp for v in self.vars]
+            d = lcm(*(e.denominator for e in exps))
+            scaled = (d, tuple(e.numerator * (d // e.denominator) for e in exps))
+            object.__setattr__(self, "_scaled_radii", scaled)
+        return scaled
+
+
+# -- exact kernel: integer numerators over one denominator ---------------------
+#
+# The hot loops (series products, Gauss norms, the Weierstrass division
+# sweep) carry a term map {expo: Fraction} as a pair ``(den, {expo: int})``:
+# one positive common denominator and integer numerators, zeros never
+# stored.  Integer products and sums skip the gcd that every Fraction
+# operation pays; the caller divides out the content (``ints_reduce``) when
+# it chooses and builds Fractions only at the boundary.
+
+IntTerms = Tuple[int, Dict[Exponents, int]]
+
+
+def ints_of(coeffs: Mapping[Exponents, Fraction]) -> IntTerms:
+    den = 1
+    for c in coeffs.values():
+        d = c.denominator
+        if den % d:
+            den = den // gcd(den, d) * d
+    return den, {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}
+
+
+def ints_to_fractions(a: IntTerms) -> Dict[Exponents, Fraction]:
+    den, terms = a
+    return {e: Fraction(n, den) for e, n in terms.items()}
+
+
+def ints_mul(a: IntTerms, b: IntTerms) -> IntTerms:
+    """The product of two term maps (exponent vectors add)."""
+    if len(a[1]) == 1:
+        a, b = b, a
+    if len(b[1]) == 1:
+        # times a monomial: exponents shift injectively, nothing cancels
+        (e2, c2), = b[1].items()
+        return a[0] * b[0], {tuple(map(add, e1, e2)): c1 * c2 for e1, c1 in a[1].items()}
+    out: Dict[Exponents, int] = {}
+    get = out.get
+    for e1, c1 in a[1].items():
+        for e2, c2 in b[1].items():
+            e = tuple(map(add, e1, e2))
+            out[e] = get(e, 0) + c1 * c2
+    return a[0] * b[0], {e: c for e, c in out.items() if c}
+
+
+def ints_add_into(a: Optional[IntTerms], b: IntTerms, sign: int) -> IntTerms:
+    """a + sign * b, updating a's numerator map in place (a None stands for
+    the zero map).  Rescales to the lcm only when the denominators differ."""
+    db, tb = b
+    if a is None:
+        return db, {e: sign * c for e, c in tb.items()}
+    da, ta = a
+    if da != db:
+        den = da // gcd(da, db) * db
+        if den != da:
+            m = den // da
+            for e in ta:
+                ta[e] *= m
+        if den != db:
+            sign *= den // db
+        da = den
+    get = ta.get
+    for e, c in tb.items():
+        acc = get(e, 0) + sign * c
+        if acc:
+            ta[e] = acc
+        else:
+            del ta[e]
+    return da, ta
+
+
+def ints_reduce(a: IntTerms) -> IntTerms:
+    """Divide out the content gcd(den, numerators), in place."""
+    den, terms = a
+    g = gcd(den, *terms.values())
+    if g > 1:
+        for e in terms:
+            terms[e] //= g
+        den //= g
+    return den, terms
+
+
+def norm_exp(terms: Mapping[Exponents, Rational], p: int,
+             scaled: Tuple[int, Tuple[int, ...]]) -> Optional[int]:
+    """D times the Gauss-norm exponent max_nu (-v_p(c_nu) + sum nu_i e_i)
+    of a term map with int or Fraction values, None for the empty map;
+    ``scaled`` is the space's ``scaled_radii()`` = (D, (D e_i)).  For an
+    ``IntTerms`` pair add D v_p(den)."""
+    d, weights = scaled
+    best = None
+    for e, c in terms.items():
+        x = sum(map(mul, e, weights)) - d * _valuation(c.numerator, c.denominator, p)
+        if best is None or x > best:
+            best = x
+    return best
 
 
 @dataclass(frozen=True)
@@ -279,13 +392,7 @@ class Series:
 
     def __mul__(self, other: "Series") -> "Series":
         self._check_same_space(other)
-        out: Dict[Exponents, Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(map(sum, zip(e1, e2)))
-                acc = out.get(e)
-                out[e] = c1 * c2 if acc is None else acc + c1 * c2
-        out = {e: c for e, c in out.items() if c}
+        out = ints_to_fractions(ints_mul(ints_of(self.coeffs), ints_of(other.coeffs)))
         if self.tail.is_zero and other.tail.is_zero:
             tail = NormValue.zero()
         else:
@@ -312,13 +419,9 @@ class Series:
 
     def main_norm(self) -> NormValue:
         """Exact Gauss norm of the stored polynomial: max |c_nu| r^nu."""
-        p = self.space.prime
-        out = NormValue.zero()
-        for expo, c in self.coeffs.items():
-            w = NormValue.of_scalar(c, p) * self.space.monomial_weight(expo)
-            if out < w:
-                out = w
-        return out
+        scaled = self.space.scaled_radii()
+        best = norm_exp(self.coeffs, self.space.prime, scaled)
+        return NormValue.zero() if best is None else NormValue(Fraction(best, scaled[0]))
 
     def gauss_norm(self) -> NormEstimate:
         return NormEstimate(self.main_norm(), self.tail)
@@ -347,20 +450,6 @@ class Series:
                 e2[pos[i]] = e
             out[tuple(e2)] = c
         return Series(space, out, self.tail)
-
-    def with_radii(self, radii: Sequence[NormValue]) -> "Series":
-        """Move to the same coordinates with new radii.
-
-        Shrinking every radius keeps the tail bound valid (the sup norm only
-        drops on a smaller polydisc); any enlargement requires an exact
-        series, since a tail bound does not transfer outward.
-        """
-        target = self.space.with_radii(radii)
-        if not self.tail.is_zero:
-            for old, new in zip(self.space.radii, radii):
-                if old < new:
-                    raise ValueError("cannot enlarge the polydisc of an inexact series")
-        return Series(target, self.coeffs, self.tail)
 
     # -- coefficient view along one variable ----------------------------------
 

@@ -3,10 +3,14 @@
 Division follows the classical contraction scheme: truncate the divisor at
 its distinguished order s, do Euclidean division by that truncation (whose
 leading coefficient is an invertible unit), and iterate on the defect, which
-shrinks by a fixed factor each round.  All intermediate arithmetic is exact
-polynomial arithmetic over Q; the residual reported at the end is recomputed
-a posteriori as the exact Gauss norm of f - (g q + R) plus the tail floor of
-the inputs, so the certificate never relies on forward error propagation.
+shrinks by a fixed factor each round.  All intermediate arithmetic is exact:
+each pivot row is kept as integer numerators over one denominator and
+multiplied and subtracted as integers.  The loop keeps f = g q + R + h
+exactly, and the Gauss norm of the defect h is computed once per pass, on
+integer exponents; it decides whether to go on, is logged as that pass's
+iteration norm, and after the last pass, with the tail floor of the inputs,
+is the reported residual.  The certificate is thus the exact norm of
+f - (g q + R), never a forward error bound.
 """
 
 from __future__ import annotations
@@ -15,8 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .scalars import NormValue, nv_max, nv_min, valuation
-from .series import Series, Space
+from .scalars import NormValue, _valuation, nv_max, nv_min
+from .series import (IntTerms, Series, Space, ints_add_into, ints_mul, ints_of,
+                     ints_reduce, ints_to_fractions, norm_exp)
 
 _MAX_DIVISION_PASSES = 400
 
@@ -152,79 +157,28 @@ class PreparationResult:
 
 # -- pivot-coefficient plumbing ------------------------------------------------
 #
-# The division loop works on raw row maps {pivot degree: {rest expo: c}} to
-# keep the inner arithmetic cheap; Series objects are built only at the
-# boundary.
+# The division loop works on row maps {pivot degree: (den, {rest expo: int})}:
+# each row is a term map in the remaining variables carried as integer
+# numerators over one denominator (the ``IntTerms`` kernel of ``series``),
+# so the inner products and subtractions are integer arithmetic with no
+# per-operation gcd.  Each sweep ends by dividing out every defect row's
+# content.  Series objects are built only at the boundary.
 
 
-def _rows_of(h: Series, pivot_index: int) -> Dict[int, Dict[tuple, Fraction]]:
+def _rows_of(h: Series, pivot_index: int) -> Dict[int, IntTerms]:
     rows: Dict[int, Dict[tuple, Fraction]] = {}
     for expo, c in h.coeffs.items():
-        k = expo[pivot_index]
         rest = expo[:pivot_index] + expo[pivot_index + 1:]
-        rows.setdefault(k, {})[rest] = c
-    return rows
+        rows.setdefault(expo[pivot_index], {})[rest] = c
+    return {k: ints_of(row) for k, row in rows.items()}
 
 
-def _rows_to_series(rows, space: Space, pivot_index: int) -> Series:
+def _rows_to_series(rows: Dict[int, IntTerms], space: Space, pivot_index: int) -> Series:
     out = {}
     for k, row in rows.items():
-        for rest, c in row.items():
-            if c:
-                out[rest[:pivot_index] + (k,) + rest[pivot_index:]] = c
+        for rest, c in ints_to_fractions(row).items():
+            out[rest[:pivot_index] + (k,) + rest[pivot_index:]] = c
     return Series._raw(space, out, NormValue.zero())
-
-
-def _mul_rest(a: Dict[tuple, Fraction], b: Dict[tuple, Fraction]
-              ) -> Dict[tuple, Fraction]:
-    out: Dict[tuple, Fraction] = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(map(sum, zip(e1, e2)))
-            acc = out.get(e)
-            out[e] = c1 * c2 if acc is None else acc + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
-def _sub_into(target: Dict[tuple, Fraction], term: Dict[tuple, Fraction]):
-    for e, c in term.items():
-        acc = target.get(e)
-        if acc is None:
-            target[e] = -c
-        else:
-            acc = acc - c
-            if acc:
-                target[e] = acc
-            else:
-                del target[e]
-
-
-def _rows_norm(rows, pivot_exp, rest_exp, p) -> NormValue:
-    """Gauss norm of a row map, computed on bare exponents."""
-    best = None
-    for k, row in rows.items():
-        ek = pivot_exp(k)
-        for rest, c in row.items():
-            e = ek + rest_exp(rest) - valuation(c, p)
-            if best is None or e > best:
-                best = e
-    return NormValue.zero() if best is None else NormValue(best)
-
-
-def _truncate_at_order(g: Series, pivot: str, s: int) -> Tuple[Series, NormValue]:
-    """Split off the part of g with pivot degree <= s; also return the
-    weighted norm of the stored part above s."""
-    i = g.space.index(pivot)
-    low = {}
-    above = NormValue.zero()
-    p = g.space.prime
-    for expo, c in g.coeffs.items():
-        if expo[i] <= s:
-            low[expo] = c
-        else:
-            w = NormValue.of_scalar(c, p) * g.space.monomial_weight(expo)
-            above = nv_max(above, w)
-    return Series._raw(g.space, low, NormValue.zero()), above
 
 
 def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
@@ -252,8 +206,25 @@ def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
                               NormValue.zero(), (), NormValue.zero())
 
     f0, g0 = f.drop_tail(), g.drop_tail()
+    pivot_index = space.index(pivot)
+    d, weights = space.scaled_radii()
+    pivot_weight = weights[pivot_index]
+    rest_scaled = (d, weights[:pivot_index] + weights[pivot_index + 1:])
+
+    def rows_norm(rows: Dict[int, IntTerms]) -> NormValue:
+        """Exact Gauss norm of a row map, on integer exponents over d."""
+        best = None
+        for k, (den, row) in rows.items():
+            x = norm_exp(row, p, rest_scaled)
+            if x is not None:
+                x += k * pivot_weight + d * _valuation(den, 1, p)
+                if best is None or x > best:
+                    best = x
+        return NormValue.zero() if best is None else NormValue(Fraction(best, d))
+
     norm_g = cert.norm_witness
-    g_trunc, above = _truncate_at_order(g0, pivot, s)
+    g_rows = sorted(_rows_of(g0, pivot_index).items())
+    above = rows_norm({m: row for m, row in g_rows if m > s})
     kappa_stored = above / norm_g if not above.is_zero else NormValue.zero()
     kappa_logged = nv_max(above, g.tail) / norm_g if not nv_max(above, g.tail).is_zero \
         else NormValue.zero()
@@ -264,9 +235,8 @@ def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
 
     lead = dict(g0.coeff_view(pivot))[s].drop_tail()
     lead_scalar = lead.as_scalar()
-    rest_space = lead.space
     if lead_scalar is not None:
-        v = Series.constant(rest_space, Fraction(1) / lead_scalar)
+        v = Series.constant(lead.space, Fraction(1) / lead_scalar)
         tau = NormValue.zero()
     else:
         lcert = certify_unit(lead)
@@ -277,89 +247,42 @@ def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
         v = invert_unit(lcert, tau).drop_tail()
 
     contraction = nv_max(kappa_logged, tau)
-    pivot_index = space.index(pivot)
-    rest_space = lead.space
 
-    # exponent caches for fast norm bookkeeping on raw rows
-    r_pivot_exp = space.radius(pivot).exp
-    pivot_exps: Dict[int, Fraction] = {}
-
-    def pw(k: int) -> Fraction:
-        e = pivot_exps.get(k)
-        if e is None:
-            e = r_pivot_exp * k
-            pivot_exps[k] = e
-        return e
-
-    rest_exps: Dict[tuple, Fraction] = {}
-
-    def rw(rest: tuple) -> Fraction:
-        e = rest_exps.get(rest)
-        if e is None:
-            w = rest_space.monomial_weight(rest)
-            e = w.exp
-            rest_exps[rest] = e
-        return e
-
-    g_rows = [(m, row) for m, row in sorted(_rows_of(g0, pivot_index).items())]
-    v_row = dict(v.coeffs)
+    v_row = ints_of(v.coeffs)
     h_rows = _rows_of(f0, pivot_index)
-    q_rows: Dict[int, Dict[tuple, Fraction]] = {}
-    r_rows: Dict[int, Dict[tuple, Fraction]] = {}
+    q_rows: Dict[int, IntTerms] = {}
+    r_rows: Dict[int, IntTerms] = {}
     iters: List[NormValue] = []
-    passes = 0
-    while _rows_norm(h_rows, pw, rw, p) > eps:
-        if passes >= _MAX_DIVISION_PASSES:
+    defect = rows_norm(h_rows)
+    while defect > eps:
+        if len(iters) >= _MAX_DIVISION_PASSES:
             if eps.is_zero:
                 raise ValueError("eps = 0 requested on a non-exact division instance")
             raise ValueError("division did not contract below eps "
-                             f"after {passes} passes")
+                             f"after {len(iters)} passes")
         # one sweep: reduce by the order-truncation, subtracting the full g
         # so the remaining rows are exactly the next defect
         for k in range(max(h_rows, default=0), s - 1, -1):
             row = h_rows.get(k)
-            if not row:
+            if row is None or not row[1]:
                 continue
-            q_k = _mul_rest(row, v_row)
-            if not q_k:
-                continue
-            qk_acc = q_rows.setdefault(k - s, {})
-            for e, c in q_k.items():
-                acc = qk_acc.get(e)
-                if acc is None:
-                    qk_acc[e] = c
-                else:
-                    acc = acc + c
-                    if acc:
-                        qk_acc[e] = acc
-                    else:
-                        del qk_acc[e]
+            q_k = ints_mul(row, v_row)
+            q_rows[k - s] = ints_add_into(q_rows.get(k - s), q_k, 1)
             for m, g_row in g_rows:
-                _sub_into(h_rows.setdefault(k - s + m, {}), _mul_rest(q_k, g_row))
+                j = k - s + m
+                h_rows[j] = ints_add_into(h_rows.get(j), ints_mul(q_k, g_row), -1)
         # rows below the order move to the remainder
         for k in [k for k in h_rows if k < s]:
             row = h_rows.pop(k)
-            if not row:
-                continue
-            r_acc = r_rows.setdefault(k, {})
-            for e, c in row.items():
-                acc = r_acc.get(e)
-                if acc is None:
-                    r_acc[e] = c
-                else:
-                    acc = acc + c
-                    if acc:
-                        r_acc[e] = acc
-                    else:
-                        del r_acc[e]
-        h_rows = {k: row for k, row in h_rows.items() if row}
-        iters.append(_rows_norm(h_rows, pw, rw, p))
-        passes += 1
+            if row[1]:
+                r_rows[k] = ints_add_into(r_rows.get(k), row, 1)
+        h_rows = {k: ints_reduce(row) for k, row in h_rows.items() if row[1]}
+        defect = rows_norm(h_rows)
+        iters.append(defect)
 
     q = _rows_to_series(q_rows, space, pivot_index)
     r_part = _rows_to_series(r_rows, space, pivot_index)
-    residual = nv_max(_rows_norm(h_rows, pw, rw, p), floor)
-    return DivisionResult(q, r_part, residual, tuple(iters), contraction)
+    return DivisionResult(q, r_part, nv_max(defect, floor), tuple(iters), contraction)
 
 
 def _exact_division_by_monic(f: Series, w: Series, pivot: str

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import padicgeom
 from padicgeom import RigidPoint, membership
 from padicgeom.cli import main
 from padicgeom.document import load_document
@@ -201,3 +205,50 @@ def test_error_reporting(doc_path, capsys):
     code, out, err = run(capsys, [
         "norm", "-i", doc_path, "--series", "nosuch", "--space", "line"])
     assert code == 1 and err.startswith("error:")
+
+
+def _composite_prime():
+    # prime 4 with matching literals: once printed |2| = 4^0 and |4| = 4^-1
+    return {"prime": 4,
+            "spaces": {"line": [{"name": "T", "radius": "4^0"}]},
+            "series": {"f": {"vars": [{"name": "T", "radius": "4^0"}],
+                             "coeffs": [{"mono": [0], "c": "2"}]}}}
+
+
+def _with(path, value):
+    """DOC with the entry at ``path`` (a key sequence) replaced by value."""
+    doc = json.loads(json.dumps(DOC))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+F_TERM = ("series", "f", "coeffs", 0)
+
+
+@pytest.mark.parametrize("doc, field", [
+    (_with(("prime",), None), "'prime'"),
+    (_with(("prime",), "2"), "'prime'"),
+    (_composite_prime(), "'prime'"),
+    (_with(F_TERM + ("mono",), 1), "'mono'"),
+    (_with(F_TERM + ("c",), 1), "scalar literal"),
+    (_with(F_TERM + ("c",), "1/0"), "scalar literal"),
+    (_with(("series", "f", "tail"), "2^1/0"), "norm literal"),
+], ids=["prime-null", "prime-string", "prime-composite", "mono-int",
+        "scalar-int", "scalar-zero-denominator", "norm-zero-denominator"])
+def test_malformed_document_is_a_one_line_error(tmp_path, doc, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(padicgeom.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "padicgeom.cli", "norm", "-i", str(path),
+         "--series", "f"], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and field in lines[0]
+    with pytest.raises(ValueError, match=field):
+        load_document(str(path))

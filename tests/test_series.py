@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from padicgeom import (MonomialPoint, NormValue, RigidPoint, Series,
-                       gauss_point, pushforward_eval)
+from padicgeom import (MonomialPoint, NormValue, RigidPoint, Series, Space,
+                       VarSpec, gauss_point, pushforward_eval)
 from conftest import (ONE, ZERO, nv, poly, rand_nonzero_series, rand_rigid,
                       space)
 
@@ -36,6 +37,77 @@ def test_product_tail_propagation():
     out = f * g
     # max(tail_f ||g||, tail_g ||f||, tail_f tail_g)
     assert out.tail == max(nv(-3) * nv(-2), nv(-6) * ONE, nv(-3) * nv(-6))
+
+
+def test_space_requires_a_prime():
+    # 3215031751 = 151 * 751 * 28351 is a strong pseudoprime to bases 2, 3, 5, 7
+    for p in (4, 6, 9, 1, 0, -7, 3215031751, 2 ** 61 + 1):
+        with pytest.raises(ValueError):
+            Space(p, (VarSpec("T", ONE),))
+    with pytest.raises(ValueError):
+        Space(True, ())
+    Space(2 ** 61 - 1, ())
+    for n in range(2, 2000):
+        is_prime = all(n % d for d in range(2, int(n ** 0.5) + 1))
+        try:
+            Space(n, ())
+        except ValueError:
+            assert not is_prime, n
+        else:
+            assert is_prime, n
+
+
+# Spaces with rational radius exponents and coefficients whose denominators
+# mix powers of p with units (1/3 at p = 2): the integer kernel must scale
+# the exponents to a common denominator and rescale numerators to an lcm.
+kernel_primes = st.sampled_from([2, 3, 5])
+kernel_radii = st.sampled_from(["0", "1", "1/2", "-3/2", "2/3"])
+
+
+@st.composite
+def kernel_space(draw):
+    p = draw(kernel_primes)
+    n = draw(st.integers(1, 2))
+    return space(p, *[(f"x{i}", draw(kernel_radii)) for i in range(n)])
+
+
+def kernel_series(draw, sp):
+    p = sp.prime
+    units = [u for u in (1, 3, 5, 7, 9, 15) if u % p]
+    coeff = st.builds(lambda n, u, k: Fraction(n, u) * Fraction(p) ** k,
+                      st.integers(-10 ** 6, 10 ** 6), st.sampled_from(units),
+                      st.integers(-4, 4))
+    expo = st.tuples(*[st.integers(0, 3)] * len(sp.vars))
+    return Series(sp, draw(st.dictionaries(expo, coeff, max_size=6)))
+
+
+@st.composite
+def kernel_pair(draw):
+    sp = draw(kernel_space())
+    return kernel_series(draw, sp), kernel_series(draw, sp)
+
+
+@given(kernel_pair())
+def test_product_matches_fraction_double_loop(pair):
+    f, g = pair
+    ref = {}
+    for e1, c1 in f.coeffs.items():
+        for e2, c2 in g.coeffs.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            ref[e] = ref.get(e, Fraction(0)) + c1 * c2
+    out = (f * g).coeffs
+    assert out == {e: c for e, c in ref.items() if c}
+    assert all(type(c) is Fraction for c in out.values())
+
+
+@given(kernel_pair())
+def test_main_norm_matches_termwise_max(pair):
+    for f in pair:
+        sp = f.space
+        ref = ZERO
+        for e, c in f.coeffs.items():
+            ref = max(ref, NormValue.of_scalar(c, sp.prime) * sp.monomial_weight(e))
+        assert f.main_norm() == ref
 
 
 def test_gauss_norm_examples():

@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from padicgeom import (NormValue, RigidPoint, Series, certify_unit,
                        distinguished_order, invert_unit, weierstrass_divide,
@@ -196,3 +198,26 @@ def test_prepare_random_contract(rng):
         assert out.monic.coeff_view("T")[-1][1].as_scalar() == 1
         defect = (g - out.unit.drop_tail() * out.monic).gauss_norm().value
         assert max(defect, out.unit.tail * out.monic.gauss_norm().value) <= eps
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_division_contract_property(seed):
+    # rational radius exponents and unit denominators (1/3 at p = 2) make
+    # the division rows carry several denominators and non-integral weights
+    rng = random.Random(seed)
+    p = rng.choice([2, 3, 5])
+    radii = ["0", "1/2", "-3/2", "1"]
+    specs = [("T", rng.choice(radii))]
+    if rng.random() < 0.5:
+        specs.insert(0, ("x", rng.choice(radii)))
+    sp = space(p, *specs)
+    g, cert = rand_distinguished(rng, sp, "T", series_unit=True)
+    f = rand_nonzero_series(rng, sp, max_deg=6, vmin=-2)
+    nf = f.gauss_norm().value
+    eps = nf * nv(-12)
+    out = weierstrass_divide(f, g, cert, eps)
+    defect = f - (g * out.quotient + out.remainder)
+    assert defect.gauss_norm().value <= out.residual <= eps
+    assert out.remainder.degree_in("T") < cert.order
+    assert max(g.gauss_norm().value * out.quotient.gauss_norm().value,
+               out.remainder.gauss_norm().value) == nf
