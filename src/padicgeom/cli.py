@@ -302,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--conjunct", required=True)
     p.add_argument("--pivot", required=True)
-    p.add_argument("--roots", help="comma-separated rational root hints")
+    p.add_argument("--roots", help="comma-separated rational sample points, "
+                   "tried when a fibre polynomial does not split")
     p.set_defaults(func=cmd_qe1)
 
     p = sub.add_parser("blowup", help="pull a series back through a chart")

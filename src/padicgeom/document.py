@@ -33,18 +33,46 @@ class Document:
         raise ValueError("document has several spaces; name one explicitly")
 
 
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string",
+               bool: "a boolean", int: "a number", float: "a number",
+               type(None): "null"}
+
+
+def _expect(value, kind: type, field: str, entry=None):
+    """value, or a ValueError naming the field when it is not of the JSON
+    type ``kind`` (dict, list or str)."""
+    if not isinstance(value, kind):
+        where = f"field {field!r}" + ("" if entry is None else f" entry {entry!r}")
+        raise ValueError(f"{where} must be {_JSON_TYPES[kind]}, "
+                         f"not {_JSON_TYPES[type(value)]}")
+    return value
+
+
+def _section(raw: dict, field: str, kind: type = dict):
+    """An optional member of a JSON object, type-checked; empty if absent."""
+    return _expect(raw.get(field, kind()), kind, field)
+
+
+def _entries(raw: dict, field: str):
+    """(name, object) pairs of a section of named objects."""
+    return [(name, _expect(obj, dict, field, name))
+            for name, obj in _section(raw, field).items()]
+
+
 def _load_varspecs(items, p: int) -> Tuple[VarSpec, ...]:
     out = []
-    for item in items:
-        out.append(VarSpec(item["name"], parse_norm(item["radius"], p)))
+    for item in _expect(items, list, "vars"):
+        item = _expect(item, dict, "vars")
+        out.append(VarSpec(_expect(item["name"], str, "name"),
+                           parse_norm(item["radius"], p)))
     return tuple(out)
 
 
 def _load_series(obj, p: int) -> Series:
     space = Space(p, _load_varspecs(obj["vars"], p))
     coeffs = {}
-    for entry in obj.get("coeffs", []):
-        mono = entry["mono"]
+    for entry in _section(obj, "coeffs", list):
+        mono = _expect(entry, dict, "coeffs")["mono"]
         if not isinstance(mono, list) or any(type(e) is not int for e in mono):
             raise ValueError(f"field 'mono' must be a list of integers, not {mono!r}")
         coeffs[tuple(mono)] = parse_scalar(entry["c"])
@@ -64,28 +92,30 @@ def _dump_series(s: Series) -> dict:
 
 
 def _load_point(obj, p: int, spaces: Dict[str, Space]) -> Point:
-    space = spaces[obj["space"]]
+    space = spaces[_expect(obj["space"], str, "space")]
     if "rigid" in obj:
-        return RigidPoint(space, [parse_scalar(c) for c in obj["rigid"]])
-    center = [parse_scalar(c) for c in obj["center"]]
-    rho = [parse_norm(r, p) for r in obj["rho"]]
+        return RigidPoint(space, [parse_scalar(c)
+                                  for c in _expect(obj["rigid"], list, "rigid")])
+    center = [parse_scalar(c) for c in _expect(obj["center"], list, "center")]
+    rho = [parse_norm(r, p) for r in _expect(obj["rho"], list, "rho")]
     return MonomialPoint(space, center, rho)
 
 
 def _load_chain(obj, p: int, base: Space, series: Dict[str, Series]) -> DatumChain:
-    region_text = obj.get("region", "")
+    region_text = _section(obj, "region", str)
     region = (parse_formula(region_text, base) if region_text
               else tautology(base))
     links = []
     domain = base
-    for link in obj.get("links", []):
-        t_name = link["t"]
+    for link in _section(obj, "links", list):
+        link = _expect(link, dict, "links")
+        t_name = _expect(link["t"], str, "t")
         r = parse_norm(link["r"], p)
         s = parse_norm(link["s"], p)
-        f = series[link["f"]].lift_to(domain)
-        g = series[link["g"]].lift_to(domain)
+        f = series[_expect(link["f"], str, "f")].lift_to(domain)
+        g = series[_expect(link["g"], str, "g")].lift_to(domain)
         ext = domain.extend(VarSpec(t_name, r))
-        reg_text = link.get("R", "")
+        reg_text = _section(link, "R", str)
         reg = parse_formula(reg_text, ext) if reg_text else tautology(ext)
         links.append(ElementaryDatum(t_name, f, g, r, s, reg))
         domain = ext
@@ -94,31 +124,33 @@ def _load_chain(obj, p: int, base: Space, series: Dict[str, Series]) -> DatumCha
 
 def load_document(path: str) -> Document:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        raw = _expect(json.load(fh), dict, "document")
     p = raw["prime"]
     try:
         require_prime(p)
     except ValueError as exc:
         raise ValueError(f"field 'prime': {exc}") from None
     doc = Document(prime=p)
-    for name, items in raw.get("spaces", {}).items():
+    for name, items in _section(raw, "spaces").items():
+        items = _expect(items, list, "spaces", name)
         doc.spaces[name] = Space(p, _load_varspecs(items, p))
-    for name, obj in raw.get("series", {}).items():
+    for name, obj in _entries(raw, "series"):
         doc.series[name] = _load_series(obj, p)
-    for name, obj in raw.get("formulas", {}).items():
+    for name, obj in _section(raw, "formulas").items():
         if isinstance(obj, str):
             space = doc.sole_space()
             text = obj
         else:
-            space = doc.spaces[obj["space"]]
-            text = obj["text"]
+            obj = _expect(obj, dict, "formulas", name)
+            space = doc.spaces[_expect(obj["space"], str, "space")]
+            text = _expect(obj["text"], str, "text")
         doc.formulas[name] = parse_formula(text, space)
-    for name, obj in raw.get("points", {}).items():
+    for name, obj in _entries(raw, "points"):
         doc.points[name] = _load_point(obj, p, doc.spaces)
-    for name, obj in raw.get("sets", {}).items():
-        base = doc.spaces[obj["space"]]
-        chains = tuple(_load_chain(c, p, base, doc.series)
-                       for c in obj.get("chains", []))
+    for name, obj in _entries(raw, "sets"):
+        base = doc.spaces[_expect(obj["space"], str, "space")]
+        chains = tuple(_load_chain(_expect(c, dict, "chains"), p, base, doc.series)
+                       for c in _section(obj, "chains", list))
         doc.sets[name] = ConstructibleSet(base, chains)
     return doc
 

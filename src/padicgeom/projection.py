@@ -21,11 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .scalars import NormValue, nv_max
 from .series import (MonomialPoint, Point, RigidPoint, Series, Space, VarSpec,
-                     compare_le, compare_lt)
+                     compare_le, compare_lt, ints_of)
 from .formulas import Atom, LE, LT
 from .weierstrass import weierstrass_prepare
 from .automorphisms import DistinguishResult, Shear, make_distinguished
@@ -63,77 +64,139 @@ class SplitPoly:
         return out
 
 
-def split_series(f: Series, hints: Sequence[Fraction] = ()) -> Optional[SplitPoly]:
+def split_series(f: Series) -> Optional[SplitPoly]:
     """Factor a one-variable polynomial into rational linear factors.
 
-    Returns None when f is zero or does not split over Q (within the root
-    search: supplied hints, the zero root, and rational-root candidates
-    from small divisors of the extreme coefficients).
+    Returns None iff f is zero, has a tail, or does not split over Q.  The
+    root search is complete: every rational root of the squarefree part is
+    found q-adically (roots mod a small prime q, Newton-Hensel lifted and
+    read back by rational reconstruction), then checked exactly.
     """
     if len(f.space.vars) != 1:
         raise ValueError("split_series expects a one-variable series")
-    if not f.tail.is_zero:
+    if not f.tail.is_zero or not f.coeffs:
         return None
-    if not f.coeffs:
-        return None
-    deg = f.degree_in(f.space.vars[0].name)
-    dense = [Fraction(0)] * (deg + 1)
-    for (e,), c in f.coeffs.items():
-        dense[e] = c
-
-    roots: List[Tuple[Fraction, int]] = []
-
-    def divide_out(poly: List[Fraction], a: Fraction) -> Optional[List[Fraction]]:
-        # synthetic division; None unless a is a root
-        out = [Fraction(0)] * (len(poly) - 1)
-        acc = Fraction(0)
-        for k in range(len(poly) - 1, 0, -1):
-            acc = acc * a + poly[k]
-            out[k - 1] = acc
-        if acc * a + poly[0] != 0:
-            return None
-        return out
-
-    def candidates(poly: List[Fraction]) -> List[Fraction]:
-        lo = poly[0]
-        hi = poly[-1]
-        cands: Set[Fraction] = set(hints)
-        cands.add(Fraction(0))
-        num = abs(lo.numerator * hi.denominator)
-        den = abs(hi.numerator * lo.denominator)
-        if num == 0:
-            return sorted(cands)
-
-        def small_divisors(n: int, cap: int = 64) -> List[int]:
-            out = set()
-            d = 1
-            while d * d <= n and len(out) < cap:
-                if n % d == 0:
-                    out.add(d)
-                    out.add(n // d)
-                d += 1
-            return sorted(out)
-
-        for a in small_divisors(num):
-            for b in small_divisors(den if den else 1):
-                cands.add(Fraction(a, b))
-                cands.add(Fraction(-a, b))
-        return sorted(cands)
-
-    poly = dense[:]
-    mults: Dict[Fraction, int] = {}
-    while len(poly) > 1:
-        found = None
-        for a in candidates(poly):
-            out = divide_out(poly, a)
-            if out is not None:
-                found = (a, out)
+    den, terms = ints_of(f.coeffs)
+    poly = [0] * (max(e for e, in terms) + 1)
+    for (e,), c in terms.items():
+        poly[e] = c
+    lead = Fraction(poly[-1], den)
+    zeros = next(k for k, c in enumerate(poly) if c)
+    poly = poly[zeros:]
+    mults = {Fraction(0): zeros} if zeros else {}
+    for a, b in _rational_root_candidates(poly):
+        m = 0
+        while len(poly) > 1:
+            quotient = _divide_linear(poly, a, b)
+            if quotient is None:
                 break
-        if found is None:
+            poly = quotient
+            m += 1
+        if m:
+            mults[Fraction(a, b)] = m
+    if len(poly) > 1:
+        return None
+    return SplitPoly(lead, tuple(sorted(mults.items())))
+
+
+# Integer polynomials below are coefficient lists, constant term first, with
+# a nonzero last entry.
+
+
+def _divide_linear(poly: List[int], a: int, b: int) -> Optional[List[int]]:
+    """poly / (b T - a) for b > 0, or None when b T - a does not divide
+    poly over Q (by Gauss's lemma the quotient is then integral)."""
+    out = [0] * (len(poly) - 1)
+    acc = 0
+    for k in range(len(poly) - 1, 0, -1):
+        q, r = divmod(poly[k] + a * acc, b)
+        if r:
             return None
-        a, poly = found
-        mults[a] = mults.get(a, 0) + 1
-    return SplitPoly(poly[0], tuple(sorted(mults.items())))
+        out[k - 1] = acc = q
+    return out if poly[0] + a * acc == 0 else None
+
+
+def _primitive(poly: List[int]) -> List[int]:
+    g = gcd(*poly)
+    if poly[-1] < 0:
+        g = -g
+    return [c // g for c in poly]
+
+
+def _pseudo_divmod(a: List[int], b: List[int]) -> Tuple[List[int], List[int]]:
+    """(q, r) with lead(b)^k a = q b + r and deg r < deg b (pseudo-division
+    over the integers); r has no trailing zeros."""
+    q, r, lb = [0] * max(len(a) - len(b) + 1, 0), a[:], b[-1]
+    while len(r) >= len(b):
+        c, shift = r[-1], len(r) - len(b)
+        q = [x * lb for x in q]
+        q[shift] += c
+        r = [x * lb for x in r]
+        for i, x in enumerate(b):
+            r[i + shift] -= c * x
+        while r and not r[-1]:
+            r.pop()
+    return q, r
+
+
+def _squarefree_part(poly: List[int]) -> List[int]:
+    """The primitive squarefree part poly / gcd(poly, poly')."""
+    g, b = poly, [k * c for k, c in enumerate(poly)][1:]
+    while b:
+        b = _primitive(b)
+        g, b = b, _pseudo_divmod(g, b)[1]
+    return _primitive(_pseudo_divmod(poly, g)[0])
+
+
+def _small_primes():
+    n = 2
+    while True:
+        if all(n % d for d in range(2, int(n ** 0.5) + 1)):
+            yield n
+        n += 1
+
+
+def _eval_mod(poly: List[int], t: int, m: int) -> int:
+    acc = 0
+    for c in reversed(poly):
+        acc = (acc * t + c) % m
+    return acc
+
+
+def _rational_root_candidates(poly: List[int]) -> List[Tuple[int, int]]:
+    """(a, b) with b > 0 and gcd(a, b) = 1, including every rational root
+    a / b of poly (a nonzero constant term; candidates need not be roots).
+
+    With Q the squarefree part and q the first prime not dividing lead(Q)
+    at which every root of Q mod q is simple, each rational root of Q is
+    the unique q-adic lift of a root mod q.  Lifting until
+    q^k > 2 (|lead| + max |c_i|) bounds lead * root (an integer, by the
+    Cauchy bound) so its symmetric residue is exact.
+    """
+    sq = _squarefree_part(poly)
+    if len(sq) == 1:
+        return []
+    lead = sq[-1]
+    deriv = [k * c for k, c in enumerate(sq)][1:]
+    for q in _small_primes():
+        if lead % q == 0:
+            continue
+        roots = [t for t in range(q) if _eval_mod(sq, t, q) == 0]
+        if all(_eval_mod(deriv, t, q) for t in roots):
+            break
+    bound = 2 * (abs(lead) + max(abs(c) for c in sq))
+    out = []
+    for r in roots:
+        m = q
+        while m <= bound:
+            m *= m
+            r = (r - _eval_mod(sq, r, m) * pow(_eval_mod(deriv, r, m), -1, m)) % m
+        s = lead * r % m
+        if 2 * s > m:
+            s -= m
+        root = Fraction(s, lead)
+        out.append((root.numerator, root.denominator))
+    return out
 
 
 # -- disc regions ----------------------------------------------------------------
@@ -531,8 +594,10 @@ def project_decision(conjunct: Sequence[Atom], x: RigidPoint, pivot: str,
     ('UNKNOWN', None).
 
     Atoms specialize at x to one-variable polynomials; when every side
-    splits over Q the decision is exact, otherwise a sampling fallback can
-    still certify SAT, and UNKNOWN is returned when it fails.
+    splits over Q the decision is exact, otherwise a sampling fallback
+    (0, +-p^-k and the ``hints``) can still certify SAT, and UNKNOWN is
+    returned when it fails.  A witness is a point of the pivot's unit disc,
+    the one-variable space named after the pivot.
     """
     p = x.space.prime
     target = Space(p, (VarSpec(pivot, NormValue.one()),))
@@ -548,7 +613,7 @@ def project_decision(conjunct: Sequence[Atom], x: RigidPoint, pivot: str,
             if s.is_zero:
                 sides.append(None)
             else:
-                sp = split_series(s, hints)
+                sp = split_series(s)
                 if sp is None:
                     all_split = False
                 sides.append(sp)
@@ -557,7 +622,13 @@ def project_decision(conjunct: Sequence[Atom], x: RigidPoint, pivot: str,
                                          atom.beta, sides[1]))
     if all_split:
         decision = decide_exists(split_atoms, p)
-        return decision.status, decision.witness
+        # the witness moves from decide_exists's own space to the target
+        w = decision.witness
+        if isinstance(w, RigidPoint):
+            w = RigidPoint(target, w.coords)
+        elif w is not None:
+            w = MonomialPoint(target, w.center, w.rho)
+        return decision.status, w
     # sampling fallback: a verified witness proves SAT; nothing proves UNSAT
     candidates: List[Fraction] = [Fraction(0)]
     candidates.extend(hints)

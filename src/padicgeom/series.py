@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import add, mul
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -100,11 +100,17 @@ class Space:
         """
         scaled = self.__dict__.get("_scaled_radii")
         if scaled is None:
-            exps = [v.radius.exp for v in self.vars]
-            d = lcm(*(e.denominator for e in exps))
-            scaled = (d, tuple(e.numerator * (d // e.denominator) for e in exps))
+            scaled = scaled_exponents(self.radii)
             object.__setattr__(self, "_scaled_radii", scaled)
         return scaled
+
+
+def scaled_exponents(radii: Sequence[NormValue]) -> Tuple[int, Tuple[int, ...]]:
+    """(D, (D e_1, ..., D e_n)) for nonzero norms p^e_i, D the lcm of the
+    denominators of the e_i."""
+    exps = [r.exp for r in radii]
+    d = lcm(*(e.denominator for e in exps))
+    return d, tuple(e.numerator * (d // e.denominator) for e in exps)
 
 
 # -- exact kernel: integer numerators over one denominator ---------------------
@@ -185,6 +191,27 @@ def ints_reduce(a: IntTerms) -> IntTerms:
             terms[e] //= g
         den //= g
     return den, terms
+
+
+def taylor_shift(terms: Dict[Exponents, int], i: int, u: int, w: int
+                 ) -> Tuple[Dict[Exponents, int], int]:
+    """(w^K f(X + u/w e_i), K) for integer terms f, K the degree in X_i:
+    each c X^k spreads to c C(k, j) u^(k-j) w^(K-k+j) X^j, j <= k."""
+    big = max(e[i] for e in terms) if terms else 0
+    upow, wpow = [1], [1]
+    for _ in range(big):
+        upow.append(upow[-1] * u)
+        wpow.append(wpow[-1] * w)
+    out: Dict[Exponents, int] = {}
+    get = out.get
+    for e, c in terms.items():
+        k = e[i]
+        head, tail = e[:i], e[i + 1:]
+        c *= wpow[big - k]
+        for j in range(k + 1):
+            e2 = head + (j,) + tail
+            out[e2] = get(e2, 0) + c * comb(k, j) * upow[k - j] * wpow[j]
+    return {e: c for e, c in out.items() if c}, big
 
 
 def norm_exp(terms: Mapping[Exponents, Rational], p: int,
@@ -465,7 +492,7 @@ class Series:
             n = expo[i]
             e2 = expo[:i] + expo[i + 1:]
             buckets.setdefault(n, {})[e2] = c
-        return [(n, Series(rest, buckets[n], self.tail)) for n in sorted(buckets)]
+        return [(n, Series._raw(rest, buckets[n], self.tail)) for n in sorted(buckets)]
 
     def coeff_view_multi(self, fiber: Sequence[str]) -> List[Tuple[Exponents, "Series"]]:
         """Like coeff_view but along several variables at once."""
@@ -479,7 +506,8 @@ class Series:
             nu = tuple(expo[j] for j in idx)
             e2 = tuple(expo[j] for j in keep)
             buckets.setdefault(nu, {})[e2] = c
-        return [(nu, Series(rest, buckets[nu], self.tail)) for nu in sorted(buckets)]
+        return [(nu, Series._raw(rest, buckets[nu], self.tail))
+                for nu in sorted(buckets)]
 
     # -- substitution ----------------------------------------------------------
 
@@ -572,19 +600,26 @@ class Series:
 
     def seminorm_at(self, point: "Point") -> NormEstimate:
         """``eval_seminorm`` without the point check: the caller has
-        already run ``point.check_in(self.space)``."""
+        already run ``point.check_in(self.space)``.
+
+        At a monomial point (a, rho) this is the Gauss norm with radii rho
+        of f(X + a), taken on integer numerators after one Taylor shift per
+        nonzero centre coordinate; the tail is f's own, because the images
+        X + a are exact and |a| <= radius holds inside the polydisc."""
         if isinstance(point, RigidPoint):
             return self.seminorm_of(self.eval_exact(point.coords))
-        # monomial: recenter at the center with the point's radii
         p = self.space.prime
-        target = Space(p, tuple(VarSpec(v.name, rho)
-                                for v, rho in zip(self.space.vars, point.rho)))
-        assignment = {}
-        for v, a in zip(self.space.vars, point.center):
-            assignment[v.name] = (Series.variable(target, v.name)
-                                  + Series.constant(target, a))
-        recentered = self.substitute(assignment)
-        return recentered.gauss_norm()
+        den, terms = ints_of(self.coeffs)
+        vden = _valuation(den, 1, p)
+        for i, a in enumerate(point.center):
+            if a:
+                terms, k = taylor_shift(terms, i, a.numerator, a.denominator)
+                vden += k * _valuation(a.denominator, 1, p)
+        scaled = scaled_exponents(point.rho)
+        best = norm_exp(terms, p, scaled)
+        value = (NormValue.zero() if best is None
+                 else NormValue(Fraction(best, scaled[0]) + vden))
+        return NormEstimate(value, self.tail)
 
     def seminorm_of(self, value: Fraction) -> NormEstimate:
         """Certified |f(x)| at a rigid point x, given the exact value there

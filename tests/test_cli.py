@@ -236,8 +236,30 @@ F_TERM = ("series", "f", "coeffs", 0)
     (_with(F_TERM + ("c",), 1), "scalar literal"),
     (_with(F_TERM + ("c",), "1/0"), "scalar literal"),
     (_with(("series", "f", "tail"), "2^1/0"), "norm literal"),
+    (_with(("spaces",), []), "'spaces'"),
+    (_with(("spaces", "line"), {}), "'spaces' entry 'line'"),
+    (_with(("series",), []), "'series'"),
+    (_with(("series", "f"), 3), "'series' entry 'f'"),
+    (_with(("series", "f", "vars"), {}), "'vars'"),
+    (_with(("series", "f", "coeffs"), {}), "'coeffs'"),
+    (_with(F_TERM, "x"), "'coeffs'"),
+    (_with(("formulas",), "|T| <= |1|"), "'formulas'"),
+    (_with(("formulas", "small"), 1), "'formulas' entry 'small'"),
+    (_with(("points", "origin"), ["0", "0"]), "'points' entry 'origin'"),
+    (_with(("points", "origin", "rigid"), "0"), "'rigid'"),
+    (_with(("sets",), None), "'sets'"),
+    (_with(("sets", "S", "space"), ["plane"]), "'space'"),
+    (_with(("sets", "S", "chains"), {}), "'chains'"),
+    (_with(("sets", "S", "chains", 0), []), "'chains'"),
+    (_with(("sets", "S", "chains", 0, "links"), {}), "'links'"),
+    (_with(("sets", "S", "chains", 0, "links", 0, "f"), 1), "'f'"),
 ], ids=["prime-null", "prime-string", "prime-composite", "mono-int",
-        "scalar-int", "scalar-zero-denominator", "norm-zero-denominator"])
+        "scalar-int", "scalar-zero-denominator", "norm-zero-denominator",
+        "spaces-list", "space-entry-object", "series-list", "series-entry-number",
+        "vars-object", "coeffs-object", "coeff-string", "formulas-string",
+        "formula-entry-number", "point-entry-list", "rigid-string", "sets-null",
+        "set-space-list", "chains-object", "chain-list", "links-object",
+        "link-series-number"])
 def test_malformed_document_is_a_one_line_error(tmp_path, doc, field):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

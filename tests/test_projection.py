@@ -1,12 +1,15 @@
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from padicgeom import (Atom, Disc, MonomialPoint, NormValue, RigidPoint,
                        Series, Space, SplitAtom, SplitPoly, SwissPiece,
                        VarSpec, decide_exists, lemniscate_region,
                        project_decision, project_pointwise, qe_prepare,
                        region_contains, split_series)
+from padicgeom.formulas import eval_conjunct, eval_formula, parse_formula, to_dnf
 from conftest import ONE, ZERO, nv, poly, rand_rigid, space
 
 
@@ -25,8 +28,92 @@ def test_split_series_basics():
     sq = split_series(poly(sp, {(2,): 1, (1,): -4, (0,): 4}))  # (T-2)^2
     assert sq.roots == ((Fraction(2), 2),)
     assert split_series(poly(sp, {(2,): 1, (0,): 1})) is None  # T^2 + 1 (p=2)
-    assert split_series(poly(sp, {(2,): 3, (0,): -3}),
-                        hints=[Fraction(1)]) is not None
+    assert split_series(poly(sp, {(2,): 3, (0,): -3})) == SplitPoly(
+        Fraction(3), ((Fraction(-1), 1), (Fraction(1), 1)))  # 3(T+1)(T-1)
+    assert split_series(poly(sp, {(0,): "-2/7"})) == SplitPoly(Fraction(-2, 7), ())
+    assert split_series(poly(sp, {})) is None
+    assert split_series(poly(sp, {(1,): 1}).with_tail(nv(-5))) is None
+
+
+def from_roots(sp, lead, roots):
+    """lead * prod (T - r)^m over a one-variable space."""
+    f = Series.constant(sp, lead)
+    T = Series.variable(sp, "T")
+    for r, m in roots.items():
+        f = f * (T - Series.constant(sp, r)).pow(m)
+    return f
+
+
+BIG_PARTS = [1, 2, 3, 1081, 720720, 4849845]
+split_root = st.builds(
+    lambda n, d: Fraction(n, d),
+    st.one_of(st.sampled_from([0, 1, -1, 720720, -4849845]),
+              st.integers(-10 ** 9, 10 ** 9)),
+    st.one_of(st.sampled_from(BIG_PARTS), st.integers(1, 10 ** 6)))
+split_lead = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6).filter(bool),
+                       st.sampled_from(BIG_PARTS))
+# irreducible over Q: no rational root, so the product does not split
+IRREDUCIBLE = [{(2,): 1, (0,): 1}, {(2,): 1, (0,): -2}, {(2,): 1, (1,): 1, (0,): 1},
+               {(2,): 3, (0,): "-5/7"}, {(2,): 720720, (0,): -1081}]
+
+
+@given(st.sampled_from([2, 3, 5]), split_lead,
+       st.dictionaries(split_root, st.integers(1, 3), max_size=4))
+def test_split_series_recovers_built_roots(p, lead, roots):
+    sp = unit_line(p)
+    f = from_roots(sp, lead, roots)
+    assert split_series(f) == SplitPoly(lead, tuple(sorted(roots.items())))
+
+
+@given(st.sampled_from([2, 3, 5]), split_lead,
+       st.dictionaries(split_root, st.integers(1, 2), max_size=3),
+       st.sampled_from(IRREDUCIBLE))
+def test_split_series_refuses_an_irreducible_quadratic(p, lead, roots, quad):
+    sp = unit_line(p)
+    assert split_series(from_roots(sp, lead, roots) * poly(sp, quad)) is None
+
+
+@given(st.lists(st.integers(-30, 30), min_size=1, max_size=7).filter(any),
+       st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 12)), max_size=4))
+def test_split_series_agrees_with_sympy(extra, linear):
+    sympy = pytest.importorskip("sympy")
+    sp = unit_line(3)
+    f = poly(sp, dict(((k,), c) for k, c in enumerate(extra) if c))
+    for a, b in linear:
+        f = f * poly(sp, {(1,): b, (0,): -a})
+    T = sympy.Symbol("T")
+    expr = sum(sympy.Integer(c.numerator) / c.denominator * T ** e
+               for (e,), c in f.coeffs.items())
+    _, factors = sympy.Poly(expr, T).factor_list()
+    if any(g.degree() > 1 for g, _ in factors):
+        assert split_series(f) is None
+        return
+    roots = {}
+    for g, m in factors:
+        c1, c0 = g.all_coeffs()
+        root = Fraction(-int(c0), int(c1))
+        roots[root] = roots.get(root, 0) + m
+    want = SplitPoly(f.coeffs[(max(e for e, in f.coeffs),)],
+                     tuple(sorted(roots.items())))
+    assert split_series(f) == want
+
+
+@pytest.mark.parametrize("lead, roots", [
+    (1, {Fraction(720720, 1081): 1, Fraction(2, 3): 1}),
+    (1, {Fraction(2145): 1, Fraction(-4849845): 1}),
+    (1, {Fraction(1, 720): 2}),
+    (Fraction(-7, 4), {Fraction(31415926535897932): 1}),
+    (Fraction(1), {Fraction(10 ** 39 + 7, 3): 1}),
+], ids=["two-roots-720720", "two-roots-4849845", "double-root-1/720",
+        "17-digit-root", "40-digit-root"])
+def test_split_series_complete_and_fast(lead, roots):
+    # the divisor search missed the first three (64-divisor cap) and took
+    # 20 s on the 17-digit root (trial division up to its square root)
+    f = from_roots(unit_line(), Fraction(lead), roots)
+    start = time.perf_counter()
+    got = split_series(f)
+    assert time.perf_counter() - start < 5.0
+    assert got == SplitPoly(Fraction(lead), tuple(sorted(roots.items())))
 
 
 def test_lemniscate_examples():
@@ -228,6 +315,38 @@ def test_project_pointwise_examples():
 
     status, witness = project_decision([], at2, "t")
     assert status == "SAT" and witness.coords == (Fraction(0),)
+
+
+def side_text(lead, roots):
+    return "*".join([str(lead)] + [f"(T - {a})" for a in roots])
+
+
+fibre_atom = st.builds(
+    lambda a, left, op, b, right, neg: ("!" if neg else "") + (
+        f"(2^{a}*|{side_text(*left)}| {op} 2^{b}*|{side_text(*right)}|)"),
+    st.integers(-3, 2),
+    st.tuples(st.sampled_from([1, 3, -1, 6]),
+              st.lists(st.sampled_from(["0", "1", "2", "1/3", "4"]), max_size=2)),
+    st.sampled_from(["<=", "<"]), st.integers(-3, 2),
+    st.tuples(st.sampled_from([1, 2]),
+              st.lists(st.sampled_from(["0", "3", "6"]), max_size=1)),
+    st.booleans())
+
+
+@given(st.lists(fibre_atom, min_size=1, max_size=3), st.sampled_from([" & ", " | "]))
+def test_sat_witness_satisfies_the_formula(atoms, joiner):
+    # a radius-1 pivot over an empty base: the witness lies on the
+    # formula's own space, so eval_formula accepts it
+    sp = unit_line()
+    phi = parse_formula(joiner.join(atoms), sp)
+    base = RigidPoint(Space(2, ()), ())
+    for conj in to_dnf(phi):
+        status, witness = project_decision(conj.atoms, base, "T")
+        assert status in ("SAT", "UNSAT")
+        if status == "SAT":
+            assert witness.space == sp
+            assert eval_conjunct(conj, witness) is True
+            assert eval_formula(phi, witness) is True
 
 
 def test_project_pointwise_unsplittable_returns_unknown():

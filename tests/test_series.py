@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,43 @@ def test_main_norm_matches_termwise_max(pair):
         for e, c in f.coeffs.items():
             ref = max(ref, NormValue.of_scalar(c, sp.prime) * sp.monomial_weight(e))
         assert f.main_norm() == ref
+
+
+# Monomial points on 1 to 3 variables with radius exponents over 2 and 3,
+# centres that are zero or any point of the disc, and series with tails.
+monomial_radii = st.sampled_from(["0", "1", "-1/2", "3/2", "2/3", "-4/3"])
+monomial_drops = st.sampled_from(["0", "1/2", "1/3", "1", "7/6", "5/2"])
+
+
+@st.composite
+def monomial_case(draw):
+    p = draw(kernel_primes)
+    n = draw(st.integers(1, 3))
+    sp = space(p, *[(f"x{i}", draw(monomial_radii)) for i in range(n)])
+    f = kernel_series(draw, sp)
+    if draw(st.booleans()):
+        f = f.with_tail(nv(draw(st.integers(-4, 4))))
+    center, rho = [], []
+    for r in sp.radii:
+        a = Fraction(draw(st.integers(-10 ** 4, 10 ** 4)),
+                     draw(st.sampled_from([1, 2, 3, 5, 7, 9])))
+        if a and NormValue.of_scalar(a, p) > r:
+            # the smallest power of p that brings a into the disc
+            a *= Fraction(p) ** math.ceil(NormValue.of_scalar(a, p).exp - r.exp)
+        center.append(a if draw(st.integers(0, 3)) else Fraction(0))
+        rho.append(r * nv(draw(monomial_drops)) ** -1)
+    return f, MonomialPoint(sp, center, rho)
+
+
+@given(monomial_case())
+def test_monomial_seminorm_matches_recentred_gauss_norm(case):
+    f, x = case
+    target = Space(f.space.prime, tuple(VarSpec(v.name, r)
+                                        for v, r in zip(f.space.vars, x.rho)))
+    recentred = f.substitute({
+        v.name: Series.variable(target, v.name) + Series.constant(target, a)
+        for v, a in zip(f.space.vars, x.center)})
+    assert f.eval_seminorm(x) == recentred.gauss_norm()
 
 
 def test_gauss_norm_examples():
