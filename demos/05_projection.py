@@ -10,37 +10,37 @@ Gauss-type point does.
 
 from fractions import Fraction
 
-from padicgeom import (Atom, Disc, NormValue, RigidPoint, Series, Space,
-                       SplitAtom, SplitPoly, SwissPiece, VarSpec,
-                       decide_exists, lemniscate_region, project_pointwise,
-                       qe_prepare, split_series)
+from padicgeom import (Atom, NormValue, RigidPoint, Series, Space, SplitAtom,
+                       SplitPoly, VarSpec, decide_exists, lemniscate_region,
+                       project_pointwise, qe_prepare, split_series)
 
 p = 2
 ONE = NormValue.one()
 CONST1 = SplitPoly(Fraction(1), ())
+line = Space(p, (VarSpec("t", ONE),))  # the closed unit disc B
 
 print("== lemniscates ==")
 P = SplitPoly(Fraction(1), ((Fraction(0), 1), (Fraction(2), 1)))  # T(T-2)
-for piece in lemniscate_region(P, "<=", NormValue.power(-3), p):
-    d = piece.outer
+for d in lemniscate_region(P, "<=", NormValue.power(-3), line):
     print(f"  |T(T-2)| <= 2^-3 contains the disc around {d.center} "
           f"of radius {d.radius.text(p)}")
 
 print("\n== existential decisions ==")
 atom = SplitAtom(ONE, P, "<=", NormValue.power(-3), CONST1)
-d = decide_exists([atom], p)
+d = decide_exists([atom], line)
 print(f"  exists t in B with |t(t-2)| <= 2^-3:  {d.status}, "
       f"witness {d.witness.text()}")
 
-pinned = (SwissPiece(Disc(Fraction(1), NormValue.power(-10), True)),)
-d2 = decide_exists([atom], p, pinned)
+pin = SplitAtom(ONE, SplitPoly(Fraction(1), ((Fraction(1), 1),)), "<=",
+                NormValue.power(-10), CONST1)  # |t - 1| <= 2^-10
+d2 = decide_exists([atom, pin], line)
 print(f"  same, but t must be within 2^-10 of 1:  {d2.status}")
 
 band = [SplitAtom(ONE, SplitPoly(Fraction(1), ((Fraction(0), 1),)), "<=",
                   NormValue.power("-1/2"), CONST1),
         SplitAtom(NormValue.power("-1/2"), CONST1, "<=", ONE,
                   SplitPoly(Fraction(1), ((Fraction(0), 1),)))]
-d3 = decide_exists(band, p)
+d3 = decide_exists(band, line)
 print(f"  the circle |t| = 2^-1/2:  {d3.status}, witness {d3.witness.text()} "
       f"(no rigid point qualifies)")
 
@@ -64,5 +64,5 @@ for a in (2, 4):
     print(f"  exists t in B with t*{a} = {a}^2:  {val}")
 
 print("\n== splitting helper ==")
-g = Series(Space(p, (VarSpec("t", ONE),)), {(2,): 1, (1,): -4, (0,): 4})
+g = Series(line, {(2,): 1, (1,): -4, (0,): 4})
 print(f"  t^2 - 4t + 4 splits as {split_series(g).roots}")

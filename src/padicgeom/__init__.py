@@ -25,8 +25,8 @@ from .constructible import (ConstructibleSet, CoveringPiece, DatumChain,
                             simplify_divisible, union,
                             unit_coefficient_covering)
 from .projection import (Decision, Disc, DiscRegion, PreparedAtom,
-                         QEPreparation, SplitAtom, SplitPoly, SwissPiece,
-                         decide_exists, lemniscate_region, project_decision,
+                         QEPreparation, SplitAtom, SplitPoly, decide_exists,
+                         lemniscate_region, project_decision,
                          project_pointwise, qe_prepare, region_contains,
                          split_series)
 from .blowup import (Chart, MonomialUnitForm, chart_transition, factor_x_power,

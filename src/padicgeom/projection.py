@@ -1,16 +1,18 @@
-"""One-variable existential decisions over the closed unit disc.
+"""One-variable existential decisions over the declared closed disc.
 
 The pipeline: a conjunction of norm atoms over a polydisc with radii > 1 is
 sheared and Weierstrass-prepared so every atom compares scaled monic
 polynomials in the pivot variable (the unit factors contribute constant
 scales because their seminorm is constant on the polydisc).  For split
 polynomials (all roots rational) the existential question "is there a point
-of the closed unit disc satisfying every atom" is decided exactly: the
-value of |P| at any disc-tree point is a piecewise monomial function of the
-distance to the nearest root, so atom truth is constant on the cells cut
-out by the root-distance grid and the per-atom crossing radii, and scanning
-one sample per cell (rigid points at radius zero, monomial points
-elsewhere) is a complete decision procedure over the Berkovich disc.
+of the closed disc |t| <= r satisfying every atom", r the radius the space
+declares for its variable, is decided exactly.  A point of the Berkovich
+disc is a pair (center, rho) with rho >= 0: rho = 0 is the rigid point
+t = center, rho > 0 the monomial point.  The value of |P| there is a
+piecewise monomial function of rho over a fixed center, so atom truth is
+constant on the cells cut out by the root-distance grid and the per-atom
+crossing radii, and scanning one sample per cell is a complete decision
+procedure over the Berkovich disc.
 
 Ultrametric lemniscates {|P| <= c} are finite unions of discs centered at
 roots; they are computed exactly as the per-root sublevel radii of the
@@ -22,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .scalars import NormValue, nv_max
+from .scalars import NormValue
 from .series import (MonomialPoint, Point, RigidPoint, Series, Space, VarSpec,
                      compare_le, compare_lt, ints_of)
 from .formulas import Atom, LE, LT
@@ -50,17 +52,13 @@ class SplitPoly:
     def degree(self) -> int:
         return sum(m for _, m in self.roots)
 
-    def value_at_rigid(self, t: Fraction, p: int) -> NormValue:
+    def value_at(self, center: Fraction, rho: NormValue, p: int) -> NormValue:
+        """|P| at the disc-tree point (center, rho): |P(center)| at rho = 0,
+        the seminorm of the monomial point otherwise."""
         out = NormValue.of_scalar(self.lead, p)
         for a, m in self.roots:
-            out = out * (NormValue.of_scalar(t - a, p) ** m)
-        return out
-
-    def value_at_disc(self, center: Fraction, rho: NormValue, p: int) -> NormValue:
-        """Seminorm at the monomial point with the given center and radius."""
-        out = NormValue.of_scalar(self.lead, p)
-        for a, m in self.roots:
-            out = out * (nv_max(rho, NormValue.of_scalar(center - a, p)) ** m)
+            d = NormValue.of_scalar(center - a, p)
+            out = out * ((rho if d < rho else d) ** m)
         return out
 
 
@@ -202,118 +200,105 @@ def _rational_root_candidates(poly: List[int]) -> List[Tuple[int, int]]:
 # -- disc regions ----------------------------------------------------------------
 
 
+def _compare(lhs: NormValue, op: str, rhs: NormValue) -> bool:
+    return lhs <= rhs if op == LE else lhs < rhs
+
+
 @dataclass(frozen=True)
 class Disc:
-    """A subdisc of the unit disc: {|t - center| <= radius} or < for open."""
+    """The disc {|t - center| <= radius}, or < when open."""
 
     center: Fraction
     radius: NormValue
     closed: bool = True
 
-    def contains_rigid(self, t: Fraction, p: int) -> bool:
-        d = NormValue.of_scalar(t - self.center, p)
+    def contains(self, center: Fraction, rho: NormValue, p: int) -> bool:
+        """Whether the disc-tree point (center, rho) lies in the disc."""
+        d = NormValue.of_scalar(center - self.center, p)
+        d = rho if d < rho else d
         return d <= self.radius if self.closed else d < self.radius
 
-    def contains_disc(self, center: Fraction, rho: NormValue, p: int) -> bool:
-        d = nv_max(rho, NormValue.of_scalar(center - self.center, p))
-        return d <= self.radius if self.closed else d < self.radius
+
+DiscRegion = Tuple[Disc, ...]
 
 
-@dataclass(frozen=True)
-class SwissPiece:
-    """A disc minus finitely many subdiscs."""
-
-    outer: Disc
-    holes: Tuple[Disc, ...] = ()
-
-    def contains_rigid(self, t: Fraction, p: int) -> bool:
-        if not self.outer.contains_rigid(t, p):
-            return False
-        return not any(h.contains_rigid(t, p) for h in self.holes)
-
-    def contains_disc(self, center: Fraction, rho: NormValue, p: int) -> bool:
-        if not self.outer.contains_disc(center, rho, p):
-            return False
-        # a disc avoids a hole iff it is not contained in it and does not
-        # contain it ... for cell sampling it suffices that the sample disc
-        # is disjoint from or not inside each hole; disc-vs-disc in an
-        # ultrametric field: either nested or disjoint.
-        for h in self.holes:
-            if h.contains_disc(center, rho, p):
-                return False
-        return True
-
-
-DiscRegion = Tuple[SwissPiece, ...]
+def _center_rho(point: Point) -> Tuple[Fraction, NormValue]:
+    """A point of a one-variable space as (center, rho), rigid at rho = 0."""
+    if isinstance(point, RigidPoint):
+        return point.coords[0], NormValue.zero()
+    return point.center[0], point.rho[0]
 
 
 def region_contains(region: DiscRegion, point: Point) -> bool:
+    center, rho = _center_rho(point)
     p = point.space.prime
-    if isinstance(point, RigidPoint):
-        (t,) = point.coords
-        return any(piece.contains_rigid(t, p) for piece in region)
-    (c,) = point.center
-    (rho,) = point.rho
-    return any(piece.contains_disc(c, rho, p) for piece in region)
+    return any(disc.contains(center, rho, p) for disc in region)
+
+
+# -- piecewise-monomial radius functions ---------------------------------------------
+#
+# Over a fixed center, N(rho) = lead * prod max(rho, d)^m over the root
+# distances d (with multiplicities m) is |P| at (center, rho).  On each
+# segment (lo, hi] between consecutive distances it is a monomial K rho^M,
+# with M the multiplicity of the roots within lo of the center.
+
+
+def _distances(poly: SplitPoly, center: Fraction, p: int
+               ) -> List[Tuple[NormValue, int]]:
+    """(distance from center, multiplicity) for each root."""
+    return [(NormValue.of_scalar(center - a, p), m) for a, m in poly.roots]
+
+
+def _grid(dists: Sequence[Tuple[NormValue, int]], r: NormValue
+          ) -> List[NormValue]:
+    """Segment tops up to r: the nonzero distances below r, then r."""
+    return sorted({d for d, _ in dists if not d.is_zero and d < r}) + [r]
+
+
+def _segments(lead: NormValue, dists: Sequence[Tuple[NormValue, int]],
+              tops: Sequence[NormValue]
+              ) -> Iterator[Tuple[NormValue, NormValue, int, NormValue]]:
+    """(lo, hi, M, K) with N(rho) = K rho^M on each segment (lo, hi] of
+    the increasing tops, the first with lo = 0."""
+    lo = NormValue.zero()
+    for hi in tops:
+        value = lead
+        for d, m in dists:
+            value = value * ((hi if d < hi else d) ** m)
+        M = sum(m for d, m in dists if d <= lo)
+        yield lo, hi, M, value / hi ** M
+        lo = hi
 
 
 # -- lemniscates -------------------------------------------------------------------
 
 
-def _distance_profile(poly: SplitPoly, center: Fraction, p: int
-                      ) -> List[Tuple[NormValue, int]]:
-    """Multiset of (distance from center, multiplicity) over the roots."""
-    return sorted(((NormValue.of_scalar(center - a, p), m)
-                   for a, m in poly.roots), key=lambda t: t[0])
-
-
 def _sublevel_radius(poly: SplitPoly, center: Fraction, cmp: str, c: NormValue,
-                     p: int) -> Optional[Tuple[NormValue, bool]]:
-    """Largest rho in [0, 1] with N(rho) cmp c, N(rho) = |P| on the sphere
+                     r: NormValue, p: int) -> Optional[Tuple[NormValue, bool]]:
+    """Largest rho in [0, r] with N(rho) cmp c, N(rho) = |P| on the sphere
     of radius rho around the center.  Returns (radius, closed) or None."""
-    profile = _distance_profile(poly, center, p)
+    dists = _distances(poly, center, p)
     lead = NormValue.of_scalar(poly.lead, p)
-
-    def value(rho: NormValue) -> NormValue:
-        out = lead
-        for d, m in profile:
-            out = out * (nv_max(rho, d) ** m)
-        return out
-
-    one = NormValue.one()
-    breaks = sorted({d for d, _ in profile if not d.is_zero and d < one})
-    tops = breaks + [one]
     # scan segments (lo, hi] from the top down
-    for idx in range(len(tops) - 1, -1, -1):
-        hi = tops[idx]
-        lo = tops[idx - 1] if idx > 0 else NormValue.zero()
-        v_hi = value(hi)
-        ok_hi = v_hi <= c if cmp == LE else v_hi < c
-        if ok_hi:
+    for lo, hi, M, K in reversed(list(_segments(lead, dists, _grid(dists, r)))):
+        if _compare(K * hi ** M, cmp, c):
             return hi, True
-        M = sum(m for d, m in profile if d <= lo)
-        if M == 0:
-            continue
-        K = value(hi) / (hi ** M)
-        if c.is_zero:
+        if M == 0 or c.is_zero:
             continue
         sol = (c / K) ** Fraction(1, M)
-        if sol > lo and sol <= hi:
-            if cmp == LE:
-                return sol, True
-            return sol, False  # strict: the sup radius is not attained
+        if lo < sol <= hi:
+            return sol, cmp == LE  # strict: the sup radius is not attained
         # otherwise the crossing happens below this segment
     # bottom: the center itself
-    v0 = value(NormValue.zero())
-    ok0 = v0 <= c if cmp == LE else v0 < c
-    if ok0:
+    if _compare(poly.value_at(center, NormValue.zero(), p), cmp, c):
         return NormValue.zero(), True
     return None
 
 
-def lemniscate_region(poly: SplitPoly, cmp: str, c: NormValue, p: int
+def lemniscate_region(poly: SplitPoly, cmp: str, c: NormValue, space: Space
                       ) -> DiscRegion:
-    """{t in B : |P(t)| cmp c} as a union of discs centered at the roots.
+    """{t : |t| <= r, |P(t)| cmp c} as a union of discs centered at the
+    roots, r the radius of the one variable of the space.
 
     For every point the product formula |P(t)| = N_i(|t - a_i|) holds with
     a_i the nearest root, and N_i is increasing, so the sublevel set is the
@@ -322,24 +307,18 @@ def lemniscate_region(poly: SplitPoly, cmp: str, c: NormValue, p: int
     """
     if cmp not in (LE, LT):
         raise ValueError(f"bad comparison {cmp!r}")
-    pieces = []
-    one = NormValue.one()
-    inside = [a for a, _ in poly.roots if NormValue.of_scalar(a, p) <= one]
+    p = space.prime
+    (r,) = space.radii
+    inside = [a for a, _ in poly.roots if NormValue.of_scalar(a, p) <= r]
+    discs = []
     for a in inside:
-        solved = _sublevel_radius(poly, a, cmp, c, p)
-        if solved is None:
-            continue
-        radius, closed = solved
-        if radius.is_zero and not closed:
-            continue
-        pieces.append(SwissPiece(Disc(a, radius, closed)))
-    if not inside:
-        # no root in the unit disc: |P| is constant on B
-        v = poly.value_at_disc(Fraction(0), one, p)
-        ok = v <= c if cmp == LE else v < c
-        if ok:
-            pieces.append(SwissPiece(Disc(Fraction(0), one, True)))
-    return tuple(pieces)
+        solved = _sublevel_radius(poly, a, cmp, c, r, p)
+        if solved is not None:
+            discs.append(Disc(a, *solved))
+    # no root in the disc: |P| is constant on it
+    if not inside and _compare(poly.value_at(Fraction(0), r, p), cmp, c):
+        discs.append(Disc(Fraction(0), r))
+    return tuple(discs)
 
 
 # -- prepared atoms and the existential decision -------------------------------------
@@ -420,19 +399,13 @@ class SplitAtom:
     scale_right: NormValue
     right: Optional[SplitPoly]
 
-    def holds_at_rigid(self, t: Fraction, p: int) -> bool:
-        lv = (self.left.value_at_rigid(t, p) if self.left else NormValue.zero())
-        rv = (self.right.value_at_rigid(t, p) if self.right else NormValue.zero())
-        lv, rv = lv * self.scale_left, rv * self.scale_right
-        return lv <= rv if self.op == LE else lv < rv
-
-    def holds_at_disc(self, center: Fraction, rho: NormValue, p: int) -> bool:
-        lv = (self.left.value_at_disc(center, rho, p) if self.left
+    def holds(self, center: Fraction, rho: NormValue, p: int) -> bool:
+        """Truth at the disc-tree point (center, rho), rigid at rho = 0."""
+        lv = (self.left.value_at(center, rho, p) if self.left
               else NormValue.zero())
-        rv = (self.right.value_at_disc(center, rho, p) if self.right
+        rv = (self.right.value_at(center, rho, p) if self.right
               else NormValue.zero())
-        lv, rv = lv * self.scale_left, rv * self.scale_right
-        return lv <= rv if self.op == LE else lv < rv
+        return _compare(lv * self.scale_left, self.op, rv * self.scale_right)
 
 
 @dataclass(frozen=True)
@@ -441,116 +414,79 @@ class Decision:
     witness: Optional[Point] = None
 
 
-def _atom_crossing_radii(atom: SplitAtom, center: Fraction, p: int
-                         ) -> List[NormValue]:
-    """Radii where the two scaled side values can change order at the
-    monomial points over this center."""
-    sides = []
-    for poly, scale in ((atom.left, atom.scale_left),
-                        (atom.right, atom.scale_right)):
-        if poly is None or scale.is_zero:
-            sides.append(None)
-        else:
-            sides.append((_distance_profile(poly, center, p),
-                          NormValue.of_scalar(poly.lead, p) * scale))
-    if sides[0] is None or sides[1] is None:
+def _atom_crossing_radii(atom: SplitAtom, center: Fraction, r: NormValue,
+                         p: int) -> List[NormValue]:
+    """Radii in (0, r] where the two scaled side values can change order
+    at the monomial points over this center."""
+    if (atom.left is None or atom.right is None
+            or atom.scale_left.is_zero or atom.scale_right.is_zero):
         return []
-    one = NormValue.one()
-    breaks = sorted({d for prof, _ in sides for d, _ in prof
-                     if not d.is_zero and d < one})
-    tops = breaks + [one]
+    left = _distances(atom.left, center, p)
+    right = _distances(atom.right, center, p)
+    tops = _grid(left + right, r)
     out = []
-
-    def seg_data(side, lo, hi):
-        prof, lead = side
-        M = sum(m for d, m in prof if d <= lo)
-        val_hi = lead
-        for d, m in prof:
-            val_hi = val_hi * (nv_max(hi, d) ** m)
-        K = val_hi / (hi ** M)
-        return M, K
-
-    for idx in range(len(tops)):
-        hi = tops[idx]
-        lo = tops[idx - 1] if idx > 0 else NormValue.zero()
-        m1, k1 = seg_data(sides[0], lo, hi)
-        m2, k2 = seg_data(sides[1], lo, hi)
+    for (lo, hi, m1, k1), (_, _, m2, k2) in zip(
+            _segments(NormValue.of_scalar(atom.left.lead, p) * atom.scale_left,
+                      left, tops),
+            _segments(NormValue.of_scalar(atom.right.lead, p) * atom.scale_right,
+                      right, tops)):
         if m1 == m2:
             continue
         # k1 rho^m1 = k2 rho^m2  =>  rho = (k2/k1)^(1/(m1-m2))
         sol = (k2 / k1) ** Fraction(1, m1 - m2)
-        if sol > lo and sol <= hi:
+        if lo < sol <= hi:
             out.append(sol)
     return out
 
 
-def decide_exists(atoms: Sequence[SplitAtom], prime: int,
-                  extra: Optional[DiscRegion] = None) -> Decision:
-    """Exact SAT/UNSAT for "some point of the closed unit disc satisfies
-    every atom (and lies in the extra region)".
+def decide_exists(atoms: Sequence[SplitAtom], space: Space) -> Decision:
+    """Exact SAT/UNSAT for "some point of the closed disc |t| <= r satisfies
+    every atom", r the radius of the one variable of the space; a witness
+    is a point of the space.
 
     Complete over the Berkovich disc: every point shares its root-distance
-    vector with a monomial point centered at the nearest grid center, and
-    atom truth over a fixed center is piecewise constant in the radius with
+    vector with a point (center, rho) at the nearest grid center, and atom
+    truth over a fixed center is piecewise constant in rho with
     discontinuities only at root distances and crossing radii, all of which
     (plus geometric midpoints) are scanned.  A SAT answer always carries a
     verified witness, rigid whenever a sampled rigid refinement of the cell
     checks out.
     """
-    p = prime
-    one = NormValue.one()
+    p = space.prime
+    (r,) = space.radii
+    zero = NormValue.zero()
     centers: Set[Fraction] = {Fraction(0)}
     for atom in atoms:
         for poly in (atom.left, atom.right):
             if poly:
                 centers.update(a for a, _ in poly.roots)
-    if extra:
-        for piece in extra:
-            centers.add(piece.outer.center)
-            centers.update(h.center for h in piece.holes)
     all_centers = sorted(centers)
-    unit_centers = [a for a in all_centers if NormValue.of_scalar(a, p) <= one]
+    inside = [a for a in all_centers if NormValue.of_scalar(a, p) <= r]
 
-    space = Space(p, (VarSpec("t", one),))
-
-    def passes(point: Point) -> bool:
-        if extra is not None and not region_contains(extra, point):
-            return False
-        if isinstance(point, RigidPoint):
-            (t,) = point.coords
-            return all(a.holds_at_rigid(t, p) for a in atoms)
-        return all(a.holds_at_disc(point.center[0], point.rho[0], p)
-                   for a in atoms)
+    def passes(center: Fraction, rho: NormValue) -> bool:
+        return all(a.holds(center, rho, p) for a in atoms)
 
     def rigid_refinement(center: Fraction, rho: NormValue) -> Optional[RigidPoint]:
-        if rho.exp is None or rho.exp.denominator != 1:
+        # |center + u p^-e| <= max(|center|, rho) <= r for rho = p^e and
+        # u a unit, so every candidate lies in the disc
+        if rho.exp.denominator != 1:
             return None
         offset = Fraction(p) ** int(-rho.exp)
         for u in range(1, min(p, 6)):
             t = center + u * offset
-            if NormValue.of_scalar(t, p) > one:
-                continue
-            cand = RigidPoint(space, (t,))
-            if passes(cand):
-                return cand
+            if passes(t, zero):
+                return RigidPoint(space, (t,))
         return None
 
-    for center in unit_centers:
-        radii: Set[NormValue] = {NormValue.zero(), one}
+    for center in inside:
+        radii: Set[NormValue] = {zero, r}
         for other in all_centers:
             if other != center:
                 d = NormValue.of_scalar(center - other, p)
-                if d <= one:
+                if d <= r:
                     radii.add(d)
         for atom in atoms:
-            for sol in _atom_crossing_radii(atom, center, p):
-                if sol <= one:
-                    radii.add(sol)
-        if extra:
-            for piece in extra:
-                for disc in (piece.outer,) + piece.holes:
-                    if disc.radius <= one and not disc.radius.is_zero:
-                        radii.add(disc.radius)
+            radii.update(_atom_crossing_radii(atom, center, r, p))
         ordered = sorted(radii)
         # geometric midpoints of consecutive grid radii sample the open cells
         samples: List[NormValue] = list(ordered)
@@ -560,15 +496,13 @@ def decide_exists(atoms: Sequence[SplitAtom], prime: int,
             else:
                 samples.append(NormValue.power((lo.exp + hi.exp) / 2))
         for rho in sorted(set(samples)):
+            if not passes(center, rho):
+                continue
             if rho.is_zero:
-                cand: Point = RigidPoint(space, (center,))
-            else:
-                cand = MonomialPoint(space, (center,), (rho,))
-            if passes(cand):
-                if isinstance(cand, RigidPoint):
-                    return Decision("SAT", cand)
-                rigid = rigid_refinement(center, rho)
-                return Decision("SAT", rigid if rigid is not None else cand)
+                return Decision("SAT", RigidPoint(space, (center,)))
+            rigid = rigid_refinement(center, rho)
+            return Decision("SAT", rigid if rigid is not None
+                            else MonomialPoint(space, (center,), (rho,)))
     return Decision("UNSAT")
 
 
@@ -590,17 +524,19 @@ def project_decision(conjunct: Sequence[Atom], x: RigidPoint, pivot: str,
                      hints: Sequence[Fraction] = ()
                      ) -> Tuple[str, Optional[Point]]:
     """Decide whether the fiber of the conjunct over the base point x meets
-    the closed unit disc: ('SAT', witness) / ('UNSAT', None) /
-    ('UNKNOWN', None).
+    the pivot's declared disc |pivot| <= r: ('SAT', witness) /
+    ('UNSAT', None) / ('UNKNOWN', None).
 
     Atoms specialize at x to one-variable polynomials; when every side
     splits over Q the decision is exact, otherwise a sampling fallback
-    (0, +-p^-k and the ``hints``) can still certify SAT, and UNKNOWN is
-    returned when it fails.  A witness is a point of the pivot's unit disc,
-    the one-variable space named after the pivot.
+    (0, +-p^-k and the ``hints``, those with |t| <= r) can still certify
+    SAT, and UNKNOWN is returned when it fails.  A witness is a point of
+    the one-variable space of the pivot with its declared radius (the unit
+    disc for an empty conjunct, which is SAT at 0 over any disc).
     """
     p = x.space.prime
-    target = Space(p, (VarSpec(pivot, NormValue.one()),))
+    r = conjunct[0].space.radius(pivot) if conjunct else NormValue.one()
+    target = Space(p, (VarSpec(pivot, r),))
     split_atoms: List[SplitAtom] = []
     specialized: List[Tuple[NormValue, Series, str, NormValue, Series]] = []
     all_split = True
@@ -621,14 +557,8 @@ def project_decision(conjunct: Sequence[Atom], x: RigidPoint, pivot: str,
             split_atoms.append(SplitAtom(atom.alpha, sides[0], atom.op,
                                          atom.beta, sides[1]))
     if all_split:
-        decision = decide_exists(split_atoms, p)
-        # the witness moves from decide_exists's own space to the target
-        w = decision.witness
-        if isinstance(w, RigidPoint):
-            w = RigidPoint(target, w.coords)
-        elif w is not None:
-            w = MonomialPoint(target, w.center, w.rho)
-        return decision.status, w
+        decision = decide_exists(split_atoms, target)
+        return decision.status, decision.witness
     # sampling fallback: a verified witness proves SAT; nothing proves UNSAT
     candidates: List[Fraction] = [Fraction(0)]
     candidates.extend(hints)
@@ -636,7 +566,7 @@ def project_decision(conjunct: Sequence[Atom], x: RigidPoint, pivot: str,
         candidates.append(Fraction(1, p ** k))
         candidates.append(Fraction(-1, p ** k))
     for t in candidates:
-        if NormValue.of_scalar(t, p) > NormValue.one():
+        if NormValue.of_scalar(t, p) > r:
             continue
         pt = RigidPoint(target, (t,))
         ok = True

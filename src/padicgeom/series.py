@@ -27,6 +27,10 @@ from .scalars import (NormValue, Rational, _as_fraction, _valuation, nv_max,
 
 Exponents = Tuple[int, ...]
 
+# Largest exponent Series.pow accepts (it multiplies k times, so a huge
+# exponent in a formula would otherwise run unbounded).
+MAX_POWER = 1000
+
 
 @dataclass(frozen=True)
 class VarSpec:
@@ -431,6 +435,8 @@ class Series:
     def pow(self, k: int) -> "Series":
         if k < 0:
             raise ValueError("negative power of a series")
+        if k > MAX_POWER:
+            raise ValueError(f"power {k} of a series exceeds the limit {MAX_POWER}")
         out = Series.one(self.space)
         for _ in range(k):
             out = out * self

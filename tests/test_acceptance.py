@@ -462,12 +462,12 @@ def test_criterion_9_decision_vs_oracle():
     for _ in range(200):
         p = rng.choice([2, 3])
         atoms = _rand_split_instance(rng, p)
-        decision = decide_exists(atoms, p)
+        sp = space(p, ("t", 0))
+        decision = decide_exists(atoms, sp)
         oracle = _oracle_decide(atoms, p)
         assert (decision.status == "SAT") == oracle
         if decision.status == "SAT":
             # the witness verifies through the series evaluation path
-            sp = space(p, ("t", 0))
             w = decision.witness
             for atom in atoms:
                 lv = (_expand_split(sp, atom.left).eval_seminorm(w).value

@@ -10,6 +10,7 @@ import padicgeom
 from padicgeom import RigidPoint, membership
 from padicgeom.cli import main
 from padicgeom.document import load_document
+from padicgeom.series import MAX_POWER
 
 
 DOC = {
@@ -77,6 +78,26 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out.strip(), out.err.strip()
+
+
+def run_subprocess(argv, timeout):
+    """The CLI in a fresh interpreter, importing this checkout's package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(padicgeom.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "padicgeom.cli"] + argv,
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
+
+
+def ring_doc(tmp_path, radius):
+    """1 < |T| <= 2 over the disc |T| <= radius."""
+    doc = {"prime": 2,
+           "spaces": {"disc": [{"name": "T", "radius": radius}]},
+           "formulas": {"ring": {"space": "disc",
+                                 "text": "|T| <= 2^1*|1| & 1*|1| < |T|"}}}
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 def test_norm(doc_path, capsys):
@@ -191,6 +212,43 @@ def test_qe1(doc_path, capsys):
     assert code2 == 0 and out2.startswith("SAT")
 
 
+def test_qe1_decides_over_a_wider_declared_disc(tmp_path, capsys):
+    # the ring 1 < |T| <= 2 has points once the disc has radius 2
+    path = ring_doc(tmp_path, "2^1")
+    code, out, _ = run(capsys, ["eval", "-i", path, "--formula", "ring",
+                                "--point", "(1/2)", "--space", "disc"])
+    assert code == 0 and out == "true"
+    code, out, _ = run(capsys, [
+        "qe1", "-i", path, "--conjunct", "ring", "--pivot", "T"])
+    assert code == 0 and out.startswith("SAT witness = ")
+    witness = out[len("SAT witness = "):]
+    code, out, _ = run(capsys, ["eval", "-i", path, "--formula", "ring",
+                                "--point", witness, "--space", "disc"])
+    assert code == 0 and out == "true"
+
+
+def test_qe1_decides_over_a_narrower_declared_disc(tmp_path, capsys):
+    # no point of |T| <= 2^-1 has 1 < |T|
+    code, out, err = run(capsys, [
+        "qe1", "-i", ring_doc(tmp_path, "2^-1"), "--conjunct", "ring",
+        "--pivot", "T"])
+    assert (code, out, err) == (0, "UNSAT", "")
+
+
+def test_huge_power_is_a_one_line_error(tmp_path):
+    doc = {"prime": 2, "spaces": {"line": [{"name": "T", "radius": "2^0"}]},
+           "formulas": {"big": {"space": "line", "text": "|T^99999999| <= |1|"}}}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    proc = run_subprocess(["qe1", "-i", str(path), "--conjunct", "big",
+                           "--pivot", "T"], timeout=10)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert str(MAX_POWER) in lines[0]
+
+
 def test_blowup_and_pushdown(doc_path, capsys):
     code, out, _ = run(capsys, [
         "blowup", "-i", doc_path, "--chart", "1", "--series", "curve"])
@@ -263,11 +321,7 @@ F_TERM = ("series", "f", "coeffs", 0)
 def test_malformed_document_is_a_one_line_error(tmp_path, doc, field):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(padicgeom.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "padicgeom.cli", "norm", "-i", str(path),
-         "--series", "f"], capture_output=True, text=True, env=env, timeout=60)
+    proc = run_subprocess(["norm", "-i", str(path), "--series", "f"], timeout=60)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()

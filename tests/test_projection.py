@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from padicgeom import (Atom, Disc, MonomialPoint, NormValue, RigidPoint,
-                       Series, Space, SplitAtom, SplitPoly, SwissPiece,
-                       VarSpec, decide_exists, lemniscate_region,
-                       project_decision, project_pointwise, qe_prepare,
-                       region_contains, split_series)
+                       Series, Space, SplitAtom, SplitPoly, decide_exists,
+                       lemniscate_region, project_decision, project_pointwise,
+                       qe_prepare, region_contains, split_series)
 from padicgeom.formulas import eval_conjunct, eval_formula, parse_formula, to_dnf
 from conftest import ONE, ZERO, nv, poly, rand_rigid, space
 
@@ -116,19 +115,107 @@ def test_split_series_complete_and_fast(lead, roots):
     assert got == SplitPoly(Fraction(lead), tuple(sorted(roots.items())))
 
 
+ROOT_POOL = [0, 1, -1, 2, 3, 4, 6, 9, Fraction(1, 2), Fraction(1, 3),
+             Fraction(-3, 4), Fraction(5, 9)]
+split_poly = st.builds(
+    lambda lead, roots: SplitPoly(Fraction(lead), tuple(sorted(roots.items()))),
+    st.sampled_from([1, -1, 2, 3, 6, Fraction(1, 2), Fraction(2, 9)]),
+    st.dictionaries(st.sampled_from(ROOT_POOL).map(Fraction), st.integers(1, 3),
+                    max_size=3))
+norm = st.builds(lambda n, d: NormValue.power(Fraction(n, d)),
+                 st.integers(-8, 4), st.sampled_from([1, 2, 3]))
+# a disc-tree point of |T| <= p^3: rho = 0 is the rigid point
+tree_point = st.tuples(
+    st.sampled_from(ROOT_POOL + [5, Fraction(7, 2), Fraction(2, 27)]).map(Fraction),
+    st.one_of(st.just(ZERO),
+              st.builds(lambda n, d: NormValue.power(Fraction(n, d)),
+                        st.integers(-8, 3), st.sampled_from([1, 2, 3]))))
+
+
+def series_value(poly, point):
+    """|P| at the point through the Series evaluator: P expanded first."""
+    return from_roots(point.space, poly.lead, dict(poly.roots)) \
+        .eval_seminorm(point).value
+
+
+def as_point(sp, center, rho):
+    if rho.is_zero:
+        return RigidPoint(sp, (center,))
+    return MonomialPoint(sp, (center,), (rho,))
+
+
+@given(st.sampled_from([2, 3]), split_poly, split_poly, norm, norm,
+       st.sampled_from(["<=", "<"]), tree_point)
+def test_value_at_and_holds_match_series_evaluation(p, left, right, sl, sr,
+                                                    op, at):
+    center, rho = at
+    point = as_point(space(p, ("T", 3)), center, rho)
+    lv, rv = series_value(left, point), series_value(right, point)
+    assert left.value_at(center, rho, p) == lv
+    assert right.value_at(center, rho, p) == rv
+    atom = SplitAtom(sl, left, op, sr, right)
+    lv, rv = lv * sl, rv * sr
+    assert atom.holds(center, rho, p) == (lv <= rv if op == "<=" else lv < rv)
+
+
+def rescaled(atom, p, e):
+    """The atom in s for t = p^-e s: the roots a become a p^e and each
+    side's scale picks up |p^-e|^deg."""
+    sides = []
+    for poly, scale in ((atom.left, atom.scale_left),
+                        (atom.right, atom.scale_right)):
+        if poly is None:
+            sides += [scale, None]
+        else:
+            roots = tuple((a * Fraction(p) ** e, m) for a, m in poly.roots)
+            sides += [scale * NormValue.of_scalar(Fraction(p) ** -e, p) ** poly.degree,
+                      SplitPoly(poly.lead, roots)]
+    return SplitAtom(sides[0], sides[1], atom.op, sides[2], sides[3])
+
+
+split_atom = st.builds(SplitAtom, norm, st.one_of(st.none(), split_poly),
+                       st.sampled_from(["<=", "<"]), norm,
+                       st.one_of(st.none(), split_poly))
+
+
+@given(st.sampled_from([2, 3]), st.integers(-2, 2),
+       st.lists(split_atom, min_size=1, max_size=3))
+def test_decide_exists_over_a_disc_matches_the_rescaled_unit_decision(p, e, atoms):
+    disc = space(p, ("t", e))
+    d = decide_exists(atoms, disc)
+    unit = decide_exists([rescaled(a, p, e) for a in atoms], unit_line(p))
+    assert d.status == unit.status
+    if d.status == "SAT":
+        d.witness.check_in(disc)
+        center, rho = ((d.witness.coords[0], ZERO)
+                       if isinstance(d.witness, RigidPoint)
+                       else (d.witness.center[0], d.witness.rho[0]))
+        assert all(a.holds(center, rho, p) for a in atoms)
+
+
 def test_lemniscate_examples():
     P = SplitPoly(Fraction(1), ((Fraction(0), 1), (Fraction(2), 1)))
-    region = lemniscate_region(P, "<=", nv(-3), 2)
-    discs = sorted((pc.outer.center, pc.outer.radius, pc.outer.closed)
-                   for pc in region)
+    region = lemniscate_region(P, "<=", nv(-3), unit_line())
+    discs = sorted((d.center, d.radius, d.closed) for d in region)
     assert discs == [(Fraction(0), nv(-2), True), (Fraction(2), nv(-2), True)]
 
     T = SplitPoly(Fraction(1), ((Fraction(0), 1),))
-    whole = lemniscate_region(T, "<=", ONE, 2)
-    assert len(whole) == 1 and whole[0].outer.radius == ONE
+    whole = lemniscate_region(T, "<=", ONE, unit_line())
+    assert len(whole) == 1 and whole[0].radius == ONE
 
-    roots_only = lemniscate_region(T, "<=", ZERO, 2)
-    assert len(roots_only) == 1 and roots_only[0].outer.radius == ZERO
+    roots_only = lemniscate_region(T, "<=", ZERO, unit_line())
+    assert len(roots_only) == 1 and roots_only[0].radius == ZERO
+
+
+def test_lemniscate_over_the_declared_disc():
+    T = SplitPoly(Fraction(1), ((Fraction(0), 1),))
+    wide = lemniscate_region(T, "<=", nv(1), space(2, ("T", 1)))
+    assert [(d.center, d.radius) for d in wide] == [(Fraction(0), nv(1))]
+    # |T - 1| = 1 on |T| <= 2^-1: no root inside, the whole disc
+    T1 = SplitPoly(Fraction(1), ((Fraction(1), 1),))
+    narrow = lemniscate_region(T1, "<=", ONE, space(2, ("T", -1)))
+    assert narrow == (Disc(Fraction(0), nv(-1)),)
+    assert lemniscate_region(T1, "<", ONE, space(2, ("T", -1))) == ()
 
 
 def test_lemniscate_matches_direct_evaluation(rng):
@@ -150,21 +237,21 @@ def test_lemniscate_matches_direct_evaluation(rng):
         P = SplitPoly(lead, tuple(sorted(roots.items())))
         cmp = rng.choice(["<=", "<"])
         c = NormValue.power(Fraction(rng.randint(-8, 4), rng.choice([1, 2])))
-        region = lemniscate_region(P, cmp, c, p)
         sp = unit_line(p)
+        region = lemniscate_region(P, cmp, c, sp)
         for _ in range(100):
             if rng.random() < 0.5:
                 t = Fraction(rng.randint(-8, 8))
                 if NormValue.of_scalar(t, p) > ONE:
                     continue
                 point = RigidPoint(sp, (t,))
-                val = P.value_at_rigid(t, p)
+                val = P.value_at(t, ZERO, p)
             else:
                 center = Fraction(rng.choice([0, 1, p]))
                 rho = NormValue.power(Fraction(rng.randint(-6, 0),
                                                rng.choice([1, 2])))
                 point = MonomialPoint(sp, (center,), (rho,))
-                val = P.value_at_disc(center, rho, p)
+                val = P.value_at(center, rho, p)
             want = val <= c if cmp == "<=" else val < c
             assert region_contains(region, point) == want
 
@@ -172,14 +259,16 @@ def test_lemniscate_matches_direct_evaluation(rng):
 def test_decide_exists_examples():
     P = SplitPoly(Fraction(1), ((Fraction(0), 1), (Fraction(2), 1)))
     atom = SplitAtom(ONE, P, "<=", nv(-3), CONST1)
-    d = decide_exists([atom], 2)
+    d = decide_exists([atom], unit_line())
     assert d.status == "SAT"
-    pin = (SwissPiece(Disc(Fraction(1), nv(-10), True)),)
-    assert decide_exists([atom], 2, pin).status == "UNSAT"
+    # pinned near 1: |t - 1| <= 2^-10
+    pin = SplitAtom(ONE, SplitPoly(Fraction(1), ((Fraction(1), 1),)), "<=",
+                    nv(-10), CONST1)
+    assert decide_exists([atom, pin], unit_line()).status == "UNSAT"
 
     t_only = SplitAtom(ONE, SplitPoly(Fraction(1), ((Fraction(0), 1),)),
                        "<=", ONE, CONST1)
-    d3 = decide_exists([t_only], 2)
+    d3 = decide_exists([t_only], unit_line())
     assert d3.status == "SAT"
     assert isinstance(d3.witness, RigidPoint)
 
@@ -201,14 +290,13 @@ def test_decide_exists_witnesses_verify(rng):
                 atoms.append(SplitAtom(ONE, P, op, c, CONST1))
             else:
                 atoms.append(SplitAtom(c, CONST1, op, ONE, P))
-        d = decide_exists(atoms, p)
+        d = decide_exists(atoms, unit_line(p))
         if d.status == "SAT":
             w = d.witness
             if isinstance(w, RigidPoint):
-                assert all(a.holds_at_rigid(w.coords[0], p) for a in atoms)
+                assert all(a.holds(w.coords[0], ZERO, p) for a in atoms)
             else:
-                assert all(a.holds_at_disc(w.center[0], w.rho[0], p)
-                           for a in atoms)
+                assert all(a.holds(w.center[0], w.rho[0], p) for a in atoms)
 
 
 def test_decide_exists_threshold_monotone(rng):
@@ -219,8 +307,8 @@ def test_decide_exists_threshold_monotone(rng):
         e = rng.randint(-6, 0)
         a1 = SplitAtom(ONE, P, "<=", NormValue.power(e), CONST1)
         a2 = SplitAtom(ONE, P, "<=", NormValue.power(e + 1), CONST1)
-        d1 = decide_exists([a1], p)
-        d2 = decide_exists([a2], p)
+        d1 = decide_exists([a1], unit_line(p))
+        d2 = decide_exists([a2], unit_line(p))
         if d1.status == "SAT":
             assert d2.status == "SAT"
 
@@ -231,7 +319,7 @@ def test_rigid_witness_preferred_on_value_group_radii():
     T = SplitPoly(Fraction(1), ((Fraction(0), 1),))
     sphere = [SplitAtom(ONE, T, "<=", nv(-1), CONST1),
               SplitAtom(nv(-1), CONST1, "<=", ONE, T)]
-    d = decide_exists(sphere, 2)
+    d = decide_exists(sphere, unit_line())
     assert d.status == "SAT"
     assert isinstance(d.witness, RigidPoint)
     assert NormValue.of_scalar(d.witness.coords[0], 2) == nv(-1)
@@ -245,7 +333,7 @@ def test_gauss_circle_needs_monomial_witness():
         SplitAtom(nv("-1/2"), CONST1, "<=", ONE,
                   SplitPoly(Fraction(1), ((Fraction(0), 1),))),
     ]
-    d = decide_exists(band, 2)
+    d = decide_exists(band, unit_line())
     assert d.status == "SAT"
     assert isinstance(d.witness, MonomialPoint)
     assert d.witness.rho[0] == nv("-1/2")
