@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .scalars import NormValue, nv_max
+from .scalars import NormValue, _valuation, nv_max
 from .series import Series
 from .weierstrass import DistinguishedCertificate, distinguished_order
 
@@ -115,7 +115,7 @@ def make_distinguished(fs: Sequence[Series], pivot: str) -> DistinguishResult:
     for f in fs:
         if f.space != space:
             raise ValueError("all series must share one space")
-        if not f.coeffs:
+        if not f.nums:
             raise ValueError("cannot distinguish the zero series")
     p = space.prime
     pivot_idx = space.index(pivot)
@@ -129,7 +129,7 @@ def make_distinguished(fs: Sequence[Series], pivot: str) -> DistinguishResult:
 
     max_digit = 0
     for f in fs:
-        for expo in f.coeffs:
+        for expo in f.nums:
             max_digit = max(max_digit, max(expo))
     d = 1 + max_digit
 
@@ -139,18 +139,12 @@ def make_distinguished(fs: Sequence[Series], pivot: str) -> DistinguishResult:
         exponents[space.vars[j].name] = d ** (m - pos)
     shear = Shear(pivot, exponents)
 
-    # lex-greatest norm-maximal index of each series (coefficient norms)
-    mus: List[Tuple[int, ...]] = []
-    for f in fs:
-        best = None
-        best_norm = NormValue.zero()
-        for expo, c in f.coeffs.items():
-            cn = NormValue.of_scalar(c, p)
-            key = _lex_key(expo, nonpivot_idx, pivot_idx)
-            if best is None or cn > best_norm or (
-                    cn == best_norm and key > _lex_key(best, nonpivot_idx, pivot_idx)):
-                best, best_norm = expo, cn
-        mus.append(best)
+    # lex-greatest norm-maximal index of each series (coefficient norms;
+    # the numerators share one denominator, so their valuations rank them)
+    mus: List[Tuple[int, ...]] = [
+        max(f.nums, key=lambda e: (-_valuation(f.nums[e], 1, p),
+                                   _lex_key(e, nonpivot_idx, pivot_idx)))
+        for f in fs]
     expected = [_encode(mu, nonpivot_idx, pivot_idx, d) for mu in mus]
 
     for j in range(SCHEDULE_CUTOFF + 1):
@@ -167,7 +161,7 @@ def make_distinguished(fs: Sequence[Series], pivot: str) -> DistinguishResult:
         transformed = []
         ok = True
         for f, want in zip(fs, expected):
-            fr = Series(target, f.coeffs, f.tail if inside else NormValue.zero())
+            fr = Series._raw(target, f.den, f.nums, f.tail if inside else NormValue.zero())
             sf = apply_shear(fr, shear)
             cert = distinguished_order(sf, pivot)
             if cert is None or cert.order != want:
@@ -198,14 +192,15 @@ def carrier_decompose(f: Series, eps: NormValue,
         raise ValueError("eps must be positive")
     if not f.tail.is_zero:
         raise ValueError("decomposition needs an exact series")
-    if not f.coeffs:
+    if not f.nums:
         if forced is not None:
             raise ValueError("cannot force an index into the decomposition "
                              "of the zero series")
         return set(), {}
     p = f.space.prime
-    weight = {expo: NormValue.of_scalar(c, p) * f.space.monomial_weight(expo)
-              for expo, c in f.coeffs.items()}
+    # |c_nu| r^nu up to the common factor |1/den|, which ranks alike
+    weight = {expo: NormValue.power(-_valuation(c, 1, p)) * f.space.monomial_weight(expo)
+              for expo, c in f.nums.items()}
     top = nv_max(*weight.values())
     carrier = max(e for e, w in weight.items() if w == top)
     members: Set[Tuple[int, ...]] = {carrier}
@@ -214,19 +209,22 @@ def carrier_decompose(f: Series, eps: NormValue,
         if len(forced) != len(f.space.vars) or any(e < 0 for e in forced):
             raise ValueError("forced exponent vector does not fit the space")
         members.add(forced)
-    fc = f.coeffs[carrier]
-    phi_coeffs: Dict[Tuple[int, ...], Fraction] = {}
-    for expo, c in f.coeffs.items():
+    # phi_carrier = sum c/fc T^expo: the numerators over fc (den cancels)
+    fc = f.nums[carrier]
+    sign = 1 if fc > 0 else -1
+    phi_nums: Dict[Tuple[int, ...], int] = {}
+    for expo, c in f.nums.items():
         if expo in members:
             continue
         # ||(c/fc) T^expo|| = |c/fc| r^expo
-        folded = NormValue.of_scalar(c / fc, p) * f.space.monomial_weight(expo)
+        folded = (NormValue.power(_valuation(fc, 1, p) - _valuation(c, 1, p))
+                  * f.space.monomial_weight(expo))
         if folded < eps:
-            phi_coeffs[expo] = c / fc
+            phi_nums[expo] = sign * c
         else:
             members.add(expo)
     phis = {nu: Series.zero(f.space) for nu in members}
-    phis[carrier] = Series(f.space, phi_coeffs)
+    phis[carrier] = Series._reduced(f.space, (abs(fc), phi_nums), NormValue.zero())
     return members, phis
 
 
@@ -234,7 +232,7 @@ def decomposition_identity_holds(f: Series, members, phis) -> bool:
     """Check f = sum f_nu (T^nu + phi_nu) exactly (stored parts)."""
     total = Series.zero(f.space)
     for nu in members:
-        c = f.coeffs.get(tuple(nu), Fraction(0))
         term = Series.monomial(f.space, tuple(nu)) + phis[tuple(nu)]
-        total = total + term.scale(c)
-    return total == f.drop_tail()
+        total = total + term.scale(f.nums.get(tuple(nu), 0))
+    # both sides times the common denominator
+    return total == f.drop_tail().scale(f.den)

@@ -10,7 +10,6 @@ variable has radius 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Tuple
 
 from .scalars import NormValue
@@ -101,10 +100,10 @@ def factor_x_power(h: Series, name: str) -> Tuple[int, Series]:
     if not h.tail.is_zero:
         raise ValueError("x-power factoring needs an exact series")
     i = h.space.index(name)
-    b = min(expo[i] for expo in h.coeffs)
+    b = min(expo[i] for expo in h.nums)
     out = {expo[:i] + (expo[i] - b,) + expo[i + 1:]: c
-           for expo, c in h.coeffs.items()}
-    return b, Series(h.space, out)
+           for expo, c in h.nums.items()}
+    return b, Series._raw(h.space, h.den, out, NormValue.zero())
 
 
 def pushdown_poly(poly: Series, chart: Chart) -> Tuple[int, Series]:
@@ -128,14 +127,14 @@ def pushdown_poly(poly: Series, chart: Chart) -> Tuple[int, Series]:
     kept_pos = target.index(chart.kept.name)
     repl_pos = target.index(chart.replaced.name)
     out = {}
-    for expo, c in poly.coeffs.items():
+    for expo, c in poly.nums.items():
         k = expo[t_idx]
         a = expo[kept_idx]
         e = [0, 0]
         e[kept_pos] = a + (m - k)
         e[repl_pos] = k
-        out[tuple(e)] = out.get(tuple(e), Fraction(0)) + c
-    return m, Series(target, out)
+        out[tuple(e)] = c  # (k, a) -> e is injective: no two terms meet
+    return m, Series._raw(target, poly.den, out, NormValue.zero())
 
 
 def chart_transition(q: RigidPoint, chart1: Chart, chart2: Chart) -> RigidPoint:

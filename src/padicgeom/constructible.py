@@ -479,7 +479,7 @@ def unit_coefficient_covering(f: Series, fiber: Sequence[str],
         if lhs != rhs:
             raise ValueError("pullback factorization failed to verify")
         unit_expo = fiber_expo[nu] + (0,) * len(others)
-        if g_nu.coeffs.get(unit_expo) != Fraction(1):
+        if g_nu.nums.get(unit_expo) != g_nu.den:
             raise ValueError("cofactor does not carry coefficient 1 at nu")
         sc = f_nu.as_scalar()
         if sc is not None and sc != 0:

@@ -74,11 +74,6 @@ def tautology(space: Space) -> Atom:
                 NormValue.one(), Series.one(space))
 
 
-def contradiction(space: Space) -> Atom:
-    return Atom(NormValue.one(), Series.one(space), LE,
-                NormValue.zero(), Series.one(space))
-
-
 def formula_space(phi: Formula) -> Space:
     if isinstance(phi, Atom):
         return phi.space
@@ -262,10 +257,6 @@ def truth_all(args: Sequence[Formula], seminorm) -> Optional[bool]:
         if v is None:
             out = None
     return out
-
-
-def eval_atom(atom: Atom, x: Point) -> Optional[bool]:
-    return truth(atom, Seminorms(x))
 
 
 def eval_formula(phi: Formula, x: Point) -> Optional[bool]:
@@ -493,8 +484,10 @@ class _Parser:
         if tok[0] == "num":
             num = int(tok[1])
             if self.peek()[0] == "slash":
-                self.take("slash")
+                slash = self.take("slash")
                 den = int(self.take("num")[1])
+                if not den:
+                    raise FormulaSyntaxError("zero denominator", slash[2])
                 return Series.constant(self.space, Fraction(num, den))
             return Series.constant(self.space, num)
         if tok[0] == "ident":

@@ -28,7 +28,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .scalars import NormValue
 from .series import (MonomialPoint, Point, RigidPoint, Series, Space, VarSpec,
-                     compare_le, compare_lt, ints_of)
+                     compare_le, compare_lt)
 from .formulas import Atom, LE, LT
 from .weierstrass import weierstrass_prepare
 from .automorphisms import DistinguishResult, Shear, make_distinguished
@@ -72,13 +72,12 @@ def split_series(f: Series) -> Optional[SplitPoly]:
     """
     if len(f.space.vars) != 1:
         raise ValueError("split_series expects a one-variable series")
-    if not f.tail.is_zero or not f.coeffs:
+    if not f.tail.is_zero or not f.nums:
         return None
-    den, terms = ints_of(f.coeffs)
-    poly = [0] * (max(e for e, in terms) + 1)
-    for (e,), c in terms.items():
+    poly = [0] * (max(e for e, in f.nums) + 1)
+    for (e,), c in f.nums.items():
         poly[e] = c
-    lead = Fraction(poly[-1], den)
+    lead = Fraction(poly[-1], f.den)
     zeros = next(k for k, c in enumerate(poly) if c)
     poly = poly[zeros:]
     mults = {Fraction(0): zeros} if zeros else {}
@@ -365,7 +364,7 @@ def qe_prepare(conjunct: Sequence[Atom], pivot: str) -> QEPreparation:
         if atom.space != space:
             raise ValueError("atoms live on different spaces")
         for side in (atom.f, atom.g):
-            if not side.coeffs:
+            if not side.nums:
                 raise ValueError("atom series must be nonzero")
             sides.append(side)
     dist = make_distinguished(sides, pivot)
@@ -544,16 +543,16 @@ def project_decision(conjunct: Sequence[Atom], x: RigidPoint, pivot: str,
         f1 = _specialize_1var(atom.f, x, pivot, target)
         g1 = _specialize_1var(atom.g, x, pivot, target)
         specialized.append((atom.alpha, f1, atom.op, atom.beta, g1))
+        if not all_split:
+            continue  # only the sampling fallback runs now: split nothing more
         sides = []
         for s in (f1, g1):
-            if s.is_zero:
-                sides.append(None)
-            else:
-                sp = split_series(s)
-                if sp is None:
-                    all_split = False
-                sides.append(sp)
-        if all_split:
+            sp = None if s.is_zero else split_series(s)
+            if sp is None and not s.is_zero:
+                all_split = False
+                break
+            sides.append(sp)
+        else:
             split_atoms.append(SplitAtom(atom.alpha, sides[0], atom.op,
                                          atom.beta, sides[1]))
     if all_split:

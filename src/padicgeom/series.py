@@ -7,6 +7,14 @@ represents the class of all analytic functions f on the polydisc with
 propagates tails pessimistically, so every norm equality or inequality the
 package reports is a sound certificate.
 
+The stored part is kept in one form, integer numerators over one common
+denominator (as FLINT's ``fmpq_poly``): ``den > 0`` and ``nums`` =
+{exponent vector: nonzero int} with gcd(den, *nums) = 1, so the form is
+unique and ``==`` is structural.  Every operation runs on these integers;
+``Fraction`` appears only at the edge: constructor input, the read-only
+``coeffs`` view, printing, ``constant_term``/``as_scalar`` and the value
+``eval_exact`` returns.
+
 Points of the polydisc come in two kinds: ``RigidPoint`` (exact rational
 coordinates) and ``MonomialPoint`` (a center plus per-variable radii; the
 multiplicative seminorm of f there is the Gauss norm of f recentered at the
@@ -119,28 +127,25 @@ def scaled_exponents(radii: Sequence[NormValue]) -> Tuple[int, Tuple[int, ...]]:
 
 # -- exact kernel: integer numerators over one denominator ---------------------
 #
-# The hot loops (series products, Gauss norms, the Weierstrass division
-# sweep) carry a term map {expo: Fraction} as a pair ``(den, {expo: int})``:
-# one positive common denominator and integer numerators, zeros never
-# stored.  Integer products and sums skip the gcd that every Fraction
-# operation pays; the caller divides out the content (``ints_reduce``) when
-# it chooses and builds Fractions only at the boundary.
+# A term map is a pair ``(den, {expo: int})``: one positive common
+# denominator and integer numerators, zeros never stored.  ``Series`` stores
+# its polynomial this way (reduced: gcd(den, *numerators) = 1), and the
+# Weierstrass division sweep keeps its rows this way.  Integer products and
+# sums skip the gcd that every Fraction operation pays; the caller divides
+# out the content (``ints_reduce``) when it chooses.
 
 IntTerms = Tuple[int, Dict[Exponents, int]]
 
 
 def ints_of(coeffs: Mapping[Exponents, Fraction]) -> IntTerms:
+    """The reduced pair of a map of nonzero Fractions: den is the lcm of
+    their denominators, which leaves no common content."""
     den = 1
     for c in coeffs.values():
         d = c.denominator
         if den % d:
             den = den // gcd(den, d) * d
     return den, {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}
-
-
-def ints_to_fractions(a: IntTerms) -> Dict[Exponents, Fraction]:
-    den, terms = a
-    return {e: Fraction(n, den) for e, n in terms.items()}
 
 
 def ints_mul(a: IntTerms, b: IntTerms) -> IntTerms:
@@ -218,16 +223,16 @@ def taylor_shift(terms: Dict[Exponents, int], i: int, u: int, w: int
     return {e: c for e, c in out.items() if c}, big
 
 
-def norm_exp(terms: Mapping[Exponents, Rational], p: int,
+def norm_exp(terms: Mapping[Exponents, int], p: int,
              scaled: Tuple[int, Tuple[int, ...]]) -> Optional[int]:
     """D times the Gauss-norm exponent max_nu (-v_p(c_nu) + sum nu_i e_i)
-    of a term map with int or Fraction values, None for the empty map;
-    ``scaled`` is the space's ``scaled_radii()`` = (D, (D e_i)).  For an
-    ``IntTerms`` pair add D v_p(den)."""
+    of integer numerators, None for the empty map; ``scaled`` is the
+    space's ``scaled_radii()`` = (D, (D e_i)).  For an ``IntTerms`` pair
+    add D v_p(den)."""
     d, weights = scaled
     best = None
     for e, c in terms.items():
-        x = sum(map(mul, e, weights)) - d * _valuation(c.numerator, c.denominator, p)
+        x = sum(map(mul, e, weights)) - d * _valuation(c, 1, p)
         if best is None or x > best:
             best = x
     return best
@@ -284,11 +289,13 @@ def compare_lt(a: NormEstimate, b: NormEstimate) -> Optional[bool]:
 class Series:
     """A finite-support series over a ``Space`` plus a certified tail bound.
 
-    Immutable by convention: no method mutates; all operations return new
-    instances, which makes values safe to share across threads.
+    The stored polynomial is ``nums`` over ``den`` (see the module
+    docstring); ``coeffs`` reads it out as Fractions.  Immutable by
+    convention: no method mutates; all operations return new instances,
+    which makes values safe to share across threads.
     """
 
-    __slots__ = ("space", "coeffs", "tail")
+    __slots__ = ("space", "den", "nums", "tail")
 
     def __init__(self, space: Space, coeffs: Mapping[Exponents, Rational],
                  tail: NormValue = NormValue.zero()):
@@ -303,29 +310,43 @@ class Series:
             c = _as_fraction(c)
             if c != 0:
                 clean[expo] = c
+        den, nums = ints_of(clean)
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "tail", tail)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Series is immutable")
 
     @staticmethod
-    def _raw(space: Space, coeffs: Dict[Exponents, Fraction],
+    def _raw(space: Space, den: int, nums: Dict[Exponents, int],
              tail: NormValue) -> "Series":
-        """Internal fast path: coeffs must already be clean (exact
-        Fractions, correct arity, no zeros)."""
+        """Internal fast path: (den, nums) must already be reduced (correct
+        arity, no zero numerator, gcd(den, *nums) = 1, den > 0)."""
         out = object.__new__(Series)
         object.__setattr__(out, "space", space)
-        object.__setattr__(out, "coeffs", coeffs)
+        object.__setattr__(out, "den", den)
+        object.__setattr__(out, "nums", nums)
         object.__setattr__(out, "tail", tail)
         return out
+
+    @staticmethod
+    def _reduced(space: Space, a: IntTerms, tail: NormValue) -> "Series":
+        """``_raw`` after dividing out the content of a (in place)."""
+        return Series._raw(space, *ints_reduce(a), tail)
+
+    @property
+    def coeffs(self) -> Dict[Exponents, Fraction]:
+        """The stored coefficients as Fractions, in a new dict on each call."""
+        den = self.den
+        return {e: Fraction(c, den) for e, c in self.nums.items()}
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(space: Space) -> "Series":
-        return Series(space, {})
+        return Series._raw(space, 1, {}, NormValue.zero())
 
     @staticmethod
     def constant(space: Space, c: Rational) -> "Series":
@@ -333,13 +354,13 @@ class Series:
 
     @staticmethod
     def one(space: Space) -> "Series":
-        return Series.constant(space, 1)
+        return Series._raw(space, 1, {(0,) * len(space.vars): 1}, NormValue.zero())
 
     @staticmethod
     def variable(space: Space, name: str) -> "Series":
         i = space.index(name)
         expo = tuple(1 if j == i else 0 for j in range(len(space.vars)))
-        return Series(space, {expo: 1})
+        return Series._raw(space, 1, {expo: 1}, NormValue.zero())
 
     @staticmethod
     def monomial(space: Space, expo: Exponents, c: Rational = 1) -> "Series":
@@ -349,41 +370,33 @@ class Series:
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs and self.tail.is_zero
+        return not self.nums and self.tail.is_zero
 
     @property
     def is_exact(self) -> bool:
         return self.tail.is_zero
 
     def constant_term(self) -> Fraction:
-        return self.coeffs.get((0,) * len(self.space.vars), Fraction(0))
+        return Fraction(self.nums.get((0,) * len(self.space.vars), 0), self.den)
 
     def as_scalar(self) -> Optional[Fraction]:
         """The value of an exact constant series, else None."""
-        if not self.tail.is_zero:
+        if not self.tail.is_zero or any(any(expo) for expo in self.nums):
             return None
-        if not self.coeffs:
-            return Fraction(0)
-        if len(self.coeffs) == 1:
-            (expo, c), = self.coeffs.items()
-            if all(e == 0 for e in expo):
-                return c
-        return None
+        return self.constant_term()
 
     def degree_in(self, name: str) -> int:
         """Largest stored exponent of the named variable (-1 for no terms)."""
         i = self.space.index(name)
-        return max((expo[i] for expo in self.coeffs), default=-1)
-
-    def support(self) -> List[Exponents]:
-        return sorted(self.coeffs)
+        return max((expo[i] for expo in self.nums), default=-1)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Series) and self.space == other.space
-                and self.coeffs == other.coeffs and self.tail == other.tail)
+                and self.den == other.den and self.nums == other.nums
+                and self.tail == other.tail)
 
     def __hash__(self):
-        return hash((self.space, frozenset(self.coeffs.items()), self.tail))
+        return hash((self.space, self.den, frozenset(self.nums.items()), self.tail))
 
     # -- ring operations with tail propagation ------------------------------
 
@@ -393,44 +406,34 @@ class Series:
 
     def __add__(self, other: "Series") -> "Series":
         self._check_same_space(other)
-        out = dict(self.coeffs)
-        for expo, c in other.coeffs.items():
-            acc = out.get(expo)
-            if acc is None:
-                out[expo] = c
-            else:
-                acc = acc + c
-                if acc:
-                    out[expo] = acc
-                else:
-                    del out[expo]
-        return Series._raw(self.space, out, nv_max(self.tail, other.tail))
+        out = ints_add_into((self.den, dict(self.nums)), (other.den, other.nums), 1)
+        return Series._reduced(self.space, out, nv_max(self.tail, other.tail))
 
     def __sub__(self, other: "Series") -> "Series":
         return self + (-other)
 
     def __neg__(self) -> "Series":
-        return Series._raw(self.space,
-                           {e: -c for e, c in self.coeffs.items()}, self.tail)
+        return Series._raw(self.space, self.den,
+                           {e: -c for e, c in self.nums.items()}, self.tail)
 
     def scale(self, a: Rational) -> "Series":
         a = _as_fraction(a)
         if a == 0:
             return Series.zero(self.space)
-        return Series._raw(self.space,
-                           {e: c * a for e, c in self.coeffs.items()},
-                           self.tail * NormValue.of_scalar(a, self.space.prime))
+        out = (self.den * a.denominator, {e: c * a.numerator for e, c in self.nums.items()})
+        return Series._reduced(self.space, out,
+                               self.tail * NormValue.of_scalar(a, self.space.prime))
 
     def __mul__(self, other: "Series") -> "Series":
         self._check_same_space(other)
-        out = ints_to_fractions(ints_mul(ints_of(self.coeffs), ints_of(other.coeffs)))
+        out = ints_mul((self.den, self.nums), (other.den, other.nums))
         if self.tail.is_zero and other.tail.is_zero:
             tail = NormValue.zero()
         else:
             tail = nv_max(self.tail * other.main_norm(),
                           other.tail * self.main_norm(),
                           self.tail * other.tail)
-        return Series._raw(self.space, out, tail)
+        return Series._reduced(self.space, out, tail)
 
     def pow(self, k: int) -> "Series":
         if k < 0:
@@ -443,18 +446,19 @@ class Series:
         return out
 
     def drop_tail(self) -> "Series":
-        return Series(self.space, self.coeffs, NormValue.zero())
+        return self.with_tail(NormValue.zero())
 
     def with_tail(self, tail: NormValue) -> "Series":
-        return Series(self.space, self.coeffs, tail)
+        return Series._raw(self.space, self.den, self.nums, tail)
 
     # -- norms ---------------------------------------------------------------
 
     def main_norm(self) -> NormValue:
         """Exact Gauss norm of the stored polynomial: max |c_nu| r^nu."""
         scaled = self.space.scaled_radii()
-        best = norm_exp(self.coeffs, self.space.prime, scaled)
-        return NormValue.zero() if best is None else NormValue(Fraction(best, scaled[0]))
+        best = norm_exp(self.nums, self.space.prime, scaled)
+        return NormValue.zero() if best is None else NormValue(
+            Fraction(best, scaled[0]) + _valuation(self.den, 1, self.space.prime))
 
     def gauss_norm(self) -> NormEstimate:
         return NormEstimate(self.main_norm(), self.tail)
@@ -465,7 +469,7 @@ class Series:
         i = self.space.index(old)
         vars2 = list(self.space.vars)
         vars2[i] = VarSpec(new, vars2[i].radius)
-        return Series(Space(self.space.prime, tuple(vars2)), self.coeffs, self.tail)
+        return Series._raw(Space(self.space.prime, tuple(vars2)), self.den, self.nums, self.tail)
 
     def lift_to(self, space: Space) -> "Series":
         """Reinterpret over a superset space (matching names keep radii)."""
@@ -477,12 +481,12 @@ class Series:
             pos[i] = j
         n = len(space.vars)
         out = {}
-        for expo, c in self.coeffs.items():
+        for expo, c in self.nums.items():
             e2 = [0] * n
             for i, e in enumerate(expo):
                 e2[pos[i]] = e
             out[tuple(e2)] = c
-        return Series(space, out, self.tail)
+        return Series._raw(space, self.den, out, self.tail)
 
     # -- coefficient view along one variable ----------------------------------
 
@@ -493,12 +497,11 @@ class Series:
         """
         i = self.space.index(pivot)
         rest = self.space.drop(pivot)
-        buckets: Dict[int, Dict[Exponents, Fraction]] = {}
-        for expo, c in self.coeffs.items():
-            n = expo[i]
-            e2 = expo[:i] + expo[i + 1:]
-            buckets.setdefault(n, {})[e2] = c
-        return [(n, Series._raw(rest, buckets[n], self.tail)) for n in sorted(buckets)]
+        buckets: Dict[int, Dict[Exponents, int]] = {}
+        for expo, c in self.nums.items():
+            buckets.setdefault(expo[i], {})[expo[:i] + expo[i + 1:]] = c
+        return [(n, Series._reduced(rest, (self.den, buckets[n]), self.tail))
+                for n in sorted(buckets)]
 
     def coeff_view_multi(self, fiber: Sequence[str]) -> List[Tuple[Exponents, "Series"]]:
         """Like coeff_view but along several variables at once."""
@@ -507,12 +510,12 @@ class Series:
         for v in fiber:
             rest = rest.drop(v)
         keep = [j for j in range(len(self.space.vars)) if j not in idx]
-        buckets: Dict[Exponents, Dict[Exponents, Fraction]] = {}
-        for expo, c in self.coeffs.items():
+        buckets: Dict[Exponents, Dict[Exponents, int]] = {}
+        for expo, c in self.nums.items():
             nu = tuple(expo[j] for j in idx)
             e2 = tuple(expo[j] for j in keep)
             buckets.setdefault(nu, {})[e2] = c
-        return [(nu, Series._raw(rest, buckets[nu], self.tail))
+        return [(nu, Series._reduced(rest, (self.den, buckets[nu]), self.tail))
                 for nu in sorted(buckets)]
 
     # -- substitution ----------------------------------------------------------
@@ -525,7 +528,9 @@ class Series:
         compose exactly; the tail of f passes through unchanged (composition
         is a sup-norm contraction) and the tails of the images enter through
         the exact first-order ultrametric bound
-        max_nu |c_nu| * max_i tail_i * r^nu / r_i.
+        max_nu |c_nu| * max_i tail_i * r^nu / r_i.  Under the norm budget
+        this bound dominates every tail the products c_nu g^nu would carry
+        under ``*``, so the composite is summed on integer numerators.
         """
         if set(assignment) != set(self.space.names):
             missing = set(self.space.names) - set(assignment)
@@ -546,39 +551,36 @@ class Series:
                     f"{v.radius.text(self.space.prime)}")
 
         p = self.space.prime
-        # cache powers of each image
-        max_exp = [0] * len(images)
-        for expo in self.coeffs:
-            for i, e in enumerate(expo):
-                max_exp[i] = max(max_exp[i], e)
-        powers: List[List[Series]] = []
+        unit = (0,) * len(target.vars)
+        # cache powers of each image's stored part
+        max_exp = [max(col) for col in zip(*self.nums)] or [0] * len(images)
+        powers: List[List[IntTerms]] = []
         for g, m in zip(images, max_exp):
-            row = [Series.one(target)]
+            row = [(1, {unit: 1})]
             for _ in range(m):
-                row.append(row[-1] * g)
+                row.append(ints_reduce(ints_mul(row[-1], (g.den, g.nums))))
             powers.append(row)
 
-        out = Series.zero(target)
-        first_order = NormValue.zero()
-        for expo, c in self.coeffs.items():
-            term = Series.constant(target, c)
+        out: IntTerms = (1, {})
+        tail = self.tail
+        vden = _valuation(self.den, 1, p)
+        for expo, c in self.nums.items():
+            term: IntTerms = (self.den, {unit: c})
             for i, e in enumerate(expo):
                 if e:
-                    term = term * powers[i][e]
-            out = out + term
+                    term = ints_mul(term, powers[i][e])
+            out = ints_add_into(out, term, 1)
             # first-order contribution of the image tails to this monomial
-            cn = NormValue.of_scalar(c, p)
             for i, e in enumerate(expo):
                 t = images[i].tail
                 if e and not t.is_zero:
-                    w = cn * t
+                    w = NormValue.power(vden - _valuation(c, 1, p)) * t
                     for j, ej in enumerate(expo):
                         k = ej - 1 if j == i else ej
                         if k:
                             w = w * (self.space.vars[j].radius ** k)
-                    first_order = nv_max(first_order, w)
-        tail = nv_max(out.tail, self.tail, first_order)
-        return Series(target, out.coeffs, tail)
+                    tail = nv_max(tail, w)
+        return Series._reduced(target, out, tail)
 
     def identity_assignment(self) -> Dict[str, "Series"]:
         return {v.name: Series.variable(self.space, v.name) for v in self.space.vars}
@@ -586,18 +588,25 @@ class Series:
     # -- evaluation --------------------------------------------------------------
 
     def eval_exact(self, coords: Sequence[Rational]) -> Fraction:
-        """Exact value of the stored polynomial at rational coordinates."""
+        """Exact value of the stored polynomial at rational coordinates.
+
+        With x_i = a_i/b_i and K_i the degree in x_i, the numerator
+        sum_nu c_nu prod a_i^nu_i b_i^(K_i - nu_i) is summed on integers
+        over den * prod b_i^K_i, and one Fraction is built at the end."""
         coords = [_as_fraction(c) for c in coords]
         if len(coords) != len(self.space.vars):
             raise ValueError("coordinate count mismatch")
-        total = Fraction(0)
-        for expo, c in self.coeffs.items():
-            v = c
-            for x, e in zip(coords, expo):
-                if e:
-                    v *= x ** e
-            total += v
-        return total
+        den, tables = self.den, []
+        for x, k in zip(coords, map(max, zip(*self.nums))):
+            a, b = x.numerator, x.denominator
+            tables.append([a ** j * b ** (k - j) for j in range(k + 1)])
+            den *= b ** k
+        total = 0
+        for expo, c in self.nums.items():
+            for row, e in zip(tables, expo):
+                c *= row[e]
+            total += c
+        return Fraction(total, den)
 
     def eval_seminorm(self, point: "Point") -> NormEstimate:
         """Certified |f(x)| at a rigid or monomial point of the polydisc."""
@@ -615,8 +624,8 @@ class Series:
         if isinstance(point, RigidPoint):
             return self.seminorm_of(self.eval_exact(point.coords))
         p = self.space.prime
-        den, terms = ints_of(self.coeffs)
-        vden = _valuation(den, 1, p)
+        terms = self.nums
+        vden = _valuation(self.den, 1, p)
         for i, a in enumerate(point.center):
             if a:
                 terms, k = taylor_shift(terms, i, a.numerator, a.denominator)
@@ -641,11 +650,11 @@ class Series:
         An inexact series renders only its stored part; the tail is reported
         separately by callers that need it.
         """
-        if not self.coeffs:
+        if not self.nums:
             return "0"
         parts = []
-        for expo in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[expo]
+        for expo in sorted(self.nums, reverse=True):
+            c = Fraction(self.nums[expo], self.den)
             factors = []
             for v, e in zip(self.space.vars, expo):
                 if e == 1:

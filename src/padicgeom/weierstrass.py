@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .scalars import NormValue, _valuation, nv_max, nv_min
-from .series import (IntTerms, Series, Space, ints_add_into, ints_mul, ints_of,
-                     ints_reduce, ints_to_fractions, norm_exp)
+from .series import (IntTerms, Series, Space, ints_add_into, ints_mul, ints_reduce,
+                     norm_exp)
 
 _MAX_DIVISION_PASSES = 400
 
@@ -158,27 +158,28 @@ class PreparationResult:
 # -- pivot-coefficient plumbing ------------------------------------------------
 #
 # The division loop works on row maps {pivot degree: (den, {rest expo: int})}:
-# each row is a term map in the remaining variables carried as integer
-# numerators over one denominator (the ``IntTerms`` kernel of ``series``),
-# so the inner products and subtractions are integer arithmetic with no
-# per-operation gcd.  Each sweep ends by dividing out every defect row's
-# content.  Series objects are built only at the boundary.
+# each row is a term map in the remaining variables in the integer form a
+# ``Series`` stores (the ``IntTerms`` kernel of ``series``), so the inner
+# products and subtractions are integer arithmetic with no per-operation
+# gcd.  Rows are split off a series' numerators and merged back into one
+# with no Fraction in between; each sweep ends by dividing out every defect
+# row's content.
 
 
 def _rows_of(h: Series, pivot_index: int) -> Dict[int, IntTerms]:
-    rows: Dict[int, Dict[tuple, Fraction]] = {}
-    for expo, c in h.coeffs.items():
+    rows: Dict[int, Dict[tuple, int]] = {}
+    for expo, c in h.nums.items():
         rest = expo[:pivot_index] + expo[pivot_index + 1:]
         rows.setdefault(expo[pivot_index], {})[rest] = c
-    return {k: ints_of(row) for k, row in rows.items()}
+    return {k: ints_reduce((h.den, row)) for k, row in rows.items()}
 
 
 def _rows_to_series(rows: Dict[int, IntTerms], space: Space, pivot_index: int) -> Series:
-    out = {}
-    for k, row in rows.items():
-        for rest, c in ints_to_fractions(row).items():
-            out[rest[:pivot_index] + (k,) + rest[pivot_index:]] = c
-    return Series._raw(space, out, NormValue.zero())
+    out: IntTerms = (1, {})
+    for k, (den, row) in rows.items():
+        out = ints_add_into(out, (den, {rest[:pivot_index] + (k,) + rest[pivot_index:]: c
+                                        for rest, c in row.items()}), 1)
+    return Series._reduced(space, out, NormValue.zero())
 
 
 def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
@@ -248,7 +249,7 @@ def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
 
     contraction = nv_max(kappa_logged, tau)
 
-    v_row = ints_of(v.coeffs)
+    v_row = (v.den, v.nums)
     h_rows = _rows_of(f0, pivot_index)
     q_rows: Dict[int, IntTerms] = {}
     r_rows: Dict[int, IntTerms] = {}

@@ -303,6 +303,7 @@ F_TERM = ("series", "f", "coeffs", 0)
     (_with(F_TERM, "x"), "'coeffs'"),
     (_with(("formulas",), "|T| <= |1|"), "'formulas'"),
     (_with(("formulas", "small"), 1), "'formulas' entry 'small'"),
+    (_with(("formulas", "small", "text"), "|T - 1/0| <= |1|"), "zero denominator"),
     (_with(("points", "origin"), ["0", "0"]), "'points' entry 'origin'"),
     (_with(("points", "origin", "rigid"), "0"), "'rigid'"),
     (_with(("sets",), None), "'sets'"),
@@ -315,7 +316,7 @@ F_TERM = ("series", "f", "coeffs", 0)
         "scalar-int", "scalar-zero-denominator", "norm-zero-denominator",
         "spaces-list", "space-entry-object", "series-list", "series-entry-number",
         "vars-object", "coeffs-object", "coeff-string", "formulas-string",
-        "formula-entry-number", "point-entry-list", "rigid-string", "sets-null",
+        "formula-entry-number", "formula-zero-denominator", "point-entry-list", "rigid-string", "sets-null",
         "set-space-list", "chains-object", "chain-list", "links-object",
         "link-series-number"])
 def test_malformed_document_is_a_one_line_error(tmp_path, doc, field):

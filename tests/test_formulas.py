@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from padicgeom import (And, Atom, MonomialPoint, Not, NormValue, Or,
                        RigidPoint, Series, eval_formula, formula_text, negate,
@@ -163,3 +164,36 @@ def test_poly_parser_implicit_multiplication():
     assert parse_poly("T^2+2T+4", sp) == poly(sp, {(2,): 1, (1,): 2, (0,): 4})
     assert parse_poly("3/4*T", sp) == poly(sp, {(1,): "3/4"})
     assert parse_poly("-(T - 1)^2", sp) == poly(sp, {(2,): -1, (1,): 2, (0,): -1})
+
+
+# Random token strings over the formula alphabet: the parser either returns
+# a formula or raises ValueError (FormulaSyntaxError is one), nothing else.
+# Norm bars hold random polynomials built from the polynomial grammar's
+# pieces (rational literals, variables, +, -, *, ^, parentheses), so the
+# strings reach deep into it; connectives, scales and stray tokens of the
+# whole alphabet sit between them.
+fuzz_num = st.sampled_from(["0", "1", "2", "3", "12"])
+fuzz_primary = st.one_of(fuzz_num, st.tuples(fuzz_num, fuzz_num).map("/".join),
+                         st.sampled_from(["x", "y", "z"]))
+fuzz_poly = st.recursive(fuzz_primary, lambda inner: st.one_of(
+    st.tuples(inner, st.sampled_from(["+", "-", "*", "^", ""]), inner).map(" ".join),
+    inner.map(lambda body: "(" + body + ")")), max_leaves=6)
+fuzz_text = st.lists(st.one_of(
+    fuzz_poly.map(lambda body: "|" + body + "|"),
+    st.sampled_from(["&", "|", "!", "(", ")", "<=", "<", "*", "+", "-", "/",
+                     "^", "2^-1*", "0*", "1*", "3", "x"])), max_size=8).map(" ".join)
+
+
+@settings(max_examples=500)
+@given(fuzz_text)
+def test_parser_fuzz_returns_or_raises_value_error(text):
+    try:
+        phi = parse_formula(text, XY())
+    except ValueError:
+        return
+    assert isinstance(phi, (Atom, And, Or, Not))
+
+
+def test_zero_denominator_is_a_syntax_error():
+    with pytest.raises(FormulaSyntaxError, match=r"zero denominator \(at position 6\)"):
+        parse_formula("|x - 1/0| <= |1|", XY())

@@ -445,3 +445,22 @@ def test_project_pointwise_unsplittable_returns_unknown():
                ZERO, Series.one(sp))
     out = project_pointwise([irr], RigidPoint(base, (0,)), "t")
     assert out is None
+
+
+def test_no_split_after_a_side_fails_to_split(monkeypatch):
+    import padicgeom.projection as projection
+    calls = []
+    real = projection.split_series
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(projection, "split_series", counting)
+    base = space(2, ("x", 0))
+    sp = space(2, ("x", 0), ("T", 0))
+    (conj,) = to_dnf(parse_formula(
+        "|T^2 + 1| <= |1| & |T - 1| <= |1| & |T - 3| <= |1|", sp))
+    status, witness = project_decision(conj.atoms, RigidPoint(base, (0,)), "T")
+    assert (status, witness.text()) == ("SAT", "(0)")
+    assert len(calls) == 1  # T^2 + 1 does not split over Q

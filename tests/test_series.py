@@ -111,6 +111,159 @@ def test_main_norm_matches_termwise_max(pair):
         assert f.main_norm() == ref
 
 
+# The stored form: every operation against a reference written here on
+# {expo: Fraction} dicts, and every result in the reduced integer form.
+
+def assert_reduced(s):
+    assert type(s.den) is int and s.den > 0
+    assert all(type(c) is int and c for c in s.nums.values())
+    assert math.gcd(s.den, *s.nums.values()) == 1
+    assert all(len(e) == len(s.space.vars) for e in s.nums)
+
+
+def ref_clean(d):
+    return {e: c for e, c in d.items() if c}
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_eval(a, coords):
+    return sum((c * math.prod(x ** k for x, k in zip(coords, e))
+                for e, c in a.items()), Fraction(0))
+
+
+def in_disc(draw, p, r):
+    """A rational coordinate with |x| <= r."""
+    a = Fraction(draw(st.integers(-10 ** 4, 10 ** 4)),
+                 draw(st.sampled_from([1, 2, 3, 5, 7, 9])))
+    if a and NormValue.of_scalar(a, p) > r:
+        a *= Fraction(p) ** math.ceil(NormValue.of_scalar(a, p).exp - r.exp)
+    return a
+
+
+def within_budget(g, r):
+    """g scaled by a power of p so that its Gauss norm is at most r."""
+    top = g.gauss_norm().upper()
+    if top > r:
+        g = g.scale(Fraction(g.space.prime) ** math.ceil(top.exp - r.exp))
+    return g
+
+
+@st.composite
+def rep_case(draw):
+    f, g = draw(kernel_pair())
+    sp = f.space
+    p = sp.prime
+    a = Fraction(draw(st.integers(-50, 50)), draw(st.sampled_from([1, 3, 5, 7]))) \
+        * Fraction(p) ** draw(st.integers(-3, 3))
+    coords = [in_disc(draw, p, r) for r in sp.radii]
+    images = {}
+    for v in sp.vars:
+        h = kernel_series(draw, sp)
+        if draw(st.booleans()):
+            h = h.with_tail(nv(draw(st.integers(-6, 0))))
+        images[v.name] = within_budget(h, v.radius)
+    return f, g, a, coords, images
+
+
+def substitute_termwise(f, images):
+    """f(images) built the long way: one Series product per term, summed."""
+    target = next(iter(images.values())).space
+    out = Series.zero(target)
+    first_order = ZERO
+    for e, c in f.coeffs.items():
+        term = Series.constant(target, c)
+        for v, k in zip(f.space.vars, e):
+            if k:
+                term = term * images[v.name].pow(k)
+        out = out + term
+        for i, (v, k) in enumerate(zip(f.space.vars, e)):
+            t = images[v.name].tail
+            if k and t != ZERO:
+                w = NormValue.of_scalar(c, f.space.prime) * t
+                for j, (u, kj) in enumerate(zip(f.space.vars, e)):
+                    w = w * u.radius ** (kj - 1 if j == i else kj)
+                first_order = max(first_order, w)
+    return out.coeffs, max(out.tail, f.tail, first_order)
+
+
+@given(rep_case())
+def test_operations_match_fraction_reference(case):
+    f, g, a, coords, images = case
+    F, G = f.coeffs, g.coeffs
+    sp = f.space
+    checks = [
+        (f + g, ref_add(F, G)),
+        (f - g, ref_add(F, G, -1)),
+        (-f, {e: -c for e, c in F.items()}),
+        (f.scale(a), ref_clean({e: c * a for e, c in F.items()})),
+        (f * g, ref_mul(F, G)),
+        (f.pow(2), ref_mul(F, F)),
+        (f.drop_tail(), F),
+        (f.rename_var(sp.names[0], "fresh"), F),
+    ]
+    wide = sp.extend(VarSpec("w", nv(1)))
+    checks.append((f.lift_to(wide), {e + (0,): c for e, c in F.items()}))
+    pivot = sp.names[-1]
+    view = {}
+    for e, c in F.items():
+        view.setdefault(e[-1], {})[e[:-1]] = c
+    for n, cn in f.coeff_view(pivot):
+        checks.append((cn, view.pop(n)))
+    assert not view
+    multi = dict(f.coeff_view_multi(sp.names))
+    assert sorted(multi) == sorted(F)
+    checks += [(cn, {(): F[nu]}) for nu, cn in multi.items()]
+    composed = f.substitute(images)
+    ref_coeffs, ref_tail = substitute_termwise(f, images)
+    checks.append((composed, ref_coeffs))
+    assert composed.tail == ref_tail
+    for s, ref in checks:
+        assert_reduced(s)
+        assert s.coeffs == ref
+        assert all(type(c) is Fraction for c in s.coeffs.values())
+        assert s == Series(s.space, ref, s.tail)
+    value = f.eval_exact(coords)
+    assert type(value) is Fraction and value == ref_eval(F, coords)
+    assert f.constant_term() == F.get((0,) * len(sp.vars), 0)
+    ref_norm = max((NormValue.of_scalar(c, sp.prime) * sp.monomial_weight(e)
+                    for e, c in F.items()), default=ZERO)
+    assert f.main_norm() == ref_norm
+    assert f.eval_seminorm(RigidPoint(sp, coords)).value == \
+        NormValue.of_scalar(value, sp.prime)
+
+
+@given(kernel_pair())
+def test_equal_values_built_two_ways_are_equal(pair):
+    f, g = pair
+    for s in ((f + g) - g, f.scale(3).scale(Fraction(1, 3)), f * Series.one(f.space),
+              Series(f.space, f.coeffs)):
+        assert s == f and hash(s) == hash(f)
+    sp = space(3, ("x", "1/2"), ("y", 0))
+    x, y = Series.variable(sp, "x"), Series.variable(sp, "y")
+    half = x.scale(Fraction(1, 2))
+    assert half.den == 2 and half.nums == {(1, 0): 1}
+    for s in (half * Series.constant(sp, 2), x + y - y, (x * y).coeff_view("y")[0][1].lift_to(sp)):
+        assert_reduced(s)
+        assert s == x and hash(s) == hash(x)
+    assert Series(sp, {(1, 0): Fraction(2, 4), (0, 1): Fraction(-3, 6)}).nums == \
+        {(1, 0): 1, (0, 1): -1}
+
+
 # Monomial points on 1 to 3 variables with radius exponents over 2 and 3,
 # centres that are zero or any point of the disc, and series with tails.
 monomial_radii = st.sampled_from(["0", "1", "-1/2", "3/2", "2/3", "-4/3"])
