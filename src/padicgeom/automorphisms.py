@@ -199,7 +199,7 @@ def carrier_decompose(f: Series, eps: NormValue,
         return set(), {}
     p = f.space.prime
     # |c_nu| r^nu up to the common factor |1/den|, which ranks alike
-    weight = {expo: NormValue.power(-_valuation(c, 1, p)) * f.space.monomial_weight(expo)
+    weight = {expo: NormValue.of_ratio(c, 1, p) * f.space.monomial_weight(expo)
               for expo, c in f.nums.items()}
     top = nv_max(*weight.values())
     carrier = max(e for e, w in weight.items() if w == top)
@@ -217,8 +217,7 @@ def carrier_decompose(f: Series, eps: NormValue,
         if expo in members:
             continue
         # ||(c/fc) T^expo|| = |c/fc| r^expo
-        folded = (NormValue.power(_valuation(fc, 1, p) - _valuation(c, 1, p))
-                  * f.space.monomial_weight(expo))
+        folded = NormValue.of_ratio(c, fc, p) * f.space.monomial_weight(expo)
         if folded < eps:
             phi_nums[expo] = sign * c
         else:

@@ -245,7 +245,11 @@ def _chain_intersect(c1: DatumChain, c2: DatumChain) -> DatumChain:
                 f = f.rename_var(old, new)
                 g = g.rename_var(old, new)
             reg = rename_formula_var(reg, old, new)
-        t_new = _fresh_name(used, link.t_name)
+        t_new = link.t_name
+        if t_new in used:
+            # the renames above run one at a time, so a new name must not
+            # be a chart name of c2 that a later rename still reads
+            t_new = _fresh_name(used | set(c2.chart_names()), t_new)
         if t_new != link.t_name:
             reg = rename_formula_var(reg, link.t_name, t_new)
         used.add(t_new)

@@ -191,15 +191,17 @@ class Seminorms:
     evaluated once: the memo is keyed by object identity (it holds the
     series, so an identity cannot be reused while it lives).  ``checked``
     names a space the caller has already checked x against.  At a rigid
-    point ``value(f)`` is the exact value of f's stored part, from the
-    same single evaluation.
+    point every evaluation runs on integers, with the power rows
+    a_i^j b_i^(K-j) built once per (coordinate, degree K) and shared
+    (``Series.eval_ints``), and |f(x)| is read off the unreduced (num, den);
+    ``value(f)`` builds the Fraction only on demand (chart values t = f/g).
     """
 
-    __slots__ = ("point", "_rigid", "_spaces", "_memo")
+    __slots__ = ("point", "_rows", "_spaces", "_memo")
 
     def __init__(self, x: Point, checked: Optional[Space] = None):
         self.point = x
-        self._rigid = isinstance(x, RigidPoint)
+        self._rows = {} if isinstance(x, RigidPoint) else None
         self._spaces = {} if checked is None else {id(checked): checked}
         self._memo = {}
 
@@ -208,11 +210,12 @@ class Seminorms:
         if id(sp) not in self._spaces:
             self.point.check_in(sp)
             self._spaces[id(sp)] = sp
-        if self._rigid:
-            val = f.eval_exact(self.point.coords)
-            hit = (f, f.seminorm_of(val), val)
-        else:
+        if self._rows is None:
             hit = (f, f.seminorm_at(self.point), None)
+        else:
+            num, den = f.eval_ints(self.point.coords, self._rows)
+            hit = (f, NormEstimate(NormValue.of_ratio(num, den, sp.prime), f.tail),
+                   (num, den))
         self._memo[id(f)] = hit
         return hit
 
@@ -220,7 +223,7 @@ class Seminorms:
         return (self._memo.get(id(f)) or self._evaluate(f))[1]
 
     def value(self, f: Series) -> Fraction:
-        return (self._memo.get(id(f)) or self._evaluate(f))[2]
+        return Fraction(*(self._memo.get(id(f)) or self._evaluate(f))[2])
 
 
 def truth(phi: Formula, seminorm) -> Optional[bool]:

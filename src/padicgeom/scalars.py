@@ -129,11 +129,17 @@ class NormValue:
     def of_scalar(a: Rational, p: int) -> "NormValue":
         """|a| = p^(-v_p(a)); the norm of a rational scalar."""
         a = _as_fraction(a)
-        if a == 0:
+        return NormValue.of_ratio(a.numerator, a.denominator, p)
+
+    @staticmethod
+    def of_ratio(num: int, den: int, p: int) -> "NormValue":
+        """|num/den| = p^(v_p(den) - v_p(num)) for integers (den != 0),
+        read off without building or reducing the Fraction num/den."""
+        if not num:
             return _ZERO
         if p < 2:
             raise ValueError("prime must be >= 2")
-        e = -_valuation(a.numerator, a.denominator, p)
+        e = -_valuation(num, den, p)
         nv = _SMALL_POWERS.get(e)
         return NormValue(Fraction(e)) if nv is None else nv
 
@@ -146,9 +152,14 @@ class NormValue:
     # -- group law ---------------------------------------------------------
 
     def __mul__(self, other: "NormValue") -> "NormValue":
-        if self.exp is None or other.exp is None:
+        a, b = self.exp, other.exp
+        if a is None or b is None:
             return _ZERO
-        return NormValue(self.exp + other.exp)
+        if not a:
+            return other
+        if not b:
+            return self
+        return NormValue(a + b)
 
     def __truediv__(self, other: "NormValue") -> "NormValue":
         if other.exp is None:
@@ -178,7 +189,7 @@ class NormValue:
         return self.exp < other.exp
 
     def __le__(self, other: "NormValue") -> bool:
-        return self == other or self < other
+        return self.exp is None or (other.exp is not None and self.exp <= other.exp)
 
     def __gt__(self, other: "NormValue") -> bool:
         return other < self

@@ -13,7 +13,9 @@ denominator (as FLINT's ``fmpq_poly``): ``den > 0`` and ``nums`` =
 unique and ``==`` is structural.  Every operation runs on these integers;
 ``Fraction`` appears only at the edge: constructor input, the read-only
 ``coeffs`` view, printing, ``constant_term``/``as_scalar`` and the value
-``eval_exact`` returns.
+``eval_exact`` returns.  Rigid seminorms build none: ``eval_ints`` gives the
+value at rational coordinates as an unreduced integer pair (num, den), and
+|f(x)| = p^(v_p(den) - v_p(num)) is read off it (``NormValue.of_ratio``).
 
 Points of the polydisc come in two kinds: ``RigidPoint`` (exact rational
 coordinates) and ``MonomialPoint`` (a center plus per-variable radii; the
@@ -135,6 +137,9 @@ def scaled_exponents(radii: Sequence[NormValue]) -> Tuple[int, Tuple[int, ...]]:
 # out the content (``ints_reduce``) when it chooses.
 
 IntTerms = Tuple[int, Dict[Exponents, int]]
+
+# (coordinate index i, degree K) -> ([a^j b^(K-j) for j <= K], b^K) at x_i = a/b
+PowerRows = Dict[Tuple[int, int], Tuple[List[int], int]]
 
 
 def ints_of(coeffs: Mapping[Exponents, Fraction]) -> IntTerms:
@@ -261,6 +266,8 @@ class NormEstimate:
         return nv_max(self.value, self.uncertainty)
 
     def scaled(self, a: NormValue) -> "NormEstimate":
+        if a.exp == 0:
+            return self
         return NormEstimate(self.value * a, self.uncertainty * a)
 
 
@@ -295,7 +302,7 @@ class Series:
     which makes values safe to share across threads.
     """
 
-    __slots__ = ("space", "den", "nums", "tail")
+    __slots__ = ("space", "den", "nums", "tail", "_hash")
 
     def __init__(self, space: Space, coeffs: Mapping[Exponents, Rational],
                  tail: NormValue = NormValue.zero()):
@@ -315,6 +322,7 @@ class Series:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Series is immutable")
@@ -329,6 +337,7 @@ class Series:
         object.__setattr__(out, "den", den)
         object.__setattr__(out, "nums", nums)
         object.__setattr__(out, "tail", tail)
+        object.__setattr__(out, "_hash", None)
         return out
 
     @staticmethod
@@ -396,7 +405,12 @@ class Series:
                 and self.tail == other.tail)
 
     def __hash__(self):
-        return hash((self.space, self.den, frozenset(self.nums.items()), self.tail))
+        # computed on first use and kept: the value is immutable
+        h = self._hash
+        if h is None:
+            h = hash((self.space, self.den, frozenset(self.nums.items()), self.tail))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     # -- ring operations with tail propagation ------------------------------
 
@@ -563,7 +577,6 @@ class Series:
 
         out: IntTerms = (1, {})
         tail = self.tail
-        vden = _valuation(self.den, 1, p)
         for expo, c in self.nums.items():
             term: IntTerms = (self.den, {unit: c})
             for i, e in enumerate(expo):
@@ -574,7 +587,7 @@ class Series:
             for i, e in enumerate(expo):
                 t = images[i].tail
                 if e and not t.is_zero:
-                    w = NormValue.power(vden - _valuation(c, 1, p)) * t
+                    w = NormValue.of_ratio(c, self.den, p) * t
                     for j, ej in enumerate(expo):
                         k = ej - 1 if j == i else ej
                         if k:
@@ -588,25 +601,34 @@ class Series:
     # -- evaluation --------------------------------------------------------------
 
     def eval_exact(self, coords: Sequence[Rational]) -> Fraction:
-        """Exact value of the stored polynomial at rational coordinates.
-
-        With x_i = a_i/b_i and K_i the degree in x_i, the numerator
-        sum_nu c_nu prod a_i^nu_i b_i^(K_i - nu_i) is summed on integers
-        over den * prod b_i^K_i, and one Fraction is built at the end."""
+        """Exact value of the stored polynomial at rational coordinates."""
         coords = [_as_fraction(c) for c in coords]
         if len(coords) != len(self.space.vars):
             raise ValueError("coordinate count mismatch")
+        return Fraction(*self.eval_ints(coords, {}))
+
+    def eval_ints(self, coords: Sequence[Fraction], rows: PowerRows
+                  ) -> Tuple[int, int]:
+        """The value at Fraction coordinates x_i = a_i/b_i as an unreduced
+        (num, den): with K_i the degree in x_i, num = sum_nu c_nu prod
+        a_i^nu_i b_i^(K_i - nu_i) over den = self.den * prod b_i^K_i.  Pass
+        ``rows`` = {}, or one dict shared by evaluations at the same x."""
         den, tables = self.den, []
-        for x, k in zip(coords, map(max, zip(*self.nums))):
-            a, b = x.numerator, x.denominator
-            tables.append([a ** j * b ** (k - j) for j in range(k + 1)])
-            den *= b ** k
-        total = 0
+        for i, k in enumerate(map(max, zip(*self.nums))):
+            if k:
+                hit = rows.get((i, k))
+                if hit is None:
+                    a, b = coords[i].numerator, coords[i].denominator
+                    hit = rows[i, k] = ([a ** j * b ** (k - j) for j in range(k + 1)],
+                                        b ** k)
+                tables.append((i, hit[0]))
+                den *= hit[1]
+        num = 0
         for expo, c in self.nums.items():
-            for row, e in zip(tables, expo):
-                c *= row[e]
-            total += c
-        return Fraction(total, den)
+            for i, row in tables:
+                c *= row[expo[i]]
+            num += c
+        return num, den
 
     def eval_seminorm(self, point: "Point") -> NormEstimate:
         """Certified |f(x)| at a rigid or monomial point of the polydisc."""
@@ -622,7 +644,9 @@ class Series:
         nonzero centre coordinate; the tail is f's own, because the images
         X + a are exact and |a| <= radius holds inside the polydisc."""
         if isinstance(point, RigidPoint):
-            return self.seminorm_of(self.eval_exact(point.coords))
+            num, den = self.eval_ints(point.coords, {})
+            return NormEstimate(NormValue.of_ratio(num, den, self.space.prime),
+                                self.tail)
         p = self.space.prime
         terms = self.nums
         vden = _valuation(self.den, 1, p)
@@ -635,12 +659,6 @@ class Series:
         value = (NormValue.zero() if best is None
                  else NormValue(Fraction(best, scaled[0]) + vden))
         return NormEstimate(value, self.tail)
-
-    def seminorm_of(self, value: Fraction) -> NormEstimate:
-        """Certified |f(x)| at a rigid point x, given the exact value there
-        of the stored polynomial (``eval_exact``)."""
-        return NormEstimate(NormValue.of_scalar(value, self.space.prime),
-                            self.tail)
 
     # -- printing -------------------------------------------------------------
 
@@ -697,6 +715,8 @@ class RigidPoint:
     def check_in(self, space: Space):
         if space != self.space:
             raise ValueError("point/space mismatch")
+        if len(self.coords) != len(space.vars):
+            raise ValueError("coordinate count mismatch")
         p = space.prime
         for a, v in zip(self.coords, space.vars):
             if NormValue.of_scalar(a, p) > v.radius:
@@ -734,6 +754,8 @@ class MonomialPoint:
     def check_in(self, space: Space):
         if space != self.space:
             raise ValueError("point/space mismatch")
+        if not len(self.center) == len(self.rho) == len(space.vars):
+            raise ValueError("coordinate count mismatch")
         p = space.prime
         for a, r, v in zip(self.center, self.rho, space.vars):
             if NormValue.of_scalar(a, p) > v.radius:

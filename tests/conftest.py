@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from padicgeom import (Atom, ConstructibleSet, DatumChain, ElementaryDatum,
-                       NormValue, RigidPoint, Series, Space, VarSpec,
-                       distinguished_order)
+from padicgeom import (And, Atom, ConstructibleSet, DatumChain,
+                       ElementaryDatum, MonomialPoint, Not, NormValue, Or,
+                       RigidPoint, Series, Space, VarSpec, distinguished_order)
 from padicgeom.formulas import tautology
 
 
@@ -92,6 +92,48 @@ def rand_rigid(rng, sp):
     coords = [rand_point_coord(rng, sp.prime, v.radius.exp)
               for v in sp.vars]
     return RigidPoint(sp, coords)
+
+
+def rand_monomial(rng, sp):
+    """A monomial point: centre in the polydisc, radii p^(-4..0, halves)."""
+    center = [rand_point_coord(rng, sp.prime, v.radius.exp, depth=2)
+              for v in sp.vars]
+    rho = [NormValue.power(Fraction(rng.randint(-4, 0), rng.choice([1, 2])))
+           for _ in sp.vars]
+    return MonomialPoint(sp, center, rho)
+
+
+def rand_formula(rng, sp, budget):
+    """A random formula (the criterion-7 generator) of at most ``budget``
+    atoms under Not, And and Or."""
+    def atom():
+        return Atom(ONE, rand_nonzero_series(rng, sp, max_terms=3, max_deg=2,
+                                             vmin=-1),
+                    rng.choice(["<=", "<"]), ONE,
+                    rand_nonzero_series(rng, sp, max_terms=3, max_deg=2,
+                                        vmin=-1))
+
+    def build(b):
+        if b <= 1 or rng.random() < 0.3:
+            return atom(), 1
+        kind = rng.random()
+        if kind < 0.25:
+            sub, used = build(b - 1)
+            return Not(sub), used
+        args, used = [], 0
+        for _ in range(rng.randint(2, 3)):
+            if used >= b:
+                break
+            sub, u = build(b - used)
+            args.append(sub)
+            used += u
+        if len(args) == 1:
+            return args[0], used
+        cls = And if kind < 0.65 else Or
+        return cls(tuple(args)), used
+
+    phi, _ = build(budget)
+    return phi
 
 
 def rand_constructible(rng, sp, max_links=2):

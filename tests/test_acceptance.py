@@ -11,18 +11,17 @@ from fractions import Fraction
 
 import pytest
 
-from padicgeom import (And, Atom, MonomialPoint, Not, NormValue, Or,
-                       RigidPoint, Series, Space, SplitAtom, SplitPoly,
-                       apply_shear, certify_unit, complement,
-                       decide_exists, distinguished_order, eval_formula,
+from padicgeom import (Atom, MonomialPoint, NormValue, RigidPoint, Series,
+                       Space, SplitAtom, SplitPoly, apply_shear, certify_unit,
+                       complement, decide_exists, distinguished_order, eval_formula,
                        gauss_point, intersect, make_distinguished, membership,
                        pushforward_eval, qe_prepare, to_dnf, union,
                        weierstrass_divide, weierstrass_prepare)
 from padicgeom.formulas import dnf_to_formula, eval_conjunct
 from conftest import (ONE, ZERO, ceil_frac, nv, poly, rand_constructible,
-                      rand_distinguished, rand_nonzero_series,
-                      rand_point_coord, rand_rigid, rand_scalar,
-                      rand_unit_scalar, space)
+                      rand_distinguished, rand_formula, rand_monomial,
+                      rand_nonzero_series, rand_point_coord, rand_rigid,
+                      rand_scalar, rand_unit_scalar, space)
 
 
 def report(num, label, detail=""):
@@ -195,45 +194,6 @@ def test_criterion_6_boolean_calculus():
 # ----------------------------------------------------------------------- 7 --
 
 
-def _random_formula(rng, sp, budget):
-    def atom():
-        return Atom(ONE, rand_nonzero_series(rng, sp, max_terms=3, max_deg=2,
-                                             vmin=-1),
-                    rng.choice(["<=", "<"]), ONE,
-                    rand_nonzero_series(rng, sp, max_terms=3, max_deg=2,
-                                        vmin=-1))
-
-    def build(b):
-        if b <= 1 or rng.random() < 0.3:
-            return atom(), 1
-        kind = rng.random()
-        if kind < 0.25:
-            sub, used = build(b - 1)
-            return Not(sub), used
-        args, used = [], 0
-        for _ in range(rng.randint(2, 3)):
-            if used >= b:
-                break
-            sub, u = build(b - used)
-            args.append(sub)
-            used += u
-        if len(args) == 1:
-            return args[0], used
-        cls = And if kind < 0.65 else Or
-        return cls(tuple(args)), used
-
-    phi, _ = build(budget)
-    return phi
-
-
-def _rand_monomial_point(rng, sp):
-    center = [rand_point_coord(rng, sp.prime, v.radius.exp, depth=2)
-              for v in sp.vars]
-    rho = [NormValue.power(Fraction(rng.randint(-4, 0), rng.choice([1, 2])))
-           for _ in sp.vars]
-    return MonomialPoint(sp, center, rho)
-
-
 def test_criterion_7_dnf_soundness():
     rng = random.Random(107)
     t0 = time.time()
@@ -241,11 +201,11 @@ def test_criterion_7_dnf_soundness():
         p = rng.choice([2, 3])
         sp = space(p, ("x", 0)) if rng.random() < 0.5 \
             else space(p, ("x", 0), ("y", 0))
-        phi = _random_formula(rng, sp, rng.randint(1, 8))
+        phi = rand_formula(rng, sp, rng.randint(1, 8))
         conjuncts = to_dnf(phi)
         for _ in range(50):
             x = rand_rigid(rng, sp) if rng.random() < 0.6 \
-                else _rand_monomial_point(rng, sp)
+                else rand_monomial(rng, sp)
             want = eval_formula(phi, x)
             got = False
             for c in conjuncts:

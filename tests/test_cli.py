@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import padicgeom
 from padicgeom import RigidPoint, membership
@@ -329,3 +333,118 @@ def test_malformed_document_is_a_one_line_error(tmp_path, doc, field):
     assert len(lines) == 1 and lines[0].startswith("error:") and field in lines[0]
     with pytest.raises(ValueError, match=field):
         load_document(str(path))
+
+
+# Document-level fuzz: small valid documents with random literals, then up to
+# three edits, each replacing some member (or the whole document) by a JSON
+# value of the wrong type or a bad or borderline literal, or deleting it.
+# Every subcommand that reads one exits 0, 1 or 2, with a one-line error for
+# 1, and raises nothing.
+FUZZ_DOC = {
+    "prime": 3,
+    "spaces": {"line": [{"name": "T", "radius": "3^0"}]},
+    "series": {
+        "f": {"vars": [{"name": "T", "radius": "3^0"}],
+              "coeffs": [{"mono": [1], "c": "3"}, {"mono": [0], "c": "-1/2"}],
+              "tail": "0"},
+        "g": {"vars": [{"name": "T", "radius": "3^0"}],
+              "coeffs": [{"mono": [1], "c": "1"}], "tail": "3^-2"},
+    },
+    "formulas": {"phi": {"space": "line", "text": "|T - 1| <= 3^-1*|1| | !(|T| < |1|)"}},
+    "points": {"x": {"space": "line", "rigid": ["6"]},
+               "eta": {"space": "line", "center": ["1"], "rho": ["3^-1/2"]}},
+    "sets": {"S": {"space": "line",
+                   "chains": [{"region": "|T| <= |1|",
+                               "links": [{"t": "t", "f": "f", "g": "g",
+                                          "r": "3^1", "s": "3^0",
+                                          "R": "|t| <= |T|"}]}]}},
+}
+fuzz_literal = st.sampled_from([
+    "1", "0", "-1", "3", "2/3", "3^0", "3^-1/2", "1/0", "0/0", "3^1/0", "",
+    "2^1", "3^x", "T", "t", "f", "line", "x", "S", "(0)", "(1, 2)",
+    "gauss(0; 3^0)", "|T| <= |1|", "|T - 1/0| <= |1|", "|T^2| < 3^2*|T|",
+    "|t| <=", "|q| <= |1|", "junk"])
+fuzz_json = st.recursive(
+    st.one_of(fuzz_literal, st.integers(-3, 3), st.none(), st.booleans(),
+              st.floats(allow_nan=True, allow_infinity=True)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(fuzz_literal, inner, max_size=3)),
+    max_leaves=6)
+
+
+def json_members(node, out):
+    """Every (container, key) pair below node, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        out.append((node, key))
+        if isinstance(value, (dict, list)):
+            json_members(value, out)
+    return out
+
+
+fuzz_scalar = st.builds(lambda n, d, k: str(Fraction(n, d) * Fraction(3) ** k),
+                        st.integers(-9, 9), st.sampled_from([1, 2, 4, 5]),
+                        st.integers(-2, 2))
+fuzz_norm = st.one_of(st.builds(lambda n, d: f"3^{n}" + (f"/{d}" if d > 1 else ""),
+                                st.integers(-3, 3), st.integers(1, 3)),
+                      st.just("0"))
+fuzz_formula = st.sampled_from([
+    "|T - 1| <= 3^-1*|1| | !(|T| < |1|)", "|T| <= 0*|1|", "|T^2 - 1| < |T|",
+    "3^1/2*|T + 1| <= |T - 2| & |T| < |1|", "!(|3*T| <= 3^-2*|1|)"])
+
+
+@st.composite
+def fuzz_document(draw):
+    """FUZZ_DOC with fresh valid literals, then up to three junk edits.
+
+    Hypothesis favours the first choice of each draw, so that choice is the
+    mildest: no edit, deep members first, replace rather than delete."""
+    doc = json.loads(json.dumps(FUZZ_DOC))
+    for f in doc["series"].values():
+        for term in f["coeffs"]:
+            term["c"] = draw(fuzz_scalar)
+        f["tail"] = draw(fuzz_norm)
+    doc["formulas"]["phi"]["text"] = draw(fuzz_formula)
+    # one coordinate per point as a rule, sometimes two or none
+    arity = st.sampled_from([1, 2, 0])
+    doc["points"]["x"]["rigid"] = [draw(fuzz_scalar) for _ in range(draw(arity))]
+    doc["points"]["eta"]["center"] = [draw(fuzz_scalar) for _ in range(draw(arity))]
+    doc["points"]["eta"]["rho"] = [draw(fuzz_norm) for _ in range(draw(arity))]
+    link = doc["sets"]["S"]["chains"][0]["links"][0]
+    r, drop = draw(st.integers(-1, 2)), draw(st.integers(1, 3))
+    link["r"], link["s"] = f"3^{r}", f"3^{r - drop}"
+    for _ in range(draw(st.integers(0, 3))):
+        members = json_members(doc, [])[::-1]
+        if not members or draw(st.integers(0, 15)) == 15:
+            return draw(fuzz_json)
+        node, key = draw(st.sampled_from(members))
+        if isinstance(node, dict) and draw(st.integers(0, 3)) == 3:
+            del node[key]
+        else:
+            node[key] = draw(fuzz_json)
+    return doc
+
+
+FUZZ_COMMANDS = (["norm", "--series", "f"],
+                 ["eval", "--formula", "phi", "--point", "x"],
+                 ["eval", "--formula", "phi", "--point", "eta"],
+                 ["member", "--set", "S", "--point", "x"])
+
+
+@settings(max_examples=200)
+@given(fuzz_document())
+def test_document_fuzz_exits_cleanly(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for command in FUZZ_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command[0], "-i", path] + command[1:])
+            assert code in (0, 1, 2), (command, code)
+            if code == 1:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error:"), lines
+            else:
+                assert out.getvalue() and not err.getvalue()

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from padicgeom import (ConstructibleSet, DatumChain, ElementaryDatum,
                        NormValue, RigidPoint, Series, VarSpec, complement,
@@ -147,6 +147,38 @@ def test_kleene_identities_property(seed):
         assert membership(AuB, x) is (va or vb)
 
 
+def rand_pair_and_points(seed, max_links=2, count=10):
+    rng = random.Random(seed)
+    p = rng.choice([2, 3])
+    sp = space(p, ("x", 0)) if rng.random() < 0.5 \
+        else space(p, ("x", 0), ("y", 0))
+    A = rand_constructible(rng, sp, max_links)
+    B = rand_constructible(rng, sp, max_links)
+    return A, B, [rand_rigid(rng, sp) for _ in range(count)]
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_complement_involution_property(seed):
+    # complement multiplies out chains: a first complement of 8 chains gives
+    # a second of up to 1024, and of 12 chains one of 393,216 (minutes of
+    # membership), so larger cases are left out to bound the run time
+    A, _, points = rand_pair_and_points(seed, max_links=1)
+    C = complement(A)
+    assume(len(C.chains) <= 8)
+    CC = complement(C)
+    for x in points:
+        assert membership(CC, x) is membership(A, x)
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_de_morgan_property(seed):
+    A, B, points = rand_pair_and_points(seed)
+    left = complement(union(A, B))
+    right = intersect(complement(A), complement(B))
+    for x in points:
+        assert membership(left, x) is membership(right, x)
+
+
 def test_double_complement(rng):
     sp = B2()
     for _ in range(4):
@@ -174,6 +206,19 @@ def test_intersect_concatenates_complexity(rng):
     B = random_set_with_links(rng, sp, 1)
     AB = intersect(A, B)
     assert AB.complexity == 2
+
+
+def test_intersect_renames_charts_that_collide():
+    S = worked_datum("|t| <= 2^-1*|1|")
+    SS = intersect(S, S)
+    assert SS.chains[0].chart_names() == ["t", "t_2"]
+    # the second factor's charts t and t_2: t must not become t_2
+    SSS = intersect(S, SS)
+    assert SSS.chains[0].chart_names() == ["t", "t_3", "t_2"]
+    sp = S.space
+    for xy in ((2, 8), (2, 2), (0, 0), (4, 4)):
+        x = RigidPoint(sp, xy)
+        assert membership(SSS, x) is membership(S, x)
 
 
 def random_set_with_links(rng, sp, n_links):

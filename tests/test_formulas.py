@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,8 @@ from padicgeom import (And, Atom, MonomialPoint, Not, NormValue, Or,
                        parse_formula, to_dnf)
 from padicgeom.formulas import (FormulaSyntaxError, dnf_to_formula,
                                 eval_conjunct, parse_poly)
-from conftest import ONE, ZERO, nv, poly, rand_nonzero_series, rand_rigid, space
+from conftest import (ONE, ZERO, nv, poly, rand_formula, rand_monomial,
+                      rand_nonzero_series, rand_rigid, space)
 
 
 def XY(p=2):
@@ -144,6 +146,18 @@ def test_dnf_pointwise_equivalent(rng):
             else:
                 got = False
             assert got == want
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_dnf_equivalence_property(seed):
+    rng = random.Random(seed)
+    p = rng.choice([2, 3])
+    sp = space(p, ("x", 0)) if rng.random() < 0.5 else XY(p)
+    phi = rand_formula(rng, sp, rng.randint(1, 6))
+    psi = dnf_to_formula(to_dnf(phi))
+    for _ in range(10):
+        x = rand_rigid(rng, sp) if rng.random() < 0.5 else rand_monomial(rng, sp)
+        assert eval_formula(phi, x) == eval_formula(psi, x)
 
 
 def test_print_parse_round_trip(rng):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from padicgeom import NormValue, parse_norm, valuation
+from padicgeom.series import NormEstimate
 from conftest import nv, ZERO, ONE, rand_scalar
 
 
@@ -49,6 +50,39 @@ def test_valuation_matches_reference(n, d, p, k):
 def test_of_scalar_matches_valuation(n, d, p, k):
     a = shifted(n, abs(d), p, k)
     assert NormValue.of_scalar(a, p) == NormValue(Fraction(-valuation(a, p)))
+
+
+@given(big, big, primes, shifts, big)
+def test_of_ratio_reads_unreduced_pairs(n, d, p, k, m):
+    a = shifted(n, abs(d), p, k)
+    m = abs(m) * p ** (k % 7)  # a common factor, with p in it, left in both
+    assert NormValue.of_ratio(a.numerator * m, a.denominator * m, p) == \
+        NormValue.of_scalar(a, p)
+    assert NormValue.of_ratio(0, m, p) == ZERO
+
+
+# The zero norm, integer exponents on both sides of the shared table's
+# edges, and non-integer exponents, with exponent-0 values that are not the
+# shared one() instance.
+norm_values = st.one_of(
+    st.just(ZERO),
+    st.integers(-70, 70).map(lambda e: NormValue(Fraction(e))),
+    st.builds(lambda n, d: NormValue(Fraction(n, d)),
+              st.integers(-9, 9), st.integers(1, 6)))
+
+
+@given(norm_values, norm_values)
+def test_norm_value_fast_paths(a, b):
+    assert (a <= b) == (a == b or a < b)
+    for unit in (ONE, NormValue(Fraction(0)), NormValue.power(0)):
+        assert a * unit == a and unit * a == a
+        est = NormEstimate(a, b)
+        assert est.scaled(unit) == est
+    if a.exp is not None and b.exp is not None:
+        assert (a * b).exp == a.exp + b.exp
+        assert NormEstimate(a, b).scaled(b) == NormEstimate(a * b, b * b)
+    else:
+        assert a * b == ZERO
 
 
 def test_scalar_norms():

@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 
 from padicgeom import (MonomialPoint, NormValue, RigidPoint, Series, Space,
                        VarSpec, gauss_point, pushforward_eval)
+from padicgeom.formulas import Seminorms
+from padicgeom.series import NormEstimate
 from conftest import (ONE, ZERO, nv, poly, rand_nonzero_series, rand_rigid,
                       space)
 
@@ -299,6 +301,63 @@ def test_monomial_seminorm_matches_recentred_gauss_norm(case):
         v.name: Series.variable(target, v.name) + Series.constant(target, a)
         for v, a in zip(f.space.vars, x.center)})
     assert f.eval_seminorm(x) == recentred.gauss_norm()
+
+
+# Rigid points on 1 to 3 variables with rational radii: coordinates that are
+# zero or have powers of p in their denominators (radius above 1), several
+# series per point (one Seminorms shares its power rows among them), tails,
+# and a series that vanishes at the point.
+rigid_radii = st.sampled_from(["0", "1", "-1/2", "3/2", "5/2", "2/3"])
+
+
+@st.composite
+def rigid_case(draw):
+    p = draw(kernel_primes)
+    n = draw(st.integers(1, 3))
+    sp = space(p, *[(f"x{i}", draw(rigid_radii)) for i in range(n)])
+    units = [u for u in (1, 3, 5, 7, 9, 15) if u % p]
+    coords = []
+    for r in sp.radii:
+        # v_p(x) >= k >= -r.exp, so |x| <= r
+        k = math.ceil(-r.exp) + draw(st.integers(0, 3))
+        a = Fraction(draw(st.integers(-10 ** 4, 10 ** 4)),
+                     draw(st.sampled_from(units))) * Fraction(p) ** k
+        coords.append(a if draw(st.integers(0, 3)) else Fraction(0))
+    fs = []
+    for _ in range(draw(st.integers(1, 4))):
+        f = kernel_series(draw, sp)
+        if draw(st.booleans()):
+            f = f.with_tail(nv(draw(st.integers(-4, 4))))
+        fs.append(f)
+    fs.append(fs[0] - Series.constant(sp, ref_eval(fs[0].coeffs, coords)))
+    return fs, RigidPoint(sp, coords)
+
+
+@given(rigid_case())
+def test_rigid_seminorms_match_fraction_reference(case):
+    fs, x = case
+    p = x.space.prime
+    ev = Seminorms(x)
+    assert ev(fs[-1]).value == ZERO
+    for f in fs:
+        value = ref_eval(f.coeffs, x.coords)
+        assert f.eval_exact(x.coords) == value
+        ref = NormEstimate(NormValue.of_scalar(f.eval_exact(x.coords), p), f.tail)
+        assert ev(f) == ref
+        assert ev.value(f) == value and type(ev.value(f)) is Fraction
+        assert f.eval_seminorm(x) == ref
+
+
+def test_points_with_the_wrong_coordinate_count_are_refused():
+    sp = B2()
+    f = Series.variable(sp, "T1")
+    for x in (RigidPoint(sp, (2,)), RigidPoint(sp, (2, 2, 2)),
+              MonomialPoint(sp, (0,), (ONE, ONE)),
+              MonomialPoint(sp, (0, 0), (ONE,))):
+        with pytest.raises(ValueError, match="coordinate count mismatch"):
+            f.eval_seminorm(x)
+        with pytest.raises(ValueError, match="coordinate count mismatch"):
+            Seminorms(x)(f)
 
 
 def test_gauss_norm_examples():
