@@ -330,7 +330,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         doc = load_document(args.input)
         return args.func(doc, args)
     except (CommandError, ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str(KeyError) is the repr of its argument; print the message itself
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {msg}", file=sys.stderr)
         return 1
 
 

@@ -1,5 +1,8 @@
 """Multiplicative units, distinguished series, Weierstrass division/preparation.
 
+The distinguished order of a series is read off one integer pass over its
+numerators: the largest pivot degree at the top weighted exponent.
+
 Division follows the classical contraction scheme: truncate the divisor at
 its distinguished order s, do Euclidean division by that truncation (whose
 leading coefficient is an invertible unit), and iterate on the defect, which
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Dict, List, Optional, Tuple
 
 from .scalars import NormValue, _valuation, nv_max, nv_min
@@ -113,29 +117,28 @@ class DistinguishedCertificate:
 def distinguished_order(f: Series, pivot: str) -> Optional[DistinguishedCertificate]:
     """The unique order at which f is pivot-distinguished, or None.
 
-    The order is the largest pivot degree whose coefficient attains the
-    Gauss norm of f; it must carry a certified unit coefficient, and the
-    tail must sit strictly below the witness norm.
+    One integer pass over ``f.nums``: the order is the largest pivot degree
+    at the top weighted exponent (as in ``norm_exp``), its row must be a
+    certified unit, and the tail must sit strictly below the witness ||f||.
     """
-    rows = f.coeff_view(pivot)
-    if not rows:
+    space, p = f.space, f.space.prime
+    i = space.index(pivot)
+    d, weights = space.scaled_radii()
+    top = s = None
+    for e, c in f.nums.items():
+        x = sum(map(mul, e, weights)) - d * _valuation(c, 1, p)
+        if top is None or x > top or (x == top and e[i] > s):
+            top, s = x, e[i]
+    if top is None:
         return None
-    r = f.space.radius(pivot)
-    weighted = [(n, c, c.main_norm() * (r ** n)) for n, c in rows]
-    top = NormValue.zero()
-    for _, _, w in weighted:
-        if top < w:
-            top = w
-    if top.is_zero:
+    witness = NormValue(Fraction(top, d) + _valuation(f.den, 1, p))
+    if not f.tail < witness:
         return None
-    if not f.tail < top:
-        return None
-    s = max(n for n, _, w in weighted if w == top)
-    lead = next(c for n, c, _ in weighted if n == s)
-    ucert = certify_unit(lead)
+    lead = {e[:i] + e[i + 1:]: c for e, c in f.nums.items() if e[i] == s}
+    ucert = certify_unit(Series._reduced(space.drop(pivot), (f.den, lead), f.tail))
     if ucert is None:
         return None
-    return DistinguishedCertificate(pivot, s, ucert, top)
+    return DistinguishedCertificate(pivot, s, ucert, witness)
 
 
 @dataclass(frozen=True)
@@ -195,8 +198,8 @@ def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
     """
     if f.space != g.space:
         raise ValueError("dividend and divisor live on different spaces")
-    check = distinguished_order(g, cert.pivot)
-    if check is None or check.order != cert.order:
+    # the whole certificate, witness included, must be the one g has
+    if distinguished_order(g, cert.pivot) != cert:
         raise ValueError("invalid distinguished certificate for the divisor")
     pivot, s = cert.pivot, cert.order
     space = f.space
@@ -234,7 +237,7 @@ def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
     if floor > eps:
         raise ValueError("eps is below the tail floor of the division instance")
 
-    lead = dict(g0.coeff_view(pivot))[s].drop_tail()
+    lead = Series._raw(space.drop(pivot), *dict(g_rows)[s], NormValue.zero())
     lead_scalar = lead.as_scalar()
     if lead_scalar is not None:
         v = Series.constant(lead.space, Fraction(1) / lead_scalar)

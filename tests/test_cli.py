@@ -269,6 +269,14 @@ def test_error_reporting(doc_path, capsys):
     assert code == 1 and err.startswith("error:")
 
 
+def test_unknown_pivot_error_prints_the_message(doc_path, capsys):
+    code, out, err = run(capsys, [
+        "distinguish", "-i", doc_path, "--f", "T^2", "--pivot", "Z",
+        "--space", "line"])
+    assert code == 1 and out == ""
+    assert err == "error: no variable 'Z' in space ('T',)"
+
+
 def _composite_prime():
     # prime 4 with matching literals: once printed |2| = 4^0 and |4| = 4^-1
     return {"prime": 4,

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -89,6 +90,20 @@ def test_divide_rejects_stale_certificate():
     other = poly(sp, {(3,): 1, (0,): 2})
     with pytest.raises(ValueError, match="certificate"):
         weierstrass_divide(T, other, cert, nv(-4))
+
+
+def test_divide_rejects_forged_witness():
+    # a certificate whose order matches but whose witness does not must be
+    # refused, not used for the tail floor and the contraction
+    sp = B1()
+    g = poly(sp, {(1,): 1, (2,): 2}).with_tail(nv(-3))
+    f = poly(sp, {(3,): 1, (0,): 1})
+    cert = distinguished_order(g, "T")
+    with pytest.raises(ValueError, match="tail floor"):
+        weierstrass_divide(f, g, cert, nv(-8))
+    forged = dataclasses.replace(cert, norm_witness=nv(5))
+    with pytest.raises(ValueError, match="invalid distinguished certificate"):
+        weierstrass_divide(f, g, forged, nv(-8))
 
 
 def test_divide_rejects_zero_eps_on_contracting_instance():
@@ -221,3 +236,91 @@ def test_division_contract_property(seed):
     assert out.remainder.degree_in("T") < cert.order
     assert max(g.gauss_norm().value * out.quotient.gauss_norm().value,
                out.remainder.gauss_norm().value) == nf
+
+
+def _row_reference(f, pivot):
+    """The row-wise definition: the largest pivot degree n whose row
+    attains max ||c_n|| r^n, with a unit lead row and the tail below."""
+    rows = f.coeff_view(pivot)
+    r = f.space.radius(pivot)
+    weighted = [(n, c, c.main_norm() * r ** n) for n, c in rows]
+    top = ZERO
+    for _, _, w in weighted:
+        if top < w:
+            top = w
+    if top.is_zero or not f.tail < top:
+        return None
+    s = max(n for n, _, w in weighted if w == top)
+    ucert = certify_unit(dict(rows)[s])
+    if ucert is None:
+        return None
+    return s, top, ucert.scale, ucert.rest
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_distinguished_order_matches_row_reference(seed):
+    # nonzero and fractional radius weights, and denominators that mix
+    # p-powers with units, so that v_p(den) matters
+    rng = random.Random(seed)
+    p = rng.choice([2, 3, 5])
+    unit = {2: 3, 3: 2, 5: 3}[p]
+    names = ["x", "y", "T"][:rng.randint(1, 3)]
+    sp = space(p, *[(nm, rng.choice(["0", "1", "1/2", "-3/2", "2/3"])) for nm in names])
+    pivot = rng.choice(names)
+    coeffs = {}
+    for _ in range(rng.randint(1, 6)):
+        expo = tuple(rng.randint(0, 3) for _ in names)
+        num = rng.choice([1, -1, unit, -unit * unit]) * p ** rng.randint(0, 2)
+        coeffs[expo] = Fraction(num, rng.choice([1, unit]) * p ** rng.randint(0, 2))
+    if rng.random() < 0.5:
+        # a tie at the top across rows: for the pivot radius p^(a/b), the
+        # top term shifted by b in the pivot degree and scaled by p^a
+        r, k = sp.radius(pivot).exp, names.index(pivot)
+        e, c = max(coeffs.items(),
+                   key=lambda t: Series.monomial(sp, *t).main_norm().exp)
+        coeffs[e[:k] + (e[k] + r.denominator,) + e[k + 1:]] = -c * Fraction(p) ** r.numerator
+    f = Series(sp, coeffs)
+    top = f.main_norm()
+    f = f.with_tail(rng.choice([ZERO, top * nv(-1), top, top * nv(1)]))
+    cert = distinguished_order(f, pivot)
+    got = None if cert is None else (cert.order, cert.norm_witness,
+                                      cert.unit_cert.scale, cert.unit_cert.rest)
+    assert got == _row_reference(f, pivot)
+
+
+def _series_unit_divisor():
+    """g = (1 + 2x) T + 2 T^2 + 4 x T^3 with tail 2^-4: the lead row at the
+    order 1 is the series unit 1 + 2x, not a scalar."""
+    sp = space(2, ("x", 0), ("T", 0))
+    g = poly(sp, {(0, 1): 1, (1, 1): 2, (0, 2): 2, (1, 3): 4}).with_tail(nv(-4))
+    return sp, g
+
+
+def test_divide_by_series_unit_lead_with_tail():
+    sp, g = _series_unit_divisor()
+    cert = distinguished_order(g, "T")
+    assert cert.order == 1 and not cert.unit_cert.rest.drop_tail().is_zero
+    f = poly(sp, {(0, 3): 1, (1, 0): 1, (0, 0): 1})
+    eps = nv(-4)
+    out = weierstrass_divide(f, g, cert, eps)
+    defect = f - (g.drop_tail() * out.quotient + out.remainder)
+    assert defect.is_exact
+    assert defect.gauss_norm().value <= out.residual <= eps
+    assert out.remainder.degree_in("T") < cert.order
+    assert max(g.gauss_norm().value * out.quotient.gauss_norm().value,
+               out.remainder.gauss_norm().value) == f.gauss_norm().value
+
+
+def test_division_builds_no_coeff_view(monkeypatch):
+    calls = []
+    real = Series.coeff_view
+
+    def counting(self, pivot):
+        calls.append(pivot)
+        return real(self, pivot)
+
+    monkeypatch.setattr(Series, "coeff_view", counting)
+    sp, g = _series_unit_divisor()
+    cert = distinguished_order(g, "T")
+    weierstrass_divide(poly(sp, {(0, 3): 1, (1, 0): 1}), g, cert, nv(-4))
+    assert calls == []
