@@ -493,7 +493,7 @@ def decide_exists(atoms: Sequence[SplitAtom], space: Space) -> Decision:
             if lo.is_zero:
                 samples.append(hi * NormValue.power(-1))
             else:
-                samples.append(NormValue.power((lo.exp + hi.exp) / 2))
+                samples.append(NormValue.power(Fraction(lo.exp + hi.exp, 2)))
         for rho in sorted(set(samples)):
             if not passes(center, rho):
                 continue

@@ -3,8 +3,10 @@
 Scalars are plain ``fractions.Fraction`` values; the prime p of the ambient
 valued field is passed explicitly (it is fixed per document / computation).
 Norms, radii and thresholds are ``NormValue`` instances: either the zero
-norm or an exact power p^e with rational exponent e.  Every comparison is
-exact; nothing in this package ever goes through floating point.
+norm or an exact power p^e with rational exponent e, stored as an ``int``
+when e is integral (almost always) and as a ``Fraction`` otherwise.  Every
+comparison is exact; nothing in this package ever goes through floating
+point.
 """
 
 from __future__ import annotations
@@ -104,12 +106,17 @@ def _valuation(n: int, d: int, p: int) -> int:
 class NormValue:
     """An element of the value group p^Q u {0}, stored as the exponent.
 
-    ``exp is None`` encodes the zero norm.  The total order and the group
-    law never need to know p (p >= 2 makes p^e strictly increasing in e),
-    so instances are prime-agnostic; only text rendering takes p.
+    ``exp is None`` encodes the zero norm.  Otherwise ``exp`` is canonical:
+    an ``int`` when the exponent is integral, else a ``Fraction`` with
+    denominator > 1.  Every constructor below and every group operation
+    builds its result through ``_power``, which enforces that form; equal
+    exponents compare and hash equal in either type.  The total order and
+    the group law never need to know p (p >= 2 makes p^e strictly
+    increasing in e), so instances are prime-agnostic; only text rendering
+    takes p.
     """
 
-    exp: Optional[Fraction]
+    exp: Optional[Rational]
 
     # -- constructors ------------------------------------------------------
 
@@ -123,7 +130,14 @@ class NormValue:
 
     @staticmethod
     def power(exp: Rational) -> "NormValue":
-        return NormValue(_as_fraction(exp))
+        return _power(exp if type(exp) is int else _as_fraction(exp))
+
+    @staticmethod
+    def of_scaled(n: int, d: int) -> "NormValue":
+        """p^(n/d) for integers n and d > 0, such as a ``norm_exp`` result
+        over the space's common denominator d."""
+        q, r = divmod(n, d)
+        return _power(Fraction(n, d) if r else q)
 
     @staticmethod
     def of_scalar(a: Rational, p: int) -> "NormValue":
@@ -139,9 +153,7 @@ class NormValue:
             return _ZERO
         if p < 2:
             raise ValueError("prime must be >= 2")
-        e = -_valuation(num, den, p)
-        nv = _SMALL_POWERS.get(e)
-        return NormValue(Fraction(e)) if nv is None else nv
+        return _power(-_valuation(num, den, p))
 
     # -- predicates --------------------------------------------------------
 
@@ -159,22 +171,23 @@ class NormValue:
             return other
         if not b:
             return self
-        return NormValue(a + b)
+        return _power(a + b)
 
     def __truediv__(self, other: "NormValue") -> "NormValue":
         if other.exp is None:
             raise ZeroDivisionError("division by the zero norm")
         if self.exp is None:
             return _ZERO
-        return NormValue(self.exp - other.exp)
+        return _power(self.exp - other.exp)
 
     def __pow__(self, k: Rational) -> "NormValue":
-        k = _as_fraction(k)
+        if type(k) is not int:
+            k = _as_fraction(k)
         if self.exp is None:
             if k <= 0:
                 raise ZeroDivisionError("0 raised to a non-positive power")
             return _ZERO
-        return NormValue(self.exp * k)
+        return _power(self.exp * k)
 
     def inverse(self) -> "NormValue":
         return _ONE / self
@@ -229,13 +242,24 @@ class NormValue:
         return f"NormValue(p^{self.exp})"
 
 
+def _power(e: Rational) -> NormValue:
+    """p^e for an int or Fraction e, with ``exp`` in the canonical form:
+    an int when e is integral, the shared instance for small e."""
+    if type(e) is not int:
+        if e.denominator != 1:
+            return NormValue(e)
+        e = e.numerator
+    nv = _SMALL_POWERS.get(e)
+    return NormValue(e) if nv is None else nv
+
+
 _ZERO = NormValue(None)
-_ONE = NormValue(Fraction(0))
+_ONE = NormValue(0)
 
 # Shared instances p^e for small integer e, so that scalar norms (almost
 # all of them have a small exponent) cost no allocation.  Fixed at import;
 # exponents outside the table are built on demand.
-_SMALL_POWERS = {e: NormValue(Fraction(e)) for e in range(-64, 65)}
+_SMALL_POWERS = {e: NormValue(e) for e in range(-64, 65)}
 _SMALL_POWERS[0] = _ONE
 
 _NORM_RE = re.compile(r"^(\d+)\^(-?\d+)(?:/(\d+))?$")
@@ -260,7 +284,7 @@ def parse_norm(text: str, p: int) -> NormValue:
     den = int(m.group(3)) if m.group(3) else 1
     if den == 0:
         raise ValueError(f"bad norm literal: {text!r}")
-    return NormValue(Fraction(num, den))
+    return _power(Fraction(num, den))
 
 
 def parse_scalar(text: str) -> Fraction:

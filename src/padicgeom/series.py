@@ -471,8 +471,8 @@ class Series:
         """Exact Gauss norm of the stored polynomial: max |c_nu| r^nu."""
         scaled = self.space.scaled_radii()
         best = norm_exp(self.nums, self.space.prime, scaled)
-        return NormValue.zero() if best is None else NormValue(
-            Fraction(best, scaled[0]) + _valuation(self.den, 1, self.space.prime))
+        return NormValue.zero() if best is None else NormValue.of_scaled(
+            best + scaled[0] * _valuation(self.den, 1, self.space.prime), scaled[0])
 
     def gauss_norm(self) -> NormEstimate:
         return NormEstimate(self.main_norm(), self.tail)
@@ -657,7 +657,7 @@ class Series:
         scaled = scaled_exponents(point.rho)
         best = norm_exp(terms, p, scaled)
         value = (NormValue.zero() if best is None
-                 else NormValue(Fraction(best, scaled[0]) + vden))
+                 else NormValue.of_scaled(best + scaled[0] * vden, scaled[0]))
         return NormEstimate(value, self.tail)
 
     # -- printing -------------------------------------------------------------

@@ -131,7 +131,7 @@ def distinguished_order(f: Series, pivot: str) -> Optional[DistinguishedCertific
             top, s = x, e[i]
     if top is None:
         return None
-    witness = NormValue(Fraction(top, d) + _valuation(f.den, 1, p))
+    witness = NormValue.of_scaled(top + d * _valuation(f.den, 1, p), d)
     if not f.tail < witness:
         return None
     lead = {e[:i] + e[i + 1:]: c for e, c in f.nums.items() if e[i] == s}
@@ -186,7 +186,7 @@ def _rows_to_series(rows: Dict[int, IntTerms], space: Space, pivot_index: int) -
 
 
 def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
-                       eps: NormValue) -> DivisionResult:
+                       eps: NormValue, *, _checked: bool = False) -> DivisionResult:
     """Divide f by a certified pivot-distinguished g: f = g q + R + h,
     deg_pivot R < order, ||h|| <= residual <= eps.
 
@@ -195,11 +195,14 @@ def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
     obey ||h_i|| <= contraction^i ||f||; the loop stops once the defect is
     within eps.  Instances with nonzero tails have a floor
     max(tail_f, tail_g ||f||/||g||) below which no eps is reachable.
+
+    The certificate is checked against g; ``_checked=True`` is for callers
+    in this module that derived or checked it themselves.
     """
     if f.space != g.space:
         raise ValueError("dividend and divisor live on different spaces")
     # the whole certificate, witness included, must be the one g has
-    if distinguished_order(g, cert.pivot) != cert:
+    if not _checked and distinguished_order(g, cert.pivot) != cert:
         raise ValueError("invalid distinguished certificate for the divisor")
     pivot, s = cert.pivot, cert.order
     space = f.space
@@ -224,7 +227,7 @@ def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
                 x += k * pivot_weight + d * _valuation(den, 1, p)
                 if best is None or x > best:
                     best = x
-        return NormValue.zero() if best is None else NormValue(Fraction(best, d))
+        return NormValue.zero() if best is None else NormValue.of_scaled(best, d)
 
     norm_g = cert.norm_witness
     g_rows = sorted(_rows_of(g0, pivot_index).items())
@@ -297,7 +300,7 @@ def _exact_division_by_monic(f: Series, w: Series, pivot: str
     if cert is None:
         return None
     try:
-        div = weierstrass_divide(f, w, cert, NormValue.zero())
+        div = weierstrass_divide(f, w, cert, NormValue.zero(), _checked=True)
     except ValueError:
         return None
     return div.quotient, div.remainder
@@ -315,6 +318,8 @@ def weierstrass_prepare(g: Series, cert: DistinguishedCertificate,
     is the exact norm of that remainder (zero exactly when g = e w
     reconstructs, e.g. when g is a polynomial of degree s).
     """
+    if distinguished_order(g, cert.pivot) != cert:
+        raise ValueError("invalid distinguished certificate for the divisor")
     pivot, s = cert.pivot, cert.order
     space = g.space
     r = space.radius(pivot)
@@ -331,7 +336,7 @@ def weierstrass_prepare(g: Series, cert: DistinguishedCertificate,
 
     last_error = "no attempt converged"
     for _ in range(8):
-        div = weierstrass_divide(t_s, g, cert, eps_div)
+        div = weierstrass_divide(t_s, g, cert, eps_div, _checked=True)
         w = t_s - div.remainder
         exact = _exact_division_by_monic(g.drop_tail(), w, pivot)
         if exact is None:

@@ -93,12 +93,11 @@ def run_subprocess(argv, timeout):
                           timeout=timeout)
 
 
-def ring_doc(tmp_path, radius):
-    """1 < |T| <= 2 over the disc |T| <= radius."""
+def ring_doc(tmp_path, radius, text="|T| <= 2^1*|1| & 1*|1| < |T|"):
+    """1 < |T| <= 2 (or another ring ``text``) over the disc |T| <= radius."""
     doc = {"prime": 2,
            "spaces": {"disc": [{"name": "T", "radius": radius}]},
-           "formulas": {"ring": {"space": "disc",
-                                 "text": "|T| <= 2^1*|1| & 1*|1| < |T|"}}}
+           "formulas": {"ring": {"space": "disc", "text": text}}}
     path = tmp_path / "ring.json"
     path.write_text(json.dumps(doc))
     return str(path)
@@ -237,6 +236,14 @@ def test_qe1_decides_over_a_narrower_declared_disc(tmp_path, capsys):
         "qe1", "-i", ring_doc(tmp_path, "2^-1"), "--conjunct", "ring",
         "--pivot", "T"])
     assert (code, out, err) == (0, "UNSAT", "")
+
+
+def test_qe1_open_annulus_witness_is_exact(tmp_path, capsys):
+    # 1 < |T| < 2 has no rigid point: the witness radius is the exact
+    # midpoint 2^(1/2) of the annulus, never a float
+    path = ring_doc(tmp_path, "2^1", "1*|1| < |T| & |T| < 2^1*|1|")
+    assert run(capsys, ["qe1", "-i", path, "--conjunct", "ring", "--pivot", "T"]) \
+        == (0, "SAT witness = gauss(0; 2^1/2)", "")
 
 
 def test_huge_power_is_a_one_line_error(tmp_path):

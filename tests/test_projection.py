@@ -339,6 +339,18 @@ def test_gauss_circle_needs_monomial_witness():
     assert d.witness.rho[0] == nv("-1/2")
 
 
+def test_open_annulus_witness_radius_is_exact():
+    # 1 < |T| < 2 holds at no rigid point, so the witness is the Gauss
+    # point at the geometric midpoint 2^(1/2): an exact exponent, not 0.5
+    sp = space(2, ("T", 1))
+    (conj,) = to_dnf(parse_formula("1*|1| < |T| & |T| < 2^1*|1|", sp))
+    status, witness = project_decision(conj.atoms, RigidPoint(Space(2, ()), ()), "T")
+    assert status == "SAT" and isinstance(witness, MonomialPoint)
+    (rho,) = witness.rho
+    assert type(rho.exp) is Fraction and rho.exp == Fraction(1, 2)
+    assert witness.text() == "gauss(0; 2^1/2)"
+
+
 def test_qe_prepare_worked_example():
     sp = space(2, ("T", 1))
     f = poly(sp, {(1,): 1, (2,): 2})

@@ -1,12 +1,18 @@
 import math
+import pathlib
+import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from padicgeom import NormValue, parse_norm, valuation
+import padicgeom
+from padicgeom import NormValue, parse_norm, valuation, weierstrass_divide
+from padicgeom.scalars import nv_max, nv_min
 from padicgeom.series import NormEstimate
-from conftest import nv, ZERO, ONE, rand_scalar
+from conftest import (nv, ZERO, ONE, rand_distinguished, rand_monomial,
+                      rand_nonzero_series, rand_scalar, space)
 
 
 def test_valuation_examples():
@@ -146,3 +152,92 @@ def test_compare_against_rational_constants():
     assert nv(-1).compare_fraction(Fraction(1, 2), 2) == 0
     assert nv("-1/2").compare_fraction(Fraction(1, 2), 2) == 1
     assert ZERO.compare_fraction(Fraction(1, 1000), 2) == -1
+
+
+# -- canonical exponents: None, an int, or a Fraction with denominator > 1 ----
+
+def assert_canonical(v):
+    e = v.exp
+    assert e is None or type(e) is int or (
+        type(e) is Fraction and e.denominator > 1), repr(e)
+
+
+# ints (bools too) and Fractions with denominators 1-6, integral ones such
+# as 4/2 included
+exponents = st.one_of(st.integers(-80, 80), st.booleans(),
+                      st.builds(Fraction, st.integers(-24, 24), st.integers(1, 6)))
+canonical_norms = st.one_of(st.just(ZERO), exponents.map(NormValue.power))
+powers = st.one_of(st.integers(-6, 6),
+                   st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+
+
+def fraction_text(e, p):
+    """The text of p^e rendered from e as a Fraction."""
+    e = Fraction(e)
+    return f"{p}^{e.numerator}" + ("" if e.denominator == 1 else f"/{e.denominator}")
+
+
+@given(exponents, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 12), big, primes)
+def test_constructors_give_canonical_exponents(e, n, d, c, p):
+    a = NormValue.power(e)
+    assert_canonical(a)
+    # equal to, and hashed as, the same exponent stored as a Fraction
+    assert a.exp == e and a == NormValue(Fraction(e)) == NormValue.power(Fraction(e))
+    assert hash(a) == hash(NormValue(Fraction(e)))
+    assert a.text(p) == fraction_text(e, p)
+    assert repr(a) == f"NormValue(p^{Fraction(e)})"
+    b = NormValue.of_scaled(n, d)
+    assert_canonical(b)
+    assert b == NormValue.power(Fraction(n, d))
+    for v in (NormValue.of_ratio(c, d, p), NormValue.of_scalar(Fraction(c, d), p)):
+        assert_canonical(v)
+        assert v.exp == valuation(Fraction(d, c), p)
+
+
+@given(canonical_norms, canonical_norms, powers, primes)
+def test_value_group_results_are_canonical(a, b, k, p):
+    back = parse_norm(a.text(p), p)
+    assert back == a
+    out = [back, a * b, nv_max(a, b), nv_min(a, b)]
+    if not b.is_zero:
+        out.append(a / b)
+    if not a.is_zero or k > 0:
+        out += [a ** k, a ** int(k)] if k == int(k) else [a ** k]
+    if not a.is_zero:
+        c = NormValue.power(k - a.exp)  # a * c = p^k: integral for int k
+        out += [a * c, c * a, NormValue.power(k) / c]
+    for v in out:
+        assert_canonical(v)
+
+
+def test_integral_fraction_exponents_are_ints():
+    a, b = NormValue.power(Fraction(4, 2)), NormValue.power(2)
+    assert a == b and hash(a) == hash(b) and type(a.exp) is int
+    assert type((nv("1/2") * nv("3/2")).exp) is int
+    assert type((nv("1/3") ** 3).exp) is int
+    assert type(parse_norm("2^4/2", 2).exp) is int
+
+
+@given(st.integers(0, 2 ** 32), st.sampled_from([0, 1, -1, "1/2", "-2/3"]), primes)
+def test_series_norms_are_canonical(seed, r, p):
+    rng = random.Random(seed)
+    sp = space(p, ("T", r), ("x", "-1/2"))
+    f = rand_nonzero_series(rng, sp)
+    assert_canonical(f.main_norm())
+    assert_canonical(f.seminorm_at(rand_monomial(rng, sp)).value)
+    g, cert = rand_distinguished(rng, sp, "T")
+    assert_canonical(cert.norm_witness)
+    div = weierstrass_divide(f, g, cert, f.main_norm() * nv(-6))
+    for v in (div.residual, div.contraction) + div.iterations:
+        assert_canonical(v)
+
+
+def test_norm_values_are_built_only_in_scalars():
+    # every other module goes through the canonical constructors, so no
+    # exponent is built by hand in a non-canonical form
+    package = pathlib.Path(padicgeom.__file__).parent
+    offenders = [f"{path.name}:{n}"
+                 for path in sorted(package.glob("*.py")) if path.name != "scalars.py"
+                 for n, line in enumerate(path.read_text().splitlines(), 1)
+                 if re.search(r"\bNormValue\(", line)]
+    assert offenders == []

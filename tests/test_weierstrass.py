@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from padicgeom import weierstrass
 from padicgeom import (NormValue, RigidPoint, Series, certify_unit,
                        distinguished_order, invert_unit, weierstrass_divide,
                        weierstrass_prepare)
@@ -104,6 +105,33 @@ def test_divide_rejects_forged_witness():
     forged = dataclasses.replace(cert, norm_witness=nv(5))
     with pytest.raises(ValueError, match="invalid distinguished certificate"):
         weierstrass_divide(f, g, forged, nv(-8))
+
+
+def test_prepare_rejects_forged_witness():
+    sp = B1()
+    g = poly(sp, {(1,): 1, (2,): 2})
+    forged = dataclasses.replace(distinguished_order(g, "T"), norm_witness=nv(5))
+    with pytest.raises(ValueError, match="invalid distinguished certificate"):
+        weierstrass_prepare(g, forged, nv(-8))
+
+
+def test_prepare_checks_the_certificate_once(monkeypatch):
+    # one check of g's certificate at entry, one derivation of the monic
+    # factor's per attempt; eps = 0 makes exactly one attempt
+    calls = []
+    real = weierstrass.distinguished_order
+
+    def counting(f, pivot):
+        calls.append(f)
+        return real(f, pivot)
+
+    sp = B1()
+    g = poly(sp, {(0,): 2, (1,): 1})
+    cert = distinguished_order(g, "T")
+    monkeypatch.setattr(weierstrass, "distinguished_order", counting)
+    out = weierstrass_prepare(g, cert, ZERO)
+    assert out.residual == ZERO
+    assert len(calls) == 2 and calls[0] is g and calls[1] == out.monic
 
 
 def test_divide_rejects_zero_eps_on_contracting_instance():
