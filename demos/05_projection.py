@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from padicgeom import (Atom, NormValue, RigidPoint, Series, Space, SplitAtom,
                        SplitPoly, VarSpec, decide_exists, lemniscate_region,
-                       project_pointwise, qe_prepare, split_series)
+                       project_decision, qe_prepare, split_series)
 
 p = 2
 ONE = NormValue.one()
@@ -60,7 +60,8 @@ total = Space(p, (VarSpec("x", ONE), VarSpec("t", ONE)))
 graph = Atom(ONE, Series(total, {(1, 1): 1, (2, 0): -1}), "<=",
              NormValue.zero(), Series.one(total))  # t x = x^2
 for a in (2, 4):
-    val = project_pointwise([graph], RigidPoint(base, (a,)), "t")
+    status, _ = project_decision([graph], RigidPoint(base, (a,)), "t")
+    val = {"SAT": True, "UNSAT": False}.get(status)
     print(f"  exists t in B with t*{a} = {a}^2:  {val}")
 
 print("\n== splitting helper ==")

@@ -26,9 +26,8 @@ from .constructible import (ConstructibleSet, CoveringPiece, DatumChain,
                             unit_coefficient_covering)
 from .projection import (Decision, Disc, DiscRegion, PreparedAtom,
                          QEPreparation, SplitAtom, SplitPoly, decide_exists,
-                         lemniscate_region, project_decision,
-                         project_pointwise, qe_prepare, region_contains,
-                         split_series)
+                         lemniscate_region, project_decision, qe_prepare,
+                         region_contains, split_series)
 from .blowup import (Chart, MonomialUnitForm, chart_transition, factor_x_power,
                      local_divisibility, pullback_chart, pushdown_poly,
                      translate)

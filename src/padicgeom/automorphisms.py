@@ -12,24 +12,27 @@ pivot-distinguished of a predictable order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .scalars import NormValue, _valuation, nv_max
+from .scalars import NormValue, Value, _valuation, nv_max
 from .series import Series
 from .weierstrass import DistinguishedCertificate, distinguished_order
 
 SCHEDULE_CUTOFF = 16  # try s = p^(1/2^j) for j = 0 .. cutoff
 
 
-@dataclass(frozen=True)
-class Shear:
+class Shear(Value):
     """T_i -> T_i +/- pivot^(exponents[i]) for non-pivot vars; pivot fixed."""
 
     pivot: str
     exponents: Dict[str, int]
-    inverse: bool = False
+    inverse: bool
+
+    def __init__(self, pivot: str, exponents: Dict[str, int], inverse: bool = False):
+        object.__setattr__(self, "pivot", pivot)
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "inverse", inverse)
 
     def inverted(self) -> "Shear":
         return Shear(self.pivot, self.exponents, not self.inverse)
@@ -61,8 +64,7 @@ def apply_shear(f: Series, shear: Shear) -> Series:
     return f.substitute(assignment)
 
 
-@dataclass(frozen=True)
-class DistinguishResult:
+class DistinguishResult(Value):
     """Outcome of the distinguishing transform for a list of series.
 
     One shear works for the whole list; ``rho`` is the graded polyradius
@@ -79,6 +81,20 @@ class DistinguishResult:
     orders: Tuple[int, ...]
     certs: Tuple[DistinguishedCertificate, ...]
     transformed: Tuple[Series, ...]
+
+    def __init__(self, shear: Shear, base: int, s: NormValue,
+                 rho: Tuple[NormValue, ...], mus: Tuple[Tuple[int, ...], ...],
+                 orders: Tuple[int, ...],
+                 certs: Tuple[DistinguishedCertificate, ...],
+                 transformed: Tuple[Series, ...]):
+        object.__setattr__(self, "shear", shear)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "mus", mus)
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "certs", certs)
+        object.__setattr__(self, "transformed", transformed)
 
 
 def _lex_key(expo: Tuple[int, ...], nonpivot_idx: Sequence[int], pivot_idx: int):

@@ -9,16 +9,14 @@ variable has radius 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
-from .scalars import NormValue
+from .scalars import NormValue, Value
 from .series import RigidPoint, Series, Space, VarSpec
 from .weierstrass import UnitCertificate
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(Value):
     """One of the two blow-up charts at a rigid center of a bidisc.
 
     ``index`` 1 keeps the first base coordinate; index 2 keeps the second.
@@ -28,13 +26,16 @@ class Chart:
 
     index: int
     base: Space
-    t_name: str = "t"
+    t_name: str
 
-    def __post_init__(self):
-        if self.index not in (1, 2):
+    def __init__(self, index: int, base: Space, t_name: str = "t"):
+        if index not in (1, 2):
             raise ValueError("chart index must be 1 or 2")
-        if len(self.base.vars) != 2:
+        if len(base.vars) != 2:
             raise ValueError("blow-up charts live over a two-variable space")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "t_name", t_name)
 
     @property
     def kept(self) -> VarSpec:
@@ -150,17 +151,19 @@ def chart_transition(q: RigidPoint, chart1: Chart, chart2: Chart) -> RigidPoint:
     return RigidPoint(chart2.space(), (x_val * t_val, 1 / t_val))
 
 
-@dataclass(frozen=True)
-class MonomialUnitForm:
+class MonomialUnitForm(Value):
     """A germ presented as unit * xi1^a * xi2^b in local parameters."""
 
     unit: UnitCertificate
     a: int
     b: int
 
-    def __post_init__(self):
-        if self.a < 0 or self.b < 0:
+    def __init__(self, unit: UnitCertificate, a: int, b: int):
+        if a < 0 or b < 0:
             raise ValueError("exponents must be natural numbers")
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
 def local_divisibility(f: MonomialUnitForm, g: MonomialUnitForm) -> str:

@@ -17,19 +17,17 @@ coefficient decomposition whose members generate the unit ideal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .scalars import NormValue
+from .scalars import NormValue, Value
 from .series import RigidPoint, Series, Space, VarSpec, compare_le
 from .formulas import (And, Atom, Formula, LE, LT, Not, Seminorms,
                        dnf_to_formula, lift_formula, negate,
                        rename_formula_var, tautology, to_dnf, truth)
 
 
-@dataclass(frozen=True)
-class ElementaryDatum:
+class ElementaryDatum(Value):
     """One chart extension over its domain space (f, g live there)."""
 
     t_name: str
@@ -39,11 +37,18 @@ class ElementaryDatum:
     s: NormValue
     region: Formula  # over domain + {t_name: r}
 
-    def __post_init__(self):
-        if self.f.space != self.g.space:
+    def __init__(self, t_name: str, f: Series, g: Series, r: NormValue,
+                 s: NormValue, region: Formula):
+        if f.space != g.space:
             raise ValueError("datum functions live on different spaces")
-        if self.s.is_zero or not self.s < self.r:
+        if s.is_zero or not s < r:
             raise ValueError("datum needs 0 < s < r")
+        object.__setattr__(self, "t_name", t_name)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "region", region)
 
     @property
     def domain(self) -> Space:
@@ -54,8 +59,7 @@ class ElementaryDatum:
         return self.domain.extend(VarSpec(self.t_name, self.r))
 
 
-@dataclass(frozen=True)
-class DatumChain:
+class DatumChain(Value):
     """A composite of elementary data over a base space.
 
     ``complexity`` is the stored number of links; it is part of the data
@@ -66,14 +70,18 @@ class DatumChain:
     base_region: Formula
     links: Tuple[ElementaryDatum, ...]
 
-    def __post_init__(self):
-        space = self.base
-        for link in self.links:
+    def __init__(self, base: Space, base_region: Formula,
+                 links: Tuple[ElementaryDatum, ...]):
+        space = base
+        for link in links:
             if link.domain != space:
                 raise ValueError(
                     f"link over {link.domain.names} does not match the "
                     f"expected domain {space.names}")
             space = link.extended
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "base_region", base_region)
+        object.__setattr__(self, "links", links)
 
     @property
     def complexity(self) -> int:
@@ -83,15 +91,16 @@ class DatumChain:
         return [l.t_name for l in self.links]
 
 
-@dataclass(frozen=True)
-class ConstructibleSet:
+class ConstructibleSet(Value):
     space: Space
     chains: Tuple[DatumChain, ...]
 
-    def __post_init__(self):
-        for ch in self.chains:
-            if ch.base != self.space:
+    def __init__(self, space: Space, chains: Tuple[DatumChain, ...]):
+        for ch in chains:
+            if ch.base != space:
                 raise ValueError("chain base does not match the set's space")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "chains", chains)
 
     @property
     def complexity(self) -> int:
@@ -391,11 +400,16 @@ def neighborhood_datum(space: Space, fs: Sequence[Series], g: Series,
 # -- coverings from coefficient decompositions ----------------------------------------
 
 
-@dataclass(frozen=True)
-class CoveringPiece:
+class CoveringPiece(Value):
     chain: DatumChain
     index: Optional[Tuple[int, ...]]  # None for the residual vanishing piece
     cofactor: Optional[Series]        # pullback factor with unit coefficient
+
+    def __init__(self, chain: DatumChain, index: Optional[Tuple[int, ...]],
+                 cofactor: Optional[Series]):
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "cofactor", cofactor)
 
 
 def unit_coefficient_covering(f: Series, fiber: Sequence[str],

@@ -9,7 +9,6 @@ identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 from .scalars import parse_norm, parse_scalar, require_prime, scalar_text
@@ -18,14 +17,17 @@ from .formulas import Formula, formula_text, parse_formula, tautology
 from .constructible import ConstructibleSet, DatumChain, ElementaryDatum
 
 
-@dataclass
 class Document:
-    prime: int
-    spaces: Dict[str, Space] = field(default_factory=dict)
-    series: Dict[str, Series] = field(default_factory=dict)
-    formulas: Dict[str, Formula] = field(default_factory=dict)
-    points: Dict[str, Point] = field(default_factory=dict)
-    sets: Dict[str, ConstructibleSet] = field(default_factory=dict)
+    """The named objects of one document over one prime, by section;
+    ``load_document`` fills them in."""
+
+    def __init__(self, prime: int):
+        self.prime = prime
+        self.spaces: Dict[str, Space] = {}
+        self.series: Dict[str, Series] = {}
+        self.formulas: Dict[str, Formula] = {}
+        self.points: Dict[str, Point] = {}
+        self.sets: Dict[str, ConstructibleSet] = {}
 
     def sole_space(self) -> Space:
         if len(self.spaces) == 1:

@@ -11,11 +11,10 @@ arise from tail uncertainty of inexact series.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .scalars import NormValue, parse_norm
+from .scalars import NormValue, Value, parse_norm
 from .series import (NormEstimate, Point, RigidPoint, Series, Space,
                      compare_le, compare_lt)
 
@@ -23,50 +22,63 @@ LE = "<="
 LT = "<"
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Value):
     alpha: NormValue
     f: Series
     op: str  # LE or LT
     beta: NormValue
     g: Series
 
-    def __post_init__(self):
-        if self.op not in (LE, LT):
-            raise ValueError(f"bad comparison {self.op!r}")
-        if self.alpha.is_zero and self.beta.is_zero:
+    def __init__(self, alpha: NormValue, f: Series, op: str, beta: NormValue,
+                 g: Series):
+        if op not in (LE, LT):
+            raise ValueError(f"bad comparison {op!r}")
+        if alpha.is_zero and beta.is_zero:
             raise ValueError("at least one scale must be nonzero")
-        if self.f.space != self.g.space:
+        if f.space != g.space:
             raise ValueError("atom sides live on different spaces")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "g", g)
 
     @property
     def space(self) -> Space:
         return self.f.space
 
 
-@dataclass(frozen=True)
-class And:
+class And(Value):
     args: Tuple["Formula", ...]
 
+    def __init__(self, args: Tuple["Formula", ...]):
+        object.__setattr__(self, "args", args)
 
-@dataclass(frozen=True)
-class Or:
+
+class Or(Value):
     args: Tuple["Formula", ...]
 
+    def __init__(self, args: Tuple["Formula", ...]):
+        object.__setattr__(self, "args", args)
 
-@dataclass(frozen=True)
-class Not:
+
+class Not(Value):
     arg: "Formula"
+
+    def __init__(self, arg: "Formula"):
+        object.__setattr__(self, "arg", arg)
 
 
 Formula = Union[Atom, And, Or, Not]
 
 
-@dataclass(frozen=True)
-class BasicConjunct:
+class BasicConjunct(Value):
     """A negation-free conjunction of atoms."""
 
     atoms: Tuple[Atom, ...]
+
+    def __init__(self, atoms: Tuple[Atom, ...]):
+        object.__setattr__(self, "atoms", atoms)
 
 
 def tautology(space: Space) -> Atom:

@@ -21,12 +21,11 @@ increasing piecewise-monomial functions N_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .scalars import NormValue
+from .scalars import NormValue, Value
 from .series import (MonomialPoint, Point, RigidPoint, Series, Space, VarSpec,
                      compare_le, compare_lt)
 from .formulas import Atom, LE, LT
@@ -37,16 +36,17 @@ from .automorphisms import DistinguishResult, Shear, make_distinguished
 # -- split polynomials ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SplitPoly:
+class SplitPoly(Value):
     """lead * prod (T - root)^mult with rational roots."""
 
     lead: Fraction
     roots: Tuple[Tuple[Fraction, int], ...]
 
-    def __post_init__(self):
-        if self.lead == 0:
+    def __init__(self, lead: Fraction, roots: Tuple[Tuple[Fraction, int], ...]):
+        if lead == 0:
             raise ValueError("a split polynomial has a nonzero leading coefficient")
+        object.__setattr__(self, "lead", lead)
+        object.__setattr__(self, "roots", roots)
 
     @property
     def degree(self) -> int:
@@ -203,13 +203,17 @@ def _compare(lhs: NormValue, op: str, rhs: NormValue) -> bool:
     return lhs <= rhs if op == LE else lhs < rhs
 
 
-@dataclass(frozen=True)
-class Disc:
+class Disc(Value):
     """The disc {|t - center| <= radius}, or < when open."""
 
     center: Fraction
     radius: NormValue
-    closed: bool = True
+    closed: bool
+
+    def __init__(self, center: Fraction, radius: NormValue, closed: bool = True):
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "closed", closed)
 
     def contains(self, center: Fraction, rho: NormValue, p: int) -> bool:
         """Whether the disc-tree point (center, rho) lies in the disc."""
@@ -323,8 +327,7 @@ def lemniscate_region(poly: SplitPoly, cmp: str, c: NormValue, space: Space
 # -- prepared atoms and the existential decision -------------------------------------
 
 
-@dataclass(frozen=True)
-class PreparedAtom:
+class PreparedAtom(Value):
     """scale_left * |left(x)| op scale_right * |right(x)| with both sides
     polynomial in the pivot variable."""
 
@@ -334,14 +337,29 @@ class PreparedAtom:
     scale_right: NormValue
     right: Series
 
+    def __init__(self, scale_left: NormValue, left: Series, op: str,
+                 scale_right: NormValue, right: Series):
+        object.__setattr__(self, "scale_left", scale_left)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "scale_right", scale_right)
+        object.__setattr__(self, "right", right)
 
-@dataclass(frozen=True)
-class QEPreparation:
+
+class QEPreparation(Value):
     shear: Shear
     rho: Tuple[NormValue, ...]
     space: Space
     atoms: Tuple[PreparedAtom, ...]
     distinguish: DistinguishResult
+
+    def __init__(self, shear: Shear, rho: Tuple[NormValue, ...], space: Space,
+                 atoms: Tuple[PreparedAtom, ...], distinguish: DistinguishResult):
+        object.__setattr__(self, "shear", shear)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "distinguish", distinguish)
 
 
 def qe_prepare(conjunct: Sequence[Atom], pivot: str) -> QEPreparation:
@@ -387,8 +405,7 @@ def qe_prepare(conjunct: Sequence[Atom], pivot: str) -> QEPreparation:
     return QEPreparation(dist.shear, dist.rho, target, tuple(atoms_out), dist)
 
 
-@dataclass(frozen=True)
-class SplitAtom:
+class SplitAtom(Value):
     """A prepared atom with both polynomial sides split (None = the zero
     polynomial)."""
 
@@ -397,6 +414,14 @@ class SplitAtom:
     op: str
     scale_right: NormValue
     right: Optional[SplitPoly]
+
+    def __init__(self, scale_left: NormValue, left: Optional[SplitPoly], op: str,
+                 scale_right: NormValue, right: Optional[SplitPoly]):
+        object.__setattr__(self, "scale_left", scale_left)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "scale_right", scale_right)
+        object.__setattr__(self, "right", right)
 
     def holds(self, center: Fraction, rho: NormValue, p: int) -> bool:
         """Truth at the disc-tree point (center, rho), rigid at rho = 0."""
@@ -407,10 +432,13 @@ class SplitAtom:
         return _compare(lv * self.scale_left, self.op, rv * self.scale_right)
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(Value):
     status: str  # "SAT" | "UNSAT"
-    witness: Optional[Point] = None
+    witness: Optional[Point]
+
+    def __init__(self, status: str, witness: Optional[Point] = None):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
 
 
 def _atom_crossing_radii(atom: SplitAtom, center: Fraction, r: NormValue,
@@ -579,14 +607,3 @@ def project_decision(conjunct: Sequence[Atom], x: RigidPoint, pivot: str,
         if ok:
             return "SAT", pt
     return "UNKNOWN", None
-
-
-def project_pointwise(conjunct: Sequence[Atom], x: RigidPoint, pivot: str,
-                      hints: Sequence[Fraction] = ()) -> Optional[bool]:
-    """Three-valued membership of x in the projection along the pivot."""
-    status, _ = project_decision(conjunct, x, pivot, hints)
-    if status == "SAT":
-        return True
-    if status == "UNSAT":
-        return False
-    return None

@@ -7,14 +7,22 @@ norm or an exact power p^e with rational exponent e, stored as an ``int``
 when e is integral (almost always) and as a ``Fraction`` otherwise.  Every
 comparison is exact; nothing in this package ever goes through floating
 point.
+
+The package's immutable value types (norms, spaces, points, certificates,
+formulas, results) derive from ``Value`` below instead of being generated
+by the standard library's PEP 557 decorator.  That decorator writes and
+``exec``s the methods of every class at import, and its module pulls in
+``inspect`` and ``ast``; together they were most of the start-up of the
+short-lived ``padicgeom`` CLI process.  ``Value`` keeps the same contract
+(see its docstring) with one shared definition and no generated code.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from operator import attrgetter
+from typing import Optional, Tuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -102,8 +110,72 @@ def _valuation(n: int, d: int, p: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class NormValue:
+class Value:
+    """Base of the immutable value types: fields listed as class annotations.
+
+    Each subclass writes its own ``__init__``, which validates its arguments
+    and stores each field with ``object.__setattr__``; afterwards assigning
+    or deleting an attribute raises ``AttributeError``.  (Touching
+    ``self.__dict__`` instead would turn the instance's inline attribute
+    storage into a real dict, and CPython 3.11 then reads every attribute
+    of that instance about a fifth slower.)  With
+    f1, ..., fn the annotated fields in order, the contract is that of a
+    frozen PEP 557 record, so set and dict orders (and hence every output)
+    are the ones such records give:
+
+    - x == y iff y has exactly x's class and (x.f1, ..., x.fn) ==
+      (y.f1, ..., y.fn); instances of different classes never compare equal;
+    - hash(x) == hash((x.f1, ..., x.fn)), a 1-tuple for one field;
+    - repr(x) is ``Name(f1=..., ..., fn=...)`` unless the class overrides it.
+
+    Attributes stored outside the fields (a cache, say) take no part in
+    ``==`` or ``hash``.  A class builds its ``==`` and ``hash`` once, from an
+    ``operator.attrgetter`` over its fields, when it is defined.
+    """
+
+    _fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = fields = tuple(cls.__dict__.get("__annotations__", ()))
+        get = attrgetter(*fields)
+        # The two variants differ only in the tuple: attrgetter of one name
+        # returns the bare value.  Both stay inline, as a shared key helper
+        # would add a Python call to every == and hash.
+        if len(fields) == 1:
+            def __eq__(self, other):
+                if self is other:
+                    return True
+                if other.__class__ is not self.__class__:
+                    return NotImplemented
+                return (get(self),) == (get(other),)
+
+            def __hash__(self):
+                return hash((get(self),))
+        else:
+            def __eq__(self, other):
+                if self is other:
+                    return True
+                if other.__class__ is not self.__class__:
+                    return NotImplemented
+                return get(self) == get(other)
+
+            def __hash__(self):
+                return hash(get(self))
+
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class NormValue(Value):
     """An element of the value group p^Q u {0}, stored as the exponent.
 
     ``exp is None`` encodes the zero norm.  Otherwise ``exp`` is canonical:
@@ -117,6 +189,9 @@ class NormValue:
     """
 
     exp: Optional[Rational]
+
+    def __init__(self, exp: Optional[Rational]):
+        object.__setattr__(self, "exp", exp)
 
     # -- constructors ------------------------------------------------------
 

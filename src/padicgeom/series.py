@@ -26,14 +26,13 @@ the Gauss point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import add, mul
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .scalars import (NormValue, Rational, _as_fraction, _valuation, nv_max,
-                      require_prime, scalar_text)
+from .scalars import (NormValue, Rational, Value, _as_fraction, _valuation,
+                      nv_max, require_prime, scalar_text)
 
 Exponents = Tuple[int, ...]
 
@@ -42,30 +41,32 @@ Exponents = Tuple[int, ...]
 MAX_POWER = 1000
 
 
-@dataclass(frozen=True)
-class VarSpec:
+class VarSpec(Value):
     """A named coordinate with its polydisc radius (> 0)."""
 
     name: str
     radius: NormValue
 
-    def __post_init__(self):
-        if self.radius.is_zero:
-            raise ValueError(f"variable {self.name!r} needs a positive radius")
+    def __init__(self, name: str, radius: NormValue):
+        if radius.is_zero:
+            raise ValueError(f"variable {name!r} needs a positive radius")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "radius", radius)
 
 
-@dataclass(frozen=True)
-class Space:
+class Space(Value):
     """A polydisc: the prime of the ground field plus ordered coordinates."""
 
     prime: int
     vars: Tuple[VarSpec, ...]
 
-    def __post_init__(self):
-        require_prime(self.prime)
-        names = [v.name for v in self.vars]
+    def __init__(self, prime: int, vars: Tuple[VarSpec, ...]):
+        require_prime(prime)
+        names = [v.name for v in vars]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names in {names}")
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "vars", vars)
 
     @property
     def names(self) -> Tuple[str, ...]:
@@ -112,7 +113,7 @@ class Space:
         equality and hashing ignore it); spaces built on hot paths that
         never take a norm pay nothing.
         """
-        scaled = self.__dict__.get("_scaled_radii")
+        scaled = getattr(self, "_scaled_radii", None)
         if scaled is None:
             scaled = scaled_exponents(self.radii)
             object.__setattr__(self, "_scaled_radii", scaled)
@@ -243,8 +244,7 @@ def norm_exp(terms: Mapping[Exponents, int], p: int,
     return best
 
 
-@dataclass(frozen=True)
-class NormEstimate:
+class NormEstimate(Value):
     """A certified seminorm: exact value of the stored part plus slack.
 
     The true seminorm equals ``value`` whenever ``uncertainty`` is zero or
@@ -254,6 +254,10 @@ class NormEstimate:
 
     value: NormValue
     uncertainty: NormValue
+
+    def __init__(self, value: NormValue, uncertainty: NormValue):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "uncertainty", uncertainty)
 
     @property
     def is_exact(self) -> bool:
@@ -595,9 +599,6 @@ class Series:
                     tail = nv_max(tail, w)
         return Series._reduced(target, out, tail)
 
-    def identity_assignment(self) -> Dict[str, "Series"]:
-        return {v.name: Series.variable(self.space, v.name) for v in self.space.vars}
-
     # -- evaluation --------------------------------------------------------------
 
     def eval_exact(self, coords: Sequence[Rational]) -> Fraction:
@@ -701,8 +702,7 @@ class Series:
 # -- points -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RigidPoint:
+class RigidPoint(Value):
     """A point with exact rational coordinates."""
 
     space: Space
@@ -733,8 +733,7 @@ class RigidPoint:
         return "(" + ", ".join(scalar_text(c) for c in self.coords) + ")"
 
 
-@dataclass(frozen=True)
-class MonomialPoint:
+class MonomialPoint(Value):
     """A monomial (Gauss-type) point: center a, radii rho, 0 < rho <= radius.
 
     The seminorm of f is the Gauss norm of f recentered at a with polyradius

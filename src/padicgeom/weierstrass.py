@@ -18,20 +18,18 @@ f - (g q + R), never a forward error bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Dict, List, Optional, Tuple
 
-from .scalars import NormValue, _valuation, nv_max, nv_min
+from .scalars import NormValue, Value, _valuation, nv_max, nv_min
 from .series import (IntTerms, Series, Space, ints_add_into, ints_mul, ints_reduce,
                      norm_exp)
 
 _MAX_DIVISION_PASSES = 400
 
 
-@dataclass(frozen=True)
-class UnitCertificate:
+class UnitCertificate(Value):
     """Certifies u = scale * (1 + rest) with |scale| != 0 and ||rest|| < 1.
 
     Such a u is a multiplicative unit: ||u a|| = ||u|| ||a|| for every a,
@@ -42,6 +40,10 @@ class UnitCertificate:
 
     scale: Fraction
     rest: Series
+
+    def __init__(self, scale: Fraction, rest: Series):
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "rest", rest)
 
     def series(self) -> Series:
         return (Series.one(self.rest.space) + self.rest).scale(self.scale)
@@ -98,8 +100,7 @@ def invert_unit(cert: UnitCertificate, eps: NormValue) -> Series:
     return v.drop_tail().with_tail(slack)
 
 
-@dataclass(frozen=True)
-class DistinguishedCertificate:
+class DistinguishedCertificate(Value):
     """Witness that a series is pivot-distinguished of the given order.
 
     ``norm_witness`` is ||g_s|| r^s, which equals ||g||; every stored
@@ -112,6 +113,13 @@ class DistinguishedCertificate:
     order: int
     unit_cert: UnitCertificate
     norm_witness: NormValue
+
+    def __init__(self, pivot: str, order: int, unit_cert: UnitCertificate,
+                 norm_witness: NormValue):
+        object.__setattr__(self, "pivot", pivot)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "unit_cert", unit_cert)
+        object.__setattr__(self, "norm_witness", norm_witness)
 
 
 def distinguished_order(f: Series, pivot: str) -> Optional[DistinguishedCertificate]:
@@ -141,21 +149,34 @@ def distinguished_order(f: Series, pivot: str) -> Optional[DistinguishedCertific
     return DistinguishedCertificate(pivot, s, ucert, witness)
 
 
-@dataclass(frozen=True)
-class DivisionResult:
+class DivisionResult(Value):
     quotient: Series
     remainder: Series
     residual: NormValue
     iterations: Tuple[NormValue, ...]
     contraction: NormValue  # the factor bounding each defect drop
 
+    def __init__(self, quotient: Series, remainder: Series, residual: NormValue,
+                 iterations: Tuple[NormValue, ...], contraction: NormValue):
+        object.__setattr__(self, "quotient", quotient)
+        object.__setattr__(self, "remainder", remainder)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "iterations", iterations)
+        object.__setattr__(self, "contraction", contraction)
 
-@dataclass(frozen=True)
-class PreparationResult:
+
+class PreparationResult(Value):
     unit: Series
     unit_cert: UnitCertificate
     monic: Series
     residual: NormValue
+
+    def __init__(self, unit: Series, unit_cert: UnitCertificate, monic: Series,
+                 residual: NormValue):
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "unit_cert", unit_cert)
+        object.__setattr__(self, "monic", monic)
+        object.__setattr__(self, "residual", residual)
 
 
 # -- pivot-coefficient plumbing ------------------------------------------------

@@ -93,6 +93,19 @@ def run_subprocess(argv, timeout):
                           timeout=timeout)
 
 
+def test_cli_import_loads_no_dataclasses():
+    # start-up guard: the CLI runs as a fresh process per command, and the
+    # dataclasses module (with inspect, ast, ...) dominated its import time;
+    # -S keeps site hooks out, so only the package's own imports count
+    src = os.path.dirname(os.path.dirname(os.path.abspath(padicgeom.__file__)))
+    code = ("import sys, padicgeom.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def ring_doc(tmp_path, radius, text="|T| <= 2^1*|1| & 1*|1| < |T|"):
     """1 < |T| <= 2 (or another ring ``text``) over the disc |T| <= radius."""
     doc = {"prime": 2,

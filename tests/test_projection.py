@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from padicgeom import (Atom, Disc, MonomialPoint, NormValue, RigidPoint,
                        Series, Space, SplitAtom, SplitPoly, decide_exists,
-                       lemniscate_region, project_decision, project_pointwise,
-                       qe_prepare, region_contains, split_series)
+                       lemniscate_region, project_decision, qe_prepare,
+                       region_contains, split_series)
 from padicgeom.formulas import eval_conjunct, eval_formula, parse_formula, to_dnf
 from conftest import ONE, ZERO, nv, poly, rand_rigid, space
 
@@ -407,11 +407,11 @@ def test_project_pointwise_examples():
     graph = Atom(ONE, poly(sp, {(1, 1): 1, (2, 0): -1}), "<=",
                  ZERO, Series.one(sp))  # t x - x^2 = 0
     at2 = RigidPoint(base, (2,))
-    assert project_pointwise([graph], at2, "t") is True
+    assert project_decision([graph], at2, "t")[0] == "SAT"
 
     bound = Atom(ONE, Series.constant(sp, 2), "<", ONE,
                  poly(sp, {(1, 0): 1}))  # |2| < |x| fails on the unit disc
-    assert project_pointwise([graph, bound], at2, "t") is False
+    assert project_decision([graph, bound], at2, "t")[0] == "UNSAT"
 
     status, witness = project_decision([], at2, "t")
     assert status == "SAT" and witness.coords == (Fraction(0),)
@@ -455,8 +455,8 @@ def test_project_pointwise_unsplittable_returns_unknown():
     # t^2 + 1 = 0 has no 2-adic rational roots and never vanishes on B
     irr = Atom(ONE, poly(sp, {(0, 2): 1, (0, 0): 1}), "<=",
                ZERO, Series.one(sp))
-    out = project_pointwise([irr], RigidPoint(base, (0,)), "t")
-    assert out is None
+    status, witness = project_decision([irr], RigidPoint(base, (0,)), "t")
+    assert status == "UNKNOWN" and witness is None
 
 
 def test_no_split_after_a_side_fails_to_split(monkeypatch):

@@ -241,3 +241,168 @@ def test_norm_values_are_built_only_in_scalars():
                  for n, line in enumerate(path.read_text().splitlines(), 1)
                  if re.search(r"\bNormValue\(", line)]
     assert offenders == []
+
+
+# -- the Value contract: field-wise ==, hash of the field tuple, read-only --
+
+
+def value_examples():
+    """Two instances, with different fields, of every exported Value class."""
+    p = padicgeom
+    sp = space(2, ("x", 1), ("T", 1))
+    line = space(2, ("T", 0))
+    x, T, one = p.Series.variable(sp, "x"), p.Series.variable(sp, "T"), p.Series.one(sp)
+    cert = p.distinguished_order(T + one, "T")
+    ucert = cert.unit_cert
+    shear = p.Shear("T", {"x": 2})
+    atom = p.Atom(ONE, x, "<=", nv(-1), one)
+    atom2 = p.Atom(ONE, T, "<", ONE, one)
+    datum = p.ElementaryDatum("t", x, one, ONE, nv(-1), p.formulas.tautology(
+        sp.extend(p.VarSpec("t", ONE))))
+    chain = p.DatumChain(sp, atom, (datum,))
+    split = p.SplitPoly(Fraction(1), ((Fraction(0), 2),))
+    prepared = p.PreparedAtom(ONE, T, "<=", nv(-1), one)
+    dist = p.DistinguishResult(shear, 3, nv(1), (nv(1), nv(2)), ((0, 1),),
+                               (1,), (cert,), (T,))
+    return {
+        p.NormValue: (nv(3), nv("1/2")),
+        p.VarSpec: (p.VarSpec("x", ONE), p.VarSpec("x", nv(1))),
+        p.Space: (sp, line),
+        p.NormEstimate: (p.NormEstimate(ONE, ZERO), p.NormEstimate(ONE, nv(-2))),
+        p.RigidPoint: (p.RigidPoint(sp, (1, 2)), p.RigidPoint(sp, (1, 4))),
+        p.MonomialPoint: (p.MonomialPoint(sp, (0, 0), (ONE, ONE)),
+                          p.MonomialPoint(sp, (0, 1), (ONE, ONE))),
+        p.UnitCertificate: (ucert, p.UnitCertificate(Fraction(3), ucert.rest)),
+        p.DistinguishedCertificate: (cert, p.DistinguishedCertificate(
+            "T", 2, ucert, cert.norm_witness)),
+        p.DivisionResult: (p.DivisionResult(T, one, ZERO, (ONE, nv(-1)), nv(-1)),
+                           p.DivisionResult(T, one, ZERO, (ONE,), nv(-1))),
+        p.PreparationResult: (p.PreparationResult(one, ucert, T, ZERO),
+                              p.PreparationResult(one, ucert, T, nv(-5))),
+        p.Shear: (shear, p.Shear("T", {"x": 3})),
+        p.DistinguishResult: (dist, p.DistinguishResult(
+            shear, 4, nv(1), (nv(1), nv(2)), ((0, 1),), (1,), (cert,), (T,))),
+        p.Atom: (atom, atom2),
+        p.And: (p.And((atom, atom2)), p.And((atom2, atom))),
+        p.Or: (p.Or((atom, atom2)), p.Or((atom,))),
+        p.Not: (p.Not(atom), p.Not(atom2)),
+        p.BasicConjunct: (p.BasicConjunct((atom,)), p.BasicConjunct((atom2,))),
+        p.ElementaryDatum: (datum, p.ElementaryDatum(
+            "s", x, one, ONE, nv(-1), datum.region)),
+        p.DatumChain: (chain, p.DatumChain(sp, atom2, (datum,))),
+        p.ConstructibleSet: (p.ConstructibleSet(sp, (chain,)),
+                             p.ConstructibleSet(sp, ())),
+        p.CoveringPiece: (p.CoveringPiece(chain, (1, 0), x),
+                          p.CoveringPiece(chain, None, None)),
+        p.SplitPoly: (split, p.SplitPoly(Fraction(2), ((Fraction(0), 2),))),
+        p.Disc: (p.Disc(Fraction(1), ONE), p.Disc(Fraction(1), ONE, False)),
+        p.PreparedAtom: (prepared, p.PreparedAtom(ONE, T, "<", nv(-1), one)),
+        p.QEPreparation: (p.QEPreparation(shear, (nv(1),), sp, (prepared,), dist),
+                          p.QEPreparation(shear, (nv(2),), sp, (prepared,), dist)),
+        p.SplitAtom: (p.SplitAtom(ONE, split, "<=", ONE, None),
+                      p.SplitAtom(ONE, None, "<=", ONE, split)),
+        p.Decision: (p.Decision("SAT", p.RigidPoint(line, (0,))),
+                     p.Decision("UNSAT")),
+        p.Chart: (p.Chart(1, sp), p.Chart(2, sp)),
+        p.MonomialUnitForm: (p.MonomialUnitForm(ucert, 1, 2),
+                             p.MonomialUnitForm(ucert, 2, 1)),
+    }
+
+
+def test_value_examples_cover_every_exported_value_class():
+    exported = {obj for obj in vars(padicgeom).values()
+                if isinstance(obj, type) and issubclass(obj, padicgeom.scalars.Value)}
+    assert exported == set(value_examples())
+
+
+def test_values_follow_the_frozen_record_contract():
+    for cls, (x, y) in value_examples().items():
+        fields = tuple(cls.__annotations__)
+        values = tuple(getattr(x, f) for f in fields)
+        # keyword construction from the fields gives an equal, distinct value
+        twin = cls(**dict(zip(fields, values)))
+        assert twin is not x and twin == x and not twin != x, cls
+        assert x != y and not x == y, cls
+        try:
+            expected = hash(values)
+        except TypeError:  # a dict field, as in Shear: unhashable either way
+            with pytest.raises(TypeError):
+                hash(x)
+        else:
+            assert hash(x) == hash(twin) == expected, cls
+        if "__repr__" not in cls.__dict__:
+            args = ", ".join(f"{f}={v!r}" for f, v in zip(fields, values))
+            assert repr(x) == f"{cls.__name__}({args})"
+        for f in fields + ("other",):
+            with pytest.raises(AttributeError):
+                setattr(x, f, None)
+            with pytest.raises(AttributeError):
+                delattr(x, f)
+        assert tuple(getattr(x, f) for f in fields) == values
+
+
+def test_values_of_different_classes_never_compare_equal():
+    atom = value_examples()[padicgeom.Atom][0]
+    assert padicgeom.And((atom,)) != padicgeom.Or((atom,))
+    assert padicgeom.Not(atom) != padicgeom.And((atom,))
+    assert len({padicgeom.And((atom,)), padicgeom.Or((atom,))}) == 2
+    sp = space(2, ("x", 0))
+    assert padicgeom.RigidPoint(sp, (0,)) != padicgeom.MonomialPoint(sp, (0,), (ONE,))
+
+
+def test_value_defaults_and_keywords():
+    p = padicgeom
+    sp = space(2, ("x", 0), ("y", 0))
+    assert p.Shear("T", {}).inverse is False
+    assert p.Shear("T", {}, inverse=True).inverse is True
+    assert p.Shear("T", {}).inverted() == p.Shear(pivot="T", exponents={}, inverse=True)
+    assert p.Chart(1, sp).t_name == "t"
+    assert p.Chart(index=2, base=sp, t_name="u").t_name == "u"
+    assert p.Disc(Fraction(0), ONE).closed is True
+    assert p.Disc(Fraction(0), ONE, closed=False).closed is False
+    assert p.Decision("UNSAT").witness is None
+
+
+def test_space_cache_is_outside_eq_and_hash():
+    a, b = space(2, ("x", "1/2"), ("y", 1)), space(2, ("x", "1/2"), ("y", 1))
+    assert a.scaled_radii() == (2, (1, 2))
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert "_scaled_radii" in vars(a) and "_scaled_radii" not in vars(b)
+
+
+def test_value_constructors_validate():
+    p = padicgeom
+    sp = space(2, ("x", 0), ("y", 0))
+    line = space(2, ("T", 0))
+    x, one = p.Series.variable(sp, "x"), p.Series.one(sp)
+    atom = p.Atom(ONE, x, "<=", ONE, one)
+    with pytest.raises(ValueError, match="variable 'x' needs a positive radius"):
+        p.VarSpec("x", ZERO)
+    with pytest.raises(ValueError, match="4 is not a prime"):
+        p.Space(4, ())
+    with pytest.raises(ValueError, match=re.escape("duplicate variable names in ['x', 'x']")):
+        p.Space(2, (p.VarSpec("x", ONE), p.VarSpec("x", ONE)))
+    with pytest.raises(ValueError, match="bad comparison '>'"):
+        p.Atom(ONE, x, ">", ONE, one)
+    with pytest.raises(ValueError, match="at least one scale must be nonzero"):
+        p.Atom(ZERO, x, "<=", ZERO, one)
+    with pytest.raises(ValueError, match="atom sides live on different spaces"):
+        p.Atom(ONE, x, "<=", ONE, p.Series.one(line))
+    with pytest.raises(ValueError, match="datum functions live on different spaces"):
+        p.ElementaryDatum("t", x, p.Series.one(line), ONE, nv(-1), atom)
+    with pytest.raises(ValueError, match="datum needs 0 < s < r"):
+        p.ElementaryDatum("t", x, one, ONE, ONE, atom)
+    datum = p.ElementaryDatum("t", x, one, ONE, nv(-1), atom)
+    with pytest.raises(ValueError, match="does not match the expected domain"):
+        p.DatumChain(line, atom, (datum,))
+    with pytest.raises(ValueError, match="chain base does not match the set's space"):
+        p.ConstructibleSet(line, (p.DatumChain(sp, atom, ()),))
+    with pytest.raises(ValueError, match="a split polynomial has a nonzero leading"):
+        p.SplitPoly(Fraction(0), ())
+    with pytest.raises(ValueError, match="chart index must be 1 or 2"):
+        p.Chart(3, sp)
+    with pytest.raises(ValueError, match="blow-up charts live over a two-variable space"):
+        p.Chart(1, line)
+    ucert = p.certify_unit(one)
+    with pytest.raises(ValueError, match="exponents must be natural numbers"):
+        p.MonomialUnitForm(ucert, -1, 0)

@@ -387,7 +387,8 @@ def test_substitute_examples():
     assert out2 == poly(sxt, {(1, 1): 1, (2, 0): -1})
 
     f3 = rand_nonzero_series_fixture()
-    assert f3.substitute(f3.identity_assignment()) == f3
+    identity = {v.name: Series.variable(f3.space, v.name) for v in f3.space.vars}
+    assert f3.substitute(identity) == f3
 
 
 def rand_nonzero_series_fixture():
