@@ -28,7 +28,12 @@ from .formulas import (And, Atom, Formula, LE, LT, Not, Seminorms,
 
 
 class ElementaryDatum(Value):
-    """One chart extension over its domain space (f, g live there)."""
+    """One chart extension over its domain space (f, g live there).
+
+    ``extended``, the domain plus the chart coordinate, is built once here
+    and kept on the instance (not a field, so equality and hashing ignore
+    it): chains, complements and membership walks all read the same object.
+    """
 
     t_name: str
     f: Series
@@ -49,14 +54,11 @@ class ElementaryDatum(Value):
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "region", region)
+        object.__setattr__(self, "extended", f.space.extend(VarSpec(t_name, r)))
 
     @property
     def domain(self) -> Space:
         return self.f.space
-
-    @property
-    def extended(self) -> Space:
-        return self.domain.extend(VarSpec(self.t_name, self.r))
 
 
 class DatumChain(Value):
@@ -166,8 +168,11 @@ def _chain_membership(chain: DatumChain, base: Seminorms) -> Optional[bool]:
     """Kleene truth of one chain, walked outermost-in from the base point.
 
     Each chart constraint (g != 0, |f| <= s|g|) and each region is read
-    from the Seminorms of the point it lives over; every extended point
-    gets its own, checked when its first series is evaluated.
+    from the Seminorms of the point it lives over.  The extended point
+    (x, t) lies on the link's own ``extended`` space and gets its Seminorms
+    from ``Seminorms.chart``: only t is checked there, since the prefix
+    coordinates already were, and a chart prefix another chain of the call
+    has walked is not walked again.
     """
     out = truth(chain.base_region, base)
     if out is False:
@@ -183,8 +188,7 @@ def _chain_membership(chain: DatumChain, base: Seminorms) -> Optional[bool]:
         if not (f.tail.is_zero and g.tail.is_zero):
             # the chart value is uncertain: nothing deeper is decidable
             return None
-        t_val = ev.value(f) / ev.value(g)
-        ev = Seminorms(ev.point.extend(VarSpec(link.t_name, link.r), t_val))
+        ev = ev.chart(f, g, link.extended)
         rv = truth(link.region, ev)
         if rv is False:
             return False
@@ -200,10 +204,13 @@ def membership(cs: ConstructibleSet, x: RigidPoint) -> Optional[bool]:
     two-valued.  Non-rigid points are out of scope: chart values live in
     the residue field of the point and are not materialized.
 
-    One pass: x is checked against the base polydisc once, every point
-    (x and each extension by chart values) is checked once per distinct
-    space its series live on, and each series object is evaluated once
-    per point for the whole call, chart constraints and regions alike.
+    One pass: x is checked against the base polydisc once, and each chart
+    value t once, against its radius.  A series on another space object
+    then passes iff that space ``==`` the point's (see ``Seminorms``).
+    Chains that share a chart prefix (same f and g objects, name and
+    radius, as in ``union`` or the pieces of ``complement``) share the
+    extended point, and each series object is evaluated once per point for
+    the whole call, chart constraints and regions alike.
     """
     if not isinstance(x, RigidPoint):
         raise ValueError("constructible membership is defined at rigid "

@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .scalars import NormValue, Value, parse_norm
+from .scalars import NormValue, Value, parse_norm, scalar_text
 from .series import (NormEstimate, Point, RigidPoint, Series, Space,
                      compare_le, compare_lt)
 
@@ -198,29 +198,40 @@ def dnf_to_formula(conjuncts: Sequence[BasicConjunct]) -> Formula:
 class Seminorms:
     """Certified seminorms |f(x)| at one point x, for the length of one call.
 
-    The point is checked against each distinct space object once, on the
-    first series asked about that lives there, and each series object is
-    evaluated once: the memo is keyed by object identity (it holds the
-    series, so an identity cannot be reused while it lives).  ``checked``
-    names a space the caller has already checked x against.  At a rigid
-    point every evaluation runs on integers, with the power rows
-    a_i^j b_i^(K-j) built once per (coordinate, degree K) and shared
-    (``Series.eval_ints``), and |f(x)| is read off the unreduced (num, den);
-    ``value(f)`` builds the Fraction only on demand (chart values t = f/g).
+    The point is checked against a space once, on the first series asked
+    about (or by the caller, who names that space as ``checked``).  Every
+    other space object then passes iff it ``==`` the point's space, which
+    is exactly what ``check_in`` would accept; a series on a different
+    space raises ``point/space mismatch``.  Each series object is evaluated
+    once: the memo is keyed by object identity (it holds the series, so an
+    identity cannot be reused while it lives).  At a rigid point every
+    evaluation runs on integers, with the power rows a_i^j b_i^(K-j) built
+    once per (coordinate, degree K) and shared (``Series.eval_ints``), and
+    |f(x)| is read off the unreduced (num, den); ``value(f)`` builds the
+    Fraction only on demand.
+
+    ``chart`` gives the Seminorms at the extended point (x, f(x)/g(x)),
+    one child per chart prefix: charts with the same f and g objects, name
+    and radius share it, and with it t, the extended point and every
+    evaluation there.
     """
 
-    __slots__ = ("point", "_rows", "_spaces", "_memo")
+    __slots__ = ("point", "_rows", "_spaces", "_memo", "_children")
 
     def __init__(self, x: Point, checked: Optional[Space] = None):
         self.point = x
         self._rows = {} if isinstance(x, RigidPoint) else None
         self._spaces = {} if checked is None else {id(checked): checked}
         self._memo = {}
+        self._children = {}
 
     def _evaluate(self, f: Series):
         sp = f.space
         if id(sp) not in self._spaces:
-            self.point.check_in(sp)
+            if not self._spaces:
+                self.point.check_in(sp)
+            elif sp != self.point.space:
+                raise ValueError("point/space mismatch")
             self._spaces[id(sp)] = sp
         if self._rows is None:
             hit = (f, f.seminorm_at(self.point), None)
@@ -236,6 +247,34 @@ class Seminorms:
 
     def value(self, f: Series) -> Fraction:
         return Fraction(*(self._memo.get(id(f)) or self._evaluate(f))[2])
+
+    def chart(self, f: Series, g: Series, space: Space) -> "Seminorms":
+        """The Seminorms at (x, t) with t = f(x)/g(x), on ``space``: x's
+        space extended by the chart coordinate t, |t| <= r.
+
+        x must be rigid, f and g exact on x's space with g(x) != 0, and
+        ``space`` that space plus one coordinate (as ``ElementaryDatum``
+        builds it).  Only the new coordinate is checked, from the norms in
+        hand: |f(x)| <= r |g(x)|.  The child starts from a copy of the power
+        rows built at x.
+        """
+        var = space.vars[-1]
+        key = (id(f), id(g), var.name, var.radius)
+        child = self._children.get(key)
+        if child is None:
+            if space.vars[:-1] != f.space.vars or space.prime != f.space.prime:
+                raise ValueError("point/space mismatch")
+            _, norm_f, (nf, df) = self._memo.get(id(f)) or self._evaluate(f)
+            _, norm_g, (ng, dg) = self._memo.get(id(g)) or self._evaluate(g)
+            t = Fraction(nf * dg, df * ng)
+            if not norm_f.value <= var.radius * norm_g.value:
+                p = space.prime
+                raise ValueError(f"coordinate {scalar_text(t)} outside "
+                                 f"|{var.name}| <= {var.radius.text(p)}")
+            child = Seminorms(RigidPoint(space, self.point.coords + (t,)), space)
+            child._rows = dict(self._rows)
+            self._children[key] = child
+        return child
 
 
 def truth(phi: Formula, seminorm) -> Optional[bool]:

@@ -306,7 +306,9 @@ class Series:
     which makes values safe to share across threads.
     """
 
-    __slots__ = ("space", "den", "nums", "tail", "_hash")
+    # _degrees (see eval_ints) is set on first use only: the constructors
+    # leave it unset, so building a series pays nothing for it
+    __slots__ = ("space", "den", "nums", "tail", "_hash", "_degrees")
 
     def __init__(self, space: Space, coeffs: Mapping[Exponents, Rational],
                  tail: NormValue = NormValue.zero()):
@@ -613,17 +615,25 @@ class Series:
         """The value at Fraction coordinates x_i = a_i/b_i as an unreduced
         (num, den): with K_i the degree in x_i, num = sum_nu c_nu prod
         a_i^nu_i b_i^(K_i - nu_i) over den = self.den * prod b_i^K_i.  Pass
-        ``rows`` = {}, or one dict shared by evaluations at the same x."""
+        ``rows`` = {}, or one dict shared by evaluations at the same x.
+
+        The degree vector, as the pairs (i, K_i) with K_i > 0, is computed
+        on the first evaluation and kept on the series."""
+        try:
+            degrees = self._degrees
+        except AttributeError:
+            degrees = tuple((i, k) for i, k in enumerate(map(max, zip(*self.nums)))
+                            if k)
+            object.__setattr__(self, "_degrees", degrees)
         den, tables = self.den, []
-        for i, k in enumerate(map(max, zip(*self.nums))):
-            if k:
-                hit = rows.get((i, k))
-                if hit is None:
-                    a, b = coords[i].numerator, coords[i].denominator
-                    hit = rows[i, k] = ([a ** j * b ** (k - j) for j in range(k + 1)],
-                                        b ** k)
-                tables.append((i, hit[0]))
-                den *= hit[1]
+        for i, k in degrees:
+            hit = rows.get((i, k))
+            if hit is None:
+                a, b = coords[i].numerator, coords[i].denominator
+                hit = rows[i, k] = ([a ** j * b ** (k - j) for j in range(k + 1)],
+                                    b ** k)
+            tables.append((i, hit[0]))
+            den *= hit[1]
         num = 0
         for expo, c in self.nums.items():
             for i, row in tables:
@@ -725,9 +735,6 @@ class RigidPoint(Value):
 
     def coord(self, name: str) -> Fraction:
         return self.coords[self.space.index(name)]
-
-    def extend(self, var: VarSpec, value: Rational) -> "RigidPoint":
-        return RigidPoint(self.space.extend(var), self.coords + (_as_fraction(value),))
 
     def text(self) -> str:
         return "(" + ", ".join(scalar_text(c) for c in self.coords) + ")"

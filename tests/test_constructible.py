@@ -5,11 +5,12 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from padicgeom import (ConstructibleSet, DatumChain, ElementaryDatum,
-                       NormValue, RigidPoint, Series, VarSpec, complement,
-                       formula_set, intersect, membership, neighborhood_datum,
-                       parse_formula, simplify_divisible, union,
-                       unit_coefficient_covering)
-from padicgeom.formulas import tautology
+                       NormValue, RigidPoint, Series, Space, VarSpec,
+                       complement, eval_formula, formula_set, intersect,
+                       membership, neighborhood_datum, parse_formula,
+                       simplify_divisible, union, unit_coefficient_covering)
+from padicgeom.formulas import rename_formula_var, tautology
+from padicgeom.series import compare_le
 from conftest import (ONE, ZERO, nv, poly, rand_constructible, rand_rigid,
                       space)
 
@@ -88,6 +89,157 @@ def test_membership_rejects_point_outside_polydisc():
     S = worked_datum()
     with pytest.raises(ValueError, match="outside"):
         membership(S, RigidPoint(S.space, (Fraction(1, 2), 0)))
+
+
+def test_membership_accepts_chart_domain_built_separately():
+    # the chart's f and g live on a space equal to the base, built apart
+    S = worked_datum("|t| <= 2^-1*|1|")
+    sp = S.space
+    twin = B2()
+    assert twin == sp and twin is not sp
+    link = S.chains[0].links[0]
+    moved = ElementaryDatum(link.t_name, Series.variable(twin, "y"),
+                            Series.variable(twin, "x"), link.r, link.s,
+                            link.region)
+    S_twin = ConstructibleSet(sp, (DatumChain(sp, tautology(sp), (moved,)),))
+    for xy in ((2, 8), (2, 2), (0, 0), (4, 4), (2, 4), (0, 2)):
+        x = RigidPoint(sp, xy)
+        assert membership(S_twin, x) is membership(S, x)
+
+
+# -- the membership walk against a naive one ------------------------------------
+
+
+def naive_membership(cs, x):
+    """Membership walked with an explicit extended point per link, checked
+    whole against the link's space, and one eval_formula per region."""
+    x.check_in(cs.space)
+    out = False
+    for chain in cs.chains:
+        v = eval_formula(chain.base_region, x)
+        pt = x
+        for link in chain.links:
+            if v is False:
+                break
+            lhs = link.f.eval_seminorm(pt)
+            rhs = link.g.eval_seminorm(pt)
+            if link.g.tail.is_zero and rhs.value.is_zero:
+                v = False
+                break
+            if compare_le(lhs, rhs.scaled(link.s)) is False:
+                v = False
+                break
+            if not (link.f.tail.is_zero and link.g.tail.is_zero):
+                v = None
+                break
+            t = link.f.eval_exact(pt.coords) / link.g.eval_exact(pt.coords)
+            pt = RigidPoint(link.extended, pt.coords + (t,))
+            pt.check_in(link.extended)
+            rv = eval_formula(link.region, pt)
+            if rv is False:
+                v = False
+            elif rv is None and v is True:
+                v = None
+        if v is True:
+            return True
+        if v is None:
+            out = None
+    return out
+
+
+def sharing_set(A, B):
+    """Chains that reuse A's link objects under B's base regions, a second
+    link grafted onto each first link of A, and first links that keep f
+    but change g, or keep f and g but rename the chart."""
+    sp = A.space
+    chains = []
+    for ch in A.chains:
+        for other in B.chains:
+            chains.append(DatumChain(sp, other.base_region, ch.links))
+            if ch.links:
+                head = ch.links[0]
+                chains.append(DatumChain(sp, other.base_region, (
+                    ElementaryDatum(head.t_name, head.f,
+                                    head.g.scale(sp.prime), head.r, head.s,
+                                    head.region),)))
+                chains.append(DatumChain(sp, other.base_region, (
+                    ElementaryDatum("v", head.f, head.g, head.r, head.s,
+                                    rename_formula_var(head.region,
+                                                       head.t_name, "v")),)))
+                ext = head.extended
+                for tail_chain in B.chains:
+                    for link in tail_chain.links[:1]:
+                        second = ElementaryDatum(
+                            "u", link.f.lift_to(ext), link.g.lift_to(ext),
+                            link.r, link.s,
+                            tautology(ext.extend(VarSpec("u", link.r))))
+                        chains.append(DatumChain(sp, ch.base_region,
+                                                 (head, second)))
+    return ConstructibleSet(sp, tuple(chains))
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_membership_matches_naive_walk_property(seed):
+    A, B, points = rand_pair_and_points(seed, count=6)
+    sets = [A, B, complement(A), intersect(A, B), union(A, B), union(A, A),
+            intersect(A, A), sharing_set(A, B)]
+    for cs in sets:
+        for x in points:
+            assert membership(cs, x) is naive_membership(cs, x)
+
+
+# -- allocation and sharing guards: call counts, not timings ----------------------
+
+
+def counting(monkeypatch, cls, name):
+    calls = []
+    original = getattr(cls, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, wrapper)
+    return calls
+
+
+def charted_pairs(rng, count):
+    """(set, points) pairs whose sets carry chart links."""
+    out = []
+    while len(out) < count:
+        sp = space(rng.choice([2, 3]), ("x", 0), ("y", 0))
+        A = rand_constructible(rng, sp)
+        if A.complexity:
+            out.append((A, [rand_rigid(rng, sp) for _ in range(10)]))
+    return out
+
+
+def test_membership_builds_no_space(rng, monkeypatch):
+    pairs = charted_pairs(rng, 6)
+    built = [(S, points) for A, points in pairs
+             for S in (A, complement(A), union(A, A), intersect(A, A))]
+    spaces = counting(monkeypatch, Space, "__init__")
+    for S, points in built:
+        for x in points:
+            membership(S, x)
+    assert not spaces
+
+
+def test_union_with_itself_evaluates_no_series_twice(rng, monkeypatch):
+    pairs = charted_pairs(rng, 6)
+    doubled = [(A, union(A, A), points) for A, points in pairs]
+    calls = counting(monkeypatch, Series, "eval_ints")
+    walked = 0
+    for A, AA, points in doubled:
+        for x in points:
+            del calls[:]
+            want = membership(A, x)
+            single = len(calls)
+            del calls[:]
+            assert membership(AA, x) is want
+            assert len(calls) <= single
+            walked += want is False
+    assert walked  # some points walk every chain of A twice in A u A
 
 
 def test_complement_formula_base_case():
