@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .scalars import parse_norm, parse_scalar
 from .series import MonomialPoint, Point, RigidPoint, Series, Space
-from .formulas import eval_formula, formula_atoms, parse_poly, to_dnf
+from .formulas import eval_formula, formula_atoms, parse_poly
 from .weierstrass import distinguished_order, weierstrass_divide, weierstrass_prepare
 from .automorphisms import make_distinguished
 from .constructible import complement, intersect, membership
@@ -200,16 +200,9 @@ def cmd_qe1(doc: Document, args) -> int:
     if pivot != space.vars[0].name:
         raise CommandError(f"pivot {pivot!r} is not the formula's variable")
     base = RigidPoint(Space(doc.prime, ()), ())
-    best = "UNSAT"
-    for conj in to_dnf(phi):
-        status, witness = project_decision(conj.atoms, base, pivot, hints)
-        if status == "SAT":
-            print(f"SAT witness = {witness.text()}")
-            return 0
-        if status == "UNKNOWN":
-            best = "UNKNOWN"
-    print(best)
-    return 2 if best == "UNKNOWN" else 0
+    status, witness = project_decision(phi, base, pivot, hints)
+    print(f"SAT witness = {witness.text()}" if status == "SAT" else status)
+    return 2 if status == "UNKNOWN" else 0
 
 
 def cmd_blowup(doc: Document, args) -> int:
@@ -300,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qe1", help="one-variable existential decision")
     common(p)
-    p.add_argument("--conjunct", required=True)
+    p.add_argument("--conjunct", required=True,
+                   help="name of a formula: any Boolean combination of atoms")
     p.add_argument("--pivot", required=True)
     p.add_argument("--roots", help="comma-separated rational sample points, "
                    "tried when a fibre polynomial does not split")

@@ -161,19 +161,15 @@ def save_set(path: str, cs: ConstructibleSet, set_name: str = "out") -> None:
     """Write a one-set document; link series get synthetic names."""
     p = cs.space.prime
     series_entries: Dict[str, dict] = {}
-    blobs: Dict[str, str] = {}
-    counter = [0]
+    names: Dict[str, str] = {}  # JSON text of a series -> its name
 
     def series_name(s: Series) -> str:
         dumped = _dump_series(s)
         blob = json.dumps(dumped, sort_keys=True)
-        for name, existing in blobs.items():
-            if existing == blob:
-                return name
-        name = f"s{counter[0]}"
-        counter[0] += 1
-        series_entries[name] = dumped
-        blobs[name] = blob
+        name = names.get(blob)
+        if name is None:
+            name = names[blob] = f"s{len(names)}"
+            series_entries[name] = dumped
         return name
 
     chains_out = []

@@ -105,25 +105,24 @@ def formula_atoms(phi: Formula) -> List[Atom]:
     return out
 
 
+def map_atoms(phi: Formula, fn) -> Formula:
+    """phi with every atom a replaced by fn(a), connectives kept."""
+    if isinstance(phi, Atom):
+        return fn(phi)
+    if isinstance(phi, Not):
+        return Not(map_atoms(phi.arg, fn))
+    return type(phi)(tuple(map_atoms(a, fn) for a in phi.args))
+
+
 def lift_formula(phi: Formula, space: Space) -> Formula:
     """Reinterpret every atom over a superset space."""
-    if isinstance(phi, Atom):
-        return Atom(phi.alpha, phi.f.lift_to(space), phi.op,
-                    phi.beta, phi.g.lift_to(space))
-    if isinstance(phi, Not):
-        return Not(lift_formula(phi.arg, space))
-    cls = type(phi)
-    return cls(tuple(lift_formula(a, space) for a in phi.args))
+    return map_atoms(phi, lambda a: Atom(a.alpha, a.f.lift_to(space), a.op,
+                                         a.beta, a.g.lift_to(space)))
 
 
 def rename_formula_var(phi: Formula, old: str, new: str) -> Formula:
-    if isinstance(phi, Atom):
-        return Atom(phi.alpha, phi.f.rename_var(old, new), phi.op,
-                    phi.beta, phi.g.rename_var(old, new))
-    if isinstance(phi, Not):
-        return Not(rename_formula_var(phi.arg, old, new))
-    cls = type(phi)
-    return cls(tuple(rename_formula_var(a, old, new) for a in phi.args))
+    return map_atoms(phi, lambda a: Atom(a.alpha, a.f.rename_var(old, new), a.op,
+                                         a.beta, a.g.rename_var(old, new)))
 
 
 # -- boolean algebra -----------------------------------------------------------

@@ -5,14 +5,17 @@ sheared and Weierstrass-prepared so every atom compares scaled monic
 polynomials in the pivot variable (the unit factors contribute constant
 scales because their seminorm is constant on the polydisc).  For split
 polynomials (all roots rational) the existential question "is there a point
-of the closed disc |t| <= r satisfying every atom", r the radius the space
+of the closed disc |t| <= r satisfying the formula", r the radius the space
 declares for its variable, is decided exactly.  A point of the Berkovich
 disc is a pair (center, rho) with rho >= 0: rho = 0 is the rigid point
 t = center, rho > 0 the monomial point.  The value of |P| there is a
 piecewise monomial function of rho over a fixed center, so atom truth is
 constant on the cells cut out by the root-distance grid and the per-atom
-crossing radii, and scanning one sample per cell is a complete decision
-procedure over the Berkovich disc.
+crossing radii.  On the common refinement of every atom's cells (the
+sign-invariant cells of a one-variable cylindrical decomposition) any
+Boolean combination of the atoms is constant too, so scanning one sample
+per cell decides a whole formula, with no disjunctive normal form, and is
+a complete decision procedure over the Berkovich disc.
 
 Ultrametric lemniscates {|P| <= c} are finite unions of discs centered at
 roots; they are computed exactly as the per-root sublevel radii of the
@@ -23,12 +26,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set,
+                    Tuple, Union)
 
 from .scalars import NormValue, Value
-from .series import (MonomialPoint, Point, RigidPoint, Series, Space, VarSpec,
-                     compare_le, compare_lt)
-from .formulas import Atom, LE, LT
+from .series import MonomialPoint, Point, RigidPoint, Series, Space, VarSpec
+from .formulas import (And, Atom, Formula, LE, LT, Not, Or, eval_formula,
+                       formula_atoms, map_atoms, nnf)
 from .weierstrass import weierstrass_prepare
 from .automorphisms import DistinguishResult, Shear, make_distinguished
 
@@ -466,32 +470,54 @@ def _atom_crossing_radii(atom: SplitAtom, center: Fraction, r: NormValue,
     return out
 
 
-def decide_exists(atoms: Sequence[SplitAtom], space: Space) -> Decision:
+SplitTree = Union[SplitAtom, And, Or, None]  # None: an atom that did not split
+
+
+def _compile(node: SplitTree, leaves: List[SplitAtom]
+             ) -> Callable[[Fraction, NormValue, int], bool]:
+    """The truth of an And/Or tree of split atoms at (center, rho, p), a
+    None leaf false; appends the tree's atoms to ``leaves``."""
+    if node is None:
+        return lambda center, rho, p: False
+    if isinstance(node, SplitAtom):
+        leaves.append(node)
+        return node.holds
+    parts = [_compile(a, leaves) for a in node.args]
+    test = all if isinstance(node, And) else any
+    return lambda center, rho, p: test(f(center, rho, p) for f in parts)
+
+
+def decide_exists(atoms: Union[Sequence[SplitAtom], SplitTree], space: Space
+                  ) -> Decision:
     """Exact SAT/UNSAT for "some point of the closed disc |t| <= r satisfies
-    every atom", r the radius of the one variable of the space; a witness
-    is a point of the space.
+    the atoms", r the radius of the one variable of the space: a sequence
+    of atoms means their conjunction, an And/Or tree any positive Boolean
+    combination (a None leaf is false).  A witness is a point of the space.
 
     Complete over the Berkovich disc: every point shares its root-distance
     vector with a point (center, rho) at the nearest grid center, and atom
     truth over a fixed center is piecewise constant in rho with
-    discontinuities only at root distances and crossing radii, all of which
-    (plus geometric midpoints) are scanned.  A SAT answer always carries a
-    verified witness, rigid whenever a sampled rigid refinement of the cell
-    checks out.
+    discontinuities only at root distances and crossing radii.  The scan
+    takes the centers and crossing radii of every atom of the tree (plus
+    geometric midpoints), so every atom, and with it any Boolean
+    combination of them, is constant on each cell between the samples.  A
+    SAT answer always carries a verified witness, rigid whenever a sampled
+    rigid refinement of the cell checks out.
     """
+    if not isinstance(atoms, (SplitAtom, And, Or)):
+        atoms = And(tuple(atoms))
+    leaves: List[SplitAtom] = []
+    holds = _compile(atoms, leaves)
     p = space.prime
     (r,) = space.radii
     zero = NormValue.zero()
     centers: Set[Fraction] = {Fraction(0)}
-    for atom in atoms:
+    for atom in leaves:
         for poly in (atom.left, atom.right):
             if poly:
                 centers.update(a for a, _ in poly.roots)
     all_centers = sorted(centers)
     inside = [a for a in all_centers if NormValue.of_scalar(a, p) <= r]
-
-    def passes(center: Fraction, rho: NormValue) -> bool:
-        return all(a.holds(center, rho, p) for a in atoms)
 
     def rigid_refinement(center: Fraction, rho: NormValue) -> Optional[RigidPoint]:
         # |center + u p^-e| <= max(|center|, rho) <= r for rho = p^e and
@@ -501,7 +527,7 @@ def decide_exists(atoms: Sequence[SplitAtom], space: Space) -> Decision:
         offset = Fraction(p) ** int(-rho.exp)
         for u in range(1, min(p, 6)):
             t = center + u * offset
-            if passes(t, zero):
+            if holds(t, zero, p):
                 return RigidPoint(space, (t,))
         return None
 
@@ -512,7 +538,7 @@ def decide_exists(atoms: Sequence[SplitAtom], space: Space) -> Decision:
                 d = NormValue.of_scalar(center - other, p)
                 if d <= r:
                     radii.add(d)
-        for atom in atoms:
+        for atom in leaves:
             radii.update(_atom_crossing_radii(atom, center, r, p))
         ordered = sorted(radii)
         # geometric midpoints of consecutive grid radii sample the open cells
@@ -523,7 +549,7 @@ def decide_exists(atoms: Sequence[SplitAtom], space: Space) -> Decision:
             else:
                 samples.append(NormValue.power(Fraction(lo.exp + hi.exp, 2)))
         for rho in sorted(set(samples)):
-            if not passes(center, rho):
+            if not holds(center, rho, p):
                 continue
             if rho.is_zero:
                 return Decision("SAT", RigidPoint(space, (center,)))
@@ -547,45 +573,63 @@ def _specialize_1var(side: Series, x: RigidPoint, pivot: str,
     return side.substitute(assignment)
 
 
-def project_decision(conjunct: Sequence[Atom], x: RigidPoint, pivot: str,
-                     hints: Sequence[Fraction] = ()
-                     ) -> Tuple[str, Optional[Point]]:
-    """Decide whether the fiber of the conjunct over the base point x meets
-    the pivot's declared disc |pivot| <= r: ('SAT', witness) /
-    ('UNSAT', None) / ('UNKNOWN', None).
-
-    Atoms specialize at x to one-variable polynomials; when every side
-    splits over Q the decision is exact, otherwise a sampling fallback
-    (0, +-p^-k and the ``hints``, those with |t| <= r) can still certify
-    SAT, and UNKNOWN is returned when it fails.  A witness is a point of
-    the one-variable space of the pivot with its declared radius (the unit
-    disc for an empty conjunct, which is SAT at 0 over any disc).
-    """
-    p = x.space.prime
-    r = conjunct[0].space.radius(pivot) if conjunct else NormValue.one()
-    target = Space(p, (VarSpec(pivot, r),))
-    split_atoms: List[SplitAtom] = []
-    specialized: List[Tuple[NormValue, Series, str, NormValue, Series]] = []
-    all_split = True
-    for atom in conjunct:
-        f1 = _specialize_1var(atom.f, x, pivot, target)
-        g1 = _specialize_1var(atom.g, x, pivot, target)
-        specialized.append((atom.alpha, f1, atom.op, atom.beta, g1))
-        if not all_split:
-            continue  # only the sampling fallback runs now: split nothing more
+def _split_tree(node: Formula, unsplit: List[Atom]) -> SplitTree:
+    """The split atoms of a one-variable NNF formula in its And/Or shape:
+    None for an atom that does not split (appended to ``unsplit``), and
+    for an And holding a None, which is false, so nothing more of it is
+    split."""
+    if isinstance(node, Atom):
         sides = []
-        for s in (f1, g1):
+        for s in (node.f, node.g):
             sp = None if s.is_zero else split_series(s)
             if sp is None and not s.is_zero:
-                all_split = False
-                break
+                unsplit.append(node)
+                return None
             sides.append(sp)
-        else:
-            split_atoms.append(SplitAtom(atom.alpha, sides[0], atom.op,
-                                         atom.beta, sides[1]))
-    if all_split:
-        decision = decide_exists(split_atoms, target)
-        return decision.status, decision.witness
+        return SplitAtom(node.alpha, sides[0], node.op, node.beta, sides[1])
+    args = []
+    for a in node.args:
+        leaf = _split_tree(a, unsplit)
+        if leaf is None and isinstance(node, And):
+            return None
+        args.append(leaf)
+    return type(node)(tuple(args))
+
+
+def project_decision(phi: Union[Formula, Sequence[Atom]], x: RigidPoint,
+                     pivot: str, hints: Sequence[Fraction] = ()
+                     ) -> Tuple[str, Optional[Point]]:
+    """Decide whether the fiber of phi (a formula, or a sequence of atoms
+    meaning their conjunction) over the base point x meets the pivot's
+    declared disc |pivot| <= r: ('SAT', witness) / ('UNSAT', None) /
+    ('UNKNOWN', None).
+
+    phi goes to NNF and its atoms specialize at x to one-variable
+    polynomials.  One ``decide_exists`` scan decides the whole formula,
+    with every atom whose sides do not split over Q taken as false; since
+    an NNF formula is monotone in its atoms, a SAT found so is SAT, and an
+    UNSAT is exact when every atom split.  Otherwise a sampling fallback
+    (0, the ``hints`` and +-p^-k, those with |t| <= r) evaluates the
+    specialized formula and can still certify SAT; UNKNOWN is returned
+    when it fails.  A witness is a point of the one-variable space of the
+    pivot with its declared radius (the unit disc for an empty conjunct,
+    which is SAT at 0 over any disc).
+    """
+    if not isinstance(phi, (Atom, And, Or, Not)):
+        phi = And(tuple(phi))
+    atoms = formula_atoms(phi)
+    p = x.space.prime
+    r = atoms[0].space.radius(pivot) if atoms else NormValue.one()
+    target = Space(p, (VarSpec(pivot, r),))
+    specialized = map_atoms(nnf(phi), lambda a: Atom(
+        a.alpha, _specialize_1var(a.f, x, pivot, target), a.op,
+        a.beta, _specialize_1var(a.g, x, pivot, target)))
+    unsplit: List[Atom] = []
+    tree = _split_tree(specialized, unsplit)
+    if tree is not None:
+        decision = decide_exists(tree, target)
+        if decision.status == "SAT" or not unsplit:
+            return decision.status, decision.witness
     # sampling fallback: a verified witness proves SAT; nothing proves UNSAT
     candidates: List[Fraction] = [Fraction(0)]
     candidates.extend(hints)
@@ -596,14 +640,6 @@ def project_decision(conjunct: Sequence[Atom], x: RigidPoint, pivot: str,
         if NormValue.of_scalar(t, p) > r:
             continue
         pt = RigidPoint(target, (t,))
-        ok = True
-        for alpha, f1, op, beta, g1 in specialized:
-            lv = f1.eval_seminorm(pt).scaled(alpha)
-            rv = g1.eval_seminorm(pt).scaled(beta)
-            res = compare_le(lv, rv) if op == LE else compare_lt(lv, rv)
-            if res is not True:
-                ok = False
-                break
-        if ok:
+        if eval_formula(specialized, pt) is True:
             return "SAT", pt
     return "UNKNOWN", None

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -259,6 +260,19 @@ def test_qe1_open_annulus_witness_is_exact(tmp_path, capsys):
         == (0, "SAT witness = gauss(0; 2^1/2)", "")
 
 
+def test_qe1_decides_a_long_and_of_ors_in_one_scan(tmp_path):
+    # 40 two-way disjunctions: 2^40 conjuncts in disjunctive normal form
+    text = " & ".join(["(|T - 1| < |1| | |T - 2| < |1|)"] * 40
+                      + ["|T| < 3^-1*|1|"])
+    doc = {"prime": 3, "spaces": {"line": [{"name": "T", "radius": "3^0"}]},
+           "formulas": {"phi": {"space": "line", "text": text}}}
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(doc))
+    proc = run_subprocess(["qe1", "-i", str(path), "--conjunct", "phi",
+                           "--pivot", "T"], timeout=600)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "UNSAT\n", "")
+
+
 def test_huge_power_is_a_one_line_error(tmp_path):
     doc = {"prime": 2, "spaces": {"line": [{"name": "T", "radius": "2^0"}]},
            "formulas": {"big": {"space": "line", "text": "|T^99999999| <= |1|"}}}
@@ -476,3 +490,26 @@ def test_document_fuzz_exits_cleanly(doc):
                 assert len(lines) == 1 and lines[0].startswith("error:"), lines
             else:
                 assert out.getvalue() and not err.getvalue()
+
+
+REPO = Path(__file__).resolve().parent.parent
+STORED_CASES = json.loads(
+    (REPO / "perfbench" / "cli" / "expected.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", STORED_CASES, ids=[
+    f"{c['argv'][0]}-{Path(c['argv'][c['argv'].index('-i') + 1]).stem}"
+    for c in STORED_CASES])
+def test_stored_benchmark_case(case, monkeypatch, capsys, tmp_path):
+    # the byte-compared cases of the benchmark's cli workload, in process,
+    # from the repository root; an -o file goes to tmp_path instead
+    monkeypatch.chdir(REPO)
+    argv, stdout = list(case["argv"]), case["stdout"]
+    if case["ofile"]:
+        ofile = tmp_path / Path(case["ofile"]).name
+        argv[argv.index(case["ofile"])] = str(ofile)
+        stdout = stdout.replace(case["ofile"], str(ofile))
+    assert main(argv) == case["exit"]
+    assert capsys.readouterr().out == stdout
+    if case["ofile"]:
+        assert ofile.read_text(encoding="utf-8") == case["ofile_text"]

@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from padicgeom import (Atom, Disc, MonomialPoint, NormValue, RigidPoint,
                        lemniscate_region, project_decision, qe_prepare,
                        region_contains, split_series)
 from padicgeom.formulas import eval_conjunct, eval_formula, parse_formula, to_dnf
-from conftest import ONE, ZERO, nv, poly, rand_rigid, space
+from conftest import ONE, ZERO, nv, poly, rand_formula, rand_rigid, space
 
 
 def unit_line(p=2):
@@ -421,16 +422,36 @@ def side_text(lead, roots):
     return "*".join([str(lead)] + [f"(T - {a})" for a in roots])
 
 
-fibre_atom = st.builds(
-    lambda a, left, op, b, right, neg: ("!" if neg else "") + (
-        f"(2^{a}*|{side_text(*left)}| {op} 2^{b}*|{side_text(*right)}|)"),
-    st.integers(-3, 2),
-    st.tuples(st.sampled_from([1, 3, -1, 6]),
-              st.lists(st.sampled_from(["0", "1", "2", "1/3", "4"]), max_size=2)),
-    st.sampled_from(["<=", "<"]), st.integers(-3, 2),
-    st.tuples(st.sampled_from([1, 2]),
-              st.lists(st.sampled_from(["0", "3", "6"]), max_size=1)),
-    st.booleans())
+def fibre_atom_at(p):
+    return st.builds(
+        lambda a, left, op, b, right, neg: ("!" if neg else "") + (
+            f"({p}^{a}*|{side_text(*left)}| {op} {p}^{b}*|{side_text(*right)}|)"),
+        st.integers(-3, 2),
+        st.tuples(st.sampled_from([1, 3, -1, 6]),
+                  st.lists(st.sampled_from(["0", "1", "2", "1/3", "4"]),
+                           max_size=2)),
+        st.sampled_from(["<=", "<"]), st.integers(-3, 2),
+        st.tuples(st.sampled_from([1, 2]),
+                  st.lists(st.sampled_from(["0", "3", "6"]), max_size=1)),
+        st.booleans())
+
+
+fibre_atom = fibre_atom_at(2)
+
+
+def fibre_formula_at(p):
+    """DSL text: fibre atoms under (possibly negated) & and | nodes, or a
+    disjunction of conjunctions, whose branches are often UNSAT."""
+    def joined(parts, joiner):
+        return st.lists(parts, min_size=2, max_size=3).map(
+            lambda xs: "(" + joiner.join(xs) + ")")
+
+    atom = fibre_atom_at(p)
+    return st.one_of(
+        st.recursive(atom, lambda sub: st.builds(
+            lambda neg, text: ("!" if neg else "") + text, st.booleans(),
+            joined(sub, " & ") | joined(sub, " | ")), max_leaves=5),
+        joined(atom | joined(atom, " & "), " | "))
 
 
 @given(st.lists(fibre_atom, min_size=1, max_size=3), st.sampled_from([" & ", " | "]))
@@ -447,6 +468,33 @@ def test_sat_witness_satisfies_the_formula(atoms, joiner):
             assert witness.space == sp
             assert eval_conjunct(conj, witness) is True
             assert eval_formula(phi, witness) is True
+
+
+def dnf_merged_status(phi, base, pivot):
+    """The per-conjunct decisions over to_dnf(phi), merged: SAT if any is
+    SAT, else UNKNOWN if any is UNKNOWN, else UNSAT."""
+    found = {project_decision(c.atoms, base, pivot)[0] for c in to_dnf(phi)}
+    if "SAT" in found:
+        return "SAT"
+    return "UNKNOWN" if "UNKNOWN" in found else "UNSAT"
+
+
+@given(st.data())
+def test_one_scan_decides_as_the_dnf_merge(data):
+    # the whole formula in one call; random series atoms need not split,
+    # which reaches UNKNOWN conjuncts and the sampling fallback
+    p = data.draw(st.sampled_from([2, 3]))
+    sp = unit_line(p)
+    if data.draw(st.booleans()):
+        seed, budget = data.draw(st.integers(0, 2 ** 32)), data.draw(st.integers(1, 5))
+        phi = rand_formula(random.Random(seed), sp, budget)
+    else:
+        phi = parse_formula(data.draw(fibre_formula_at(p)), sp)
+    base = RigidPoint(Space(p, ()), ())
+    status, witness = project_decision(phi, base, "T")
+    assert status == dnf_merged_status(phi, base, "T")
+    if status == "SAT":
+        assert eval_formula(phi, witness) is True
 
 
 def test_project_pointwise_unsplittable_returns_unknown():
