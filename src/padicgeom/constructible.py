@@ -171,8 +171,9 @@ def _chain_membership(chain: DatumChain, base: Seminorms) -> Optional[bool]:
     from the Seminorms of the point it lives over.  The extended point
     (x, t) lies on the link's own ``extended`` space and gets its Seminorms
     from ``Seminorms.chart``: only t is checked there, since the prefix
-    coordinates already were, and a chart prefix another chain of the call
-    has walked is not walked again.
+    coordinates already were, and a chart prefix another chain (of this
+    call or an earlier one at the same point) has walked is not walked
+    again.
     """
     out = truth(chain.base_region, base)
     if out is False:
@@ -204,19 +205,21 @@ def membership(cs: ConstructibleSet, x: RigidPoint) -> Optional[bool]:
     two-valued.  Non-rigid points are out of scope: chart values live in
     the residue field of the point and are not materialized.
 
-    One pass: x is checked against the base polydisc once, and each chart
-    value t once, against its radius.  A series on another space object
-    then passes iff that space ``==`` the point's (see ``Seminorms``).
-    Chains that share a chart prefix (same f and g objects, name and
-    radius, as in ``union`` or the pieces of ``complement``) share the
-    extended point, and each series object is evaluated once per point for
-    the whole call, chart constraints and regions alike.
+    x is checked against the base polydisc once per point object, and
+    each chart value t once, against its radius.  A series on another
+    space object then passes iff that space ``==`` the point's (see
+    ``Seminorms``).  Chains that share a chart prefix (same f and g
+    objects, name and radius, as in ``union`` or the pieces of
+    ``complement``) share the extended point, and each series object is
+    evaluated once per point, chart constraints and regions alike.  The
+    memo lives on the point, so later calls at the same point object (in
+    other sets sharing series objects, or in ``eval_formula``) reuse it.
     """
     if not isinstance(x, RigidPoint):
         raise ValueError("constructible membership is defined at rigid "
                          "points only")
-    x.check_in(cs.space)
-    base = Seminorms(x, checked=cs.space)
+    base = Seminorms(x)
+    base.check(cs.space)
     out: Optional[bool] = False
     for chain in cs.chains:
         v = _chain_membership(chain, base)
@@ -268,8 +271,8 @@ def _chain_intersect(c1: DatumChain, c2: DatumChain) -> DatumChain:
             t_new = _fresh_name(used | set(c2.chart_names()), t_new)
         if t_new != link.t_name:
             reg = rename_formula_var(reg, link.t_name, t_new)
+            renames[link.t_name] = t_new
         used.add(t_new)
-        renames[link.t_name] = t_new
         f = f.lift_to(space)
         g = g.lift_to(space)
         ext = space.extend(VarSpec(t_new, link.r))

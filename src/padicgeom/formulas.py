@@ -195,19 +195,28 @@ def dnf_to_formula(conjuncts: Sequence[BasicConjunct]) -> Formula:
 
 
 class Seminorms:
-    """Certified seminorms |f(x)| at one point x, for the length of one call.
+    """Certified seminorms |f(x)| at one point x, for the life of the point.
+
+    In Berkovich's sense the point is the seminorm f -> |f(x)|, so its
+    memo tables are kept on the point, outside its fields (``==``,
+    ``hash`` and ``repr`` ignore them), and every Seminorms built at that
+    point object shares them, across ``eval_formula``, ``eval_conjunct``
+    and ``membership`` calls.  Retention rule: a point holds every series
+    object evaluated at it, and every space object it was checked against,
+    until the point is dropped.  The tables never refer back to the point,
+    so reference counting frees it.
 
     The point is checked against a space once, on the first series asked
-    about (or by the caller, who names that space as ``checked``).  Every
-    other space object then passes iff it ``==`` the point's space, which
-    is exactly what ``check_in`` would accept; a series on a different
-    space raises ``point/space mismatch``.  Each series object is evaluated
-    once: the memo is keyed by object identity (it holds the series, so an
-    identity cannot be reused while it lives).  At a rigid point every
-    evaluation runs on integers, with the power rows a_i^j b_i^(K-j) built
-    once per (coordinate, degree K) and shared (``Series.eval_ints``), and
-    |f(x)| is read off the unreduced (num, den); ``value(f)`` builds the
-    Fraction only on demand.
+    about or by ``check``.  Every other space object then passes iff it
+    ``==`` the point's space, which is exactly what ``check_in`` would
+    accept; a series on a different space raises ``point/space mismatch``.
+    A check that raises records nothing, so it raises again on the next
+    call.  Each series object is evaluated once: the memo is keyed by
+    object identity (it holds the series, so an identity cannot be reused
+    while it lives).  At a rigid point every evaluation runs on integers,
+    with the power rows a_i^j b_i^(K-j) built once per (coordinate, degree
+    K) and shared (``Series.eval_ints``), and |f(x)| is read off the
+    unreduced (num, den); ``value(f)`` builds the Fraction only on demand.
 
     ``chart`` gives the Seminorms at the extended point (x, f(x)/g(x)),
     one child per chart prefix: charts with the same f and g objects, name
@@ -217,21 +226,28 @@ class Seminorms:
 
     __slots__ = ("point", "_rows", "_spaces", "_memo", "_children")
 
-    def __init__(self, x: Point, checked: Optional[Space] = None):
+    def __init__(self, x: Point):
         self.point = x
-        self._rows = {} if isinstance(x, RigidPoint) else None
-        self._spaces = {} if checked is None else {id(checked): checked}
-        self._memo = {}
-        self._children = {}
+        try:
+            tables = x._seminorms
+        except AttributeError:
+            tables = ({} if isinstance(x, RigidPoint) else None, {}, {}, {})
+            object.__setattr__(x, "_seminorms", tables)
+        self._rows, self._spaces, self._memo, self._children = tables
 
-    def _evaluate(self, f: Series):
-        sp = f.space
+    def check(self, sp: Space):
+        """Check the point against the space object ``sp``, once per point."""
         if id(sp) not in self._spaces:
             if not self._spaces:
                 self.point.check_in(sp)
             elif sp != self.point.space:
                 raise ValueError("point/space mismatch")
             self._spaces[id(sp)] = sp
+
+    def _evaluate(self, f: Series):
+        sp = f.space
+        if id(sp) not in self._spaces:
+            self.check(sp)
         if self._rows is None:
             hit = (f, f.seminorm_at(self.point), None)
         else:
@@ -254,8 +270,9 @@ class Seminorms:
         x must be rigid, f and g exact on x's space with g(x) != 0, and
         ``space`` that space plus one coordinate (as ``ElementaryDatum``
         builds it).  Only the new coordinate is checked, from the norms in
-        hand: |f(x)| <= r |g(x)|.  The child starts from a copy of the power
-        rows built at x.
+        hand: |f(x)| <= r |g(x)|.  The child point starts from a copy of
+        the power rows built at x, and is kept in x's tables; it holds no
+        reference to x.
         """
         var = space.vars[-1]
         key = (id(f), id(g), var.name, var.radius)
@@ -270,8 +287,9 @@ class Seminorms:
                 p = space.prime
                 raise ValueError(f"coordinate {scalar_text(t)} outside "
                                  f"|{var.name}| <= {var.radius.text(p)}")
-            child = Seminorms(RigidPoint(space, self.point.coords + (t,)), space)
-            child._rows = dict(self._rows)
+            child = Seminorms(RigidPoint(space, self.point.coords + (t,)))
+            child._spaces[id(space)] = space
+            child._rows.update(self._rows)
             self._children[key] = child
         return child
 
@@ -315,9 +333,11 @@ def truth_all(args: Sequence[Formula], seminorm) -> Optional[bool]:
 def eval_formula(phi: Formula, x: Point) -> Optional[bool]:
     """Kleene three-valued truth of phi at a rigid or monomial point.
 
-    Exact (never None) whenever every atom series has a zero tail.  One
-    pass: x is checked once per distinct space its atoms live on, and each
-    series object is evaluated once per call (see ``Seminorms``).
+    Exact (never None) whenever every atom series has a zero tail.  x is
+    checked once per distinct space object its atoms live on, and each
+    series object is evaluated once per point: later calls at the same
+    point object, of any function here or of ``membership``, reuse what
+    this one computed (see ``Seminorms``).
     """
     return truth(phi, Seminorms(x))
 

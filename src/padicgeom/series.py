@@ -89,8 +89,17 @@ class Space(Value):
         return Space(self.prime, self.vars + tuple(extra))
 
     def drop(self, name: str) -> "Space":
-        i = self.index(name)
-        return Space(self.prime, self.vars[:i] + self.vars[i + 1:])
+        """The space without coordinate ``name``, kept per name on the
+        instance (as ``scaled_radii`` is)."""
+        drops = getattr(self, "_drops", None)
+        if drops is None:
+            drops = {}
+            object.__setattr__(self, "_drops", drops)
+        out = drops.get(name)
+        if out is None:
+            i = self.index(name)
+            out = drops[name] = Space(self.prime, self.vars[:i] + self.vars[i + 1:])
+        return out
 
     def with_radii(self, radii: Sequence[NormValue]) -> "Space":
         if len(radii) != len(self.vars):
@@ -492,7 +501,11 @@ class Series:
         return Series._raw(Space(self.space.prime, tuple(vars2)), self.den, self.nums, self.tail)
 
     def lift_to(self, space: Space) -> "Series":
-        """Reinterpret over a superset space (matching names keep radii)."""
+        """Reinterpret over a superset space (matching names keep radii).
+        On an equal space this is f itself, so identity-keyed memos (see
+        ``formulas.Seminorms``) see one object."""
+        if space == self.space:
+            return self
         pos = {}
         for i, v in enumerate(self.space.vars):
             j = space.index(v.name)
@@ -712,6 +725,15 @@ class Series:
 # -- points -----------------------------------------------------------------
 
 
+def _state_without_memo(point) -> dict:
+    """A point's state for copy and pickle, without ``_seminorms``: the memo
+    of ``formulas.Seminorms`` is keyed by object identity, which a copy
+    does not keep."""
+    state = dict(point.__dict__)
+    state.pop("_seminorms", None)
+    return state
+
+
 class RigidPoint(Value):
     """A point with exact rational coordinates."""
 
@@ -721,6 +743,8 @@ class RigidPoint(Value):
     def __init__(self, space: Space, coords: Sequence[Rational]):
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "coords", tuple(_as_fraction(c) for c in coords))
+
+    __getstate__ = _state_without_memo
 
     def check_in(self, space: Space):
         if space != self.space:
@@ -756,6 +780,8 @@ class MonomialPoint(Value):
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "center", tuple(_as_fraction(c) for c in center))
         object.__setattr__(self, "rho", tuple(rho))
+
+    __getstate__ = _state_without_memo
 
     def check_in(self, space: Space):
         if space != self.space:

@@ -128,6 +128,9 @@ def distinguished_order(f: Series, pivot: str) -> Optional[DistinguishedCertific
     One integer pass over ``f.nums``: the order is the largest pivot degree
     at the top weighted exponent (as in ``norm_exp``), its row must be a
     certified unit, and the tail must sit strictly below the witness ||f||.
+    The certificate keeps f itself outside its fields (``==`` and ``hash``
+    ignore it), so division and preparation by this f object trust it
+    without deriving it again (``_own_certificate``).
     """
     space, p = f.space, f.space.prime
     i = space.index(pivot)
@@ -146,7 +149,22 @@ def distinguished_order(f: Series, pivot: str) -> Optional[DistinguishedCertific
     ucert = certify_unit(Series._reduced(space.drop(pivot), (f.den, lead), f.tail))
     if ucert is None:
         return None
-    return DistinguishedCertificate(pivot, s, ucert, witness)
+    cert = DistinguishedCertificate(pivot, s, ucert, witness)
+    object.__setattr__(cert, "_source", f)
+    return cert
+
+
+def _own_certificate(g: Series, cert: DistinguishedCertificate
+                     ) -> DistinguishedCertificate:
+    """cert if ``distinguished_order`` read it off this very g object;
+    otherwise g's certificate, derived again, which must equal cert in
+    full (a stale, forged or rebuilt certificate is never trusted as is)."""
+    if getattr(cert, "_source", None) is g:
+        return cert
+    own = distinguished_order(g, cert.pivot)
+    if own != cert:
+        raise ValueError("invalid distinguished certificate for the divisor")
+    return own
 
 
 class DivisionResult(Value):
@@ -207,7 +225,7 @@ def _rows_to_series(rows: Dict[int, IntTerms], space: Space, pivot_index: int) -
 
 
 def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
-                       eps: NormValue, *, _checked: bool = False) -> DivisionResult:
+                       eps: NormValue) -> DivisionResult:
     """Divide f by a certified pivot-distinguished g: f = g q + R + h,
     deg_pivot R < order, ||h|| <= residual <= eps.
 
@@ -217,14 +235,12 @@ def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
     within eps.  Instances with nonzero tails have a floor
     max(tail_f, tail_g ||f||/||g||) below which no eps is reachable.
 
-    The certificate is checked against g; ``_checked=True`` is for callers
-    in this module that derived or checked it themselves.
+    The certificate, witness included, must be the one g has; it is
+    derived again unless it was read off this g object (``_own_certificate``).
     """
     if f.space != g.space:
         raise ValueError("dividend and divisor live on different spaces")
-    # the whole certificate, witness included, must be the one g has
-    if not _checked and distinguished_order(g, cert.pivot) != cert:
-        raise ValueError("invalid distinguished certificate for the divisor")
+    cert = _own_certificate(g, cert)
     pivot, s = cert.pivot, cert.order
     space = f.space
     p = space.prime
@@ -321,7 +337,7 @@ def _exact_division_by_monic(f: Series, w: Series, pivot: str
     if cert is None:
         return None
     try:
-        div = weierstrass_divide(f, w, cert, NormValue.zero(), _checked=True)
+        div = weierstrass_divide(f, w, cert, NormValue.zero())
     except ValueError:
         return None
     return div.quotient, div.remainder
@@ -339,8 +355,7 @@ def weierstrass_prepare(g: Series, cert: DistinguishedCertificate,
     is the exact norm of that remainder (zero exactly when g = e w
     reconstructs, e.g. when g is a polynomial of degree s).
     """
-    if distinguished_order(g, cert.pivot) != cert:
-        raise ValueError("invalid distinguished certificate for the divisor")
+    cert = _own_certificate(g, cert)
     pivot, s = cert.pivot, cert.order
     space = g.space
     r = space.radius(pivot)
@@ -357,7 +372,7 @@ def weierstrass_prepare(g: Series, cert: DistinguishedCertificate,
 
     last_error = "no attempt converged"
     for _ in range(8):
-        div = weierstrass_divide(t_s, g, cert, eps_div, _checked=True)
+        div = weierstrass_divide(t_s, g, cert, eps_div)
         w = t_s - div.remainder
         exact = _exact_division_by_monic(g.drop_tail(), w, pivot)
         if exact is None:

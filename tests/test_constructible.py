@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,7 @@ from padicgeom import (ConstructibleSet, DatumChain, ElementaryDatum,
                        complement, eval_formula, formula_set, intersect,
                        membership, neighborhood_datum, parse_formula,
                        simplify_divisible, union, unit_coefficient_covering)
-from padicgeom.formulas import rename_formula_var, tautology
+from padicgeom.formulas import Seminorms, rename_formula_var, tautology
 from padicgeom.series import compare_le
 from conftest import (ONE, ZERO, nv, poly, rand_constructible, rand_rigid,
                       space)
@@ -240,6 +242,125 @@ def test_union_with_itself_evaluates_no_series_twice(rng, monkeypatch):
             assert len(calls) <= single
             walked += want is False
     assert walked  # some points walk every chain of A twice in A u A
+
+
+# -- the point memo: one set of tables per point, across calls --------------------
+
+
+def five_sets(A, B):
+    return [A, B, complement(A), intersect(A, B), union(A, B)]
+
+
+def test_five_sets_check_a_point_once_and_evaluate_each_series_once(rng, monkeypatch):
+    cases = [(five_sets(A, rand_constructible(rng, A.space)), points)
+             for A, points in charted_pairs(rng, 6)]
+    checks = counting(monkeypatch, RigidPoint, "check_in")
+    evals = []
+    original = Series.eval_ints
+
+    def recording(f, coords, rows):
+        evals.append((coords, f))  # the coords tuple is the point's own
+        return original(f, coords, rows)
+
+    monkeypatch.setattr(Series, "eval_ints", recording)
+    for sets, points in cases:
+        for x in points:
+            del checks[:], evals[:]
+            for cs in sets:
+                membership(cs, x)
+            assert len(checks) == 1
+            assert evals
+            assert len({(id(c), id(f)) for c, f in evals}) == len(evals)
+
+
+def test_intersect_keeps_the_series_objects_of_a_chartless_first_chain(rng):
+    for A, _ in charted_pairs(rng, 6):
+        first = DatumChain(A.space, tautology(A.space), ())
+        AB = intersect(ConstructibleSet(A.space, (first,)), A)
+        for mine, theirs in zip(AB.chains, A.chains):
+            assert all(a.f is b.f and a.g is b.g
+                       for a, b in zip(mine.links, theirs.links))
+
+
+def outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except ValueError as e:
+        return "error", str(e)
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_used_point_answers_as_a_fresh_one_property(seed):
+    # the five sets, the same pair rebuilt on an equal space built apart,
+    # one set and one formula on a space with other radii (which must
+    # raise at every call), and the base regions read by eval_formula
+    A, B, points = rand_pair_and_points(seed, count=4)
+    A2, B2_, _ = rand_pair_and_points(seed, count=0)
+    assert A2 == A and A2.space is not A.space
+    sp = A.space
+    odd = other_space_atom(sp)
+    sets = five_sets(A, B) + five_sets(A2, B2_) + [formula_set(odd.space, odd)]
+    queries = [lambda x, cs=cs: membership(cs, x) for cs in sets]
+    queries += [lambda x, phi=ch.base_region: eval_formula(phi, x)
+                for cs in (A, B2_) for ch in cs.chains]
+    queries.append(lambda x: eval_formula(odd, x))
+    rng = random.Random(seed)
+    for x in points:
+        rng.shuffle(queries)
+        for q in queries + queries:
+            assert outcome(q, x) == outcome(q, RigidPoint(sp, x.coords))
+
+
+def test_errors_repeat_at_a_used_point():
+    S = worked_datum("|t| <= 2^-1*|1|")
+    sp = S.space
+    x = RigidPoint(sp, (2, 8))
+    assert membership(S, x) is True
+    bad = formula_set(sp, other_space_atom(sp))
+    link = S.chains[0].links[0]
+    bad_chart = ConstructibleSet(sp, (DatumChain(sp, tautology(sp), (
+        ElementaryDatum(link.t_name, link.f, link.g, link.r, link.s,
+                        other_space_atom(link.extended)),)),))
+    for _ in range(2):
+        for cs in (bad, bad_chart):
+            with pytest.raises(ValueError, match="point/space mismatch"):
+                membership(cs, x)
+        with pytest.raises(ValueError, match="point/space mismatch"):
+            eval_formula(other_space_atom(sp), x)
+    assert membership(S, x) is True
+    outside = RigidPoint(sp, (Fraction(1, 2), 0))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="outside"):
+            membership(S, outside)
+    # t = y/x = 1/4 lies outside |t| <= 2 (the chart constraint, |y| <= |x|,
+    # fails first, so membership never asks; the chart itself must refuse)
+    y = RigidPoint(sp, (4, 1))
+    assert membership(S, y) is False
+    for _ in range(2):
+        with pytest.raises(ValueError, match="outside"):
+            Seminorms(y).chart(link.f, link.g, link.extended)
+
+
+def test_used_point_is_freed_by_refcount():
+    S = worked_datum("|t| <= 2^-1*|1|")
+    sp = S.space
+    x, twin = RigidPoint(sp, (2, 8)), RigidPoint(sp, (2, 8))
+    before = (hash(x), repr(x))
+    gc.disable()
+    try:
+        assert membership(S, x) is True
+        assert membership(complement(S), x) is False
+        assert membership(union(S, S), x) is True
+        assert eval_formula(S.chains[0].base_region, x) is True
+        assert (hash(x), repr(x)) == before
+        assert x == twin and hash(x) == hash(twin) and repr(x) == repr(twin)
+        link = S.chains[0].links[0]
+        child = Seminorms(x).chart(link.f, link.g, link.extended).point
+        refs = weakref.ref(x), weakref.ref(child)
+        del x, child
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_complement_formula_base_case():

@@ -1,4 +1,8 @@
+import copy
+import gc
+import pickle
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -8,7 +12,7 @@ from padicgeom import (And, Atom, MonomialPoint, Not, NormValue, Or,
                        RigidPoint, Series, eval_formula, formula_text, negate,
                        parse_formula, to_dnf)
 from padicgeom.formulas import (FormulaSyntaxError, dnf_to_formula,
-                                eval_conjunct, parse_poly)
+                                eval_conjunct, map_atoms, parse_poly)
 from conftest import (ONE, ZERO, nv, poly, rand_formula, rand_monomial,
                       rand_nonzero_series, rand_rigid, space)
 
@@ -211,3 +215,129 @@ def test_parser_fuzz_returns_or_raises_value_error(text):
 def test_zero_denominator_is_a_syntax_error():
     with pytest.raises(FormulaSyntaxError, match=r"zero denominator \(at position 6\)"):
         parse_formula("|x - 1/0| <= |1|", XY())
+
+
+# -- the point memo: seminorms kept on the point across calls ---------------------
+
+
+def recording(monkeypatch, cls, name):
+    """Wrap cls.name; each call appends its positional arguments."""
+    seen = []
+    original = getattr(cls, name)
+
+    def wrapper(*args, **kwargs):
+        seen.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, wrapper)
+    return seen
+
+
+def fresh(x):
+    """An equal point that has never been evaluated at."""
+    if isinstance(x, RigidPoint):
+        return RigidPoint(x.space, x.coords)
+    return MonomialPoint(x.space, x.center, x.rho)
+
+
+def outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except ValueError as e:
+        return "error", str(e)
+
+
+def tailed(rng, phi):
+    """phi with some atom sides given a tail, so that unknown answers occur."""
+    def side(f):
+        if rng.random() < 0.4:
+            return f.with_tail(NormValue.power(rng.randint(-4, 1)))
+        return f
+    return map_atoms(phi, lambda a: Atom(a.alpha, side(a.f), a.op, a.beta,
+                                         side(a.g)))
+
+
+def test_formula_then_its_dnf_evaluate_each_series_once(rng, monkeypatch):
+    sp = XY()
+    cases = []
+    for _ in range(40):
+        phi = tailed(rng, rand_formula(rng, sp, rng.randint(1, 6)))
+        x = rand_rigid(rng, sp) if rng.random() < 0.5 else rand_monomial(rng, sp)
+        cases.append((phi, to_dnf(phi), x))
+    rigid = recording(monkeypatch, Series, "eval_ints")
+    gauss = recording(monkeypatch, Series, "seminorm_at")
+    for phi, dnf, x in cases:
+        del rigid[:], gauss[:]
+        eval_formula(phi, x)
+        for conj in dnf:
+            eval_conjunct(conj, x)
+        evaluated = [args[0] for args in rigid + gauss]
+        assert evaluated
+        assert len({id(f) for f in evaluated}) == len(evaluated)
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_used_point_answers_as_a_fresh_one_property(seed):
+    # formulas on the point's space, on an equal space built apart, and on
+    # a space with other radii (which must raise at every call)
+    rng = random.Random(seed)
+    p = rng.choice([2, 3])
+    names = ("x",) if rng.random() < 0.5 else ("x", "y")
+    sp = space(p, *((n, 0) for n in names))
+    spaces = [sp, sp, space(p, *((n, 0) for n in names)),
+              space(p, *((n, 1) for n in names))]
+    queries = []
+    for s in spaces:
+        phi = tailed(rng, rand_formula(rng, s, rng.randint(1, 5)))
+        dnf = to_dnf(phi)
+        queries.append(lambda x, phi=phi: eval_formula(phi, x))
+        queries.append(lambda x, dnf=dnf: [eval_conjunct(c, x) for c in dnf])
+    for _ in range(3):
+        x = rand_rigid(rng, sp) if rng.random() < 0.5 else rand_monomial(rng, sp)
+        rng.shuffle(queries)
+        for q in queries + queries:
+            assert outcome(q, x) == outcome(q, fresh(x))
+
+
+def test_errors_repeat_at_a_used_point():
+    sp = XY()
+    phi = parse_formula("|x| <= |1| & |y| <= |x|", sp)
+    other = parse_formula("|y| <= |x|", space(2, ("x", 0), ("y", 1)))
+    for x in (RigidPoint(sp, (2, 4)), MonomialPoint(sp, (0, 2), (ONE, nv(-1)))):
+        assert eval_formula(phi, x) is not None
+        for _ in range(2):
+            with pytest.raises(ValueError, match="point/space mismatch"):
+                eval_formula(other, x)
+            with pytest.raises(ValueError, match="point/space mismatch"):
+                eval_conjunct(to_dnf(other)[0], x)
+        assert eval_formula(phi, x) == eval_formula(phi, fresh(x))
+    outside = RigidPoint(sp, (0, Fraction(1, 4)))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="outside"):
+            eval_formula(phi, outside)
+
+
+def test_used_point_is_freed_by_refcount_and_keeps_its_value():
+    sp = XY()
+    phi = parse_formula("|x| <= |1| & !(|y - x| < 2^-1*|x|)", sp)
+    makers = (lambda: RigidPoint(sp, (2, 4)),
+              lambda: MonomialPoint(sp, (0, 2), (ONE, nv(-1))))
+    for make in makers:
+        x, twin = make(), make()
+        before = (hash(x), repr(x))
+        gc.disable()
+        try:
+            want = eval_formula(phi, x)
+            [eval_conjunct(c, x) for c in to_dnf(phi)]
+            assert (hash(x), repr(x)) == before
+            assert x == twin and hash(x) == hash(twin) and repr(x) == repr(twin)
+            # a copy starts without the memo and answers the same
+            for dup in (copy.copy(x), copy.deepcopy(x),
+                        pickle.loads(pickle.dumps(x))):
+                assert "_seminorms" not in vars(dup) and dup == x
+                assert eval_formula(phi, dup) is want
+            ref = weakref.ref(x)
+            del x
+            assert ref() is None
+        finally:
+            gc.enable()

@@ -502,3 +502,25 @@ def test_tail_makes_comparisons_uncertain():
     assert not est.is_exact
     assert est.upper() == nv(-1)
     assert est.lower() == ZERO
+
+
+def test_lift_to_an_equal_space_keeps_the_object():
+    sp = B2()
+    f = poly(sp, {(1, 0): 3, (0, 2): 1}).with_tail(nv(-2))
+    twin = B2()
+    assert twin == sp and twin is not sp
+    assert f.lift_to(sp) is f and f.lift_to(twin) is f
+    wide = sp.extend(VarSpec("w", nv(1)))
+    assert f.lift_to(wide) is not f and f.lift_to(wide).space is wide
+    with pytest.raises(ValueError, match="radius mismatch"):
+        f.lift_to(space(2, ("T1", 1), ("T2", 0)))
+
+
+def test_drop_keeps_one_space_per_name():
+    sp = space(3, ("x", 0), ("y", "1/2"), ("z", 1))
+    assert sp.drop("y") is sp.drop("y")
+    assert sp.drop("y") == space(3, ("x", 0), ("z", 1))
+    assert sp.drop("x") is not sp.drop("y")
+    assert sp == space(3, ("x", 0), ("y", "1/2"), ("z", 1))
+    with pytest.raises(KeyError):
+        sp.drop("w")

@@ -116,8 +116,10 @@ def test_prepare_rejects_forged_witness():
 
 
 def test_prepare_checks_the_certificate_once(monkeypatch):
-    # one check of g's certificate at entry, one derivation of the monic
-    # factor's per attempt; eps = 0 makes exactly one attempt
+    # a certificate read off g itself is trusted as is, so the only
+    # derivation is the monic factor's, once per attempt (eps = 0 makes
+    # exactly one attempt); a rebuilt equal certificate is derived again
+    # from g at entry, once, and the divisions inside do not repeat it
     calls = []
     real = weierstrass.distinguished_order
 
@@ -131,7 +133,42 @@ def test_prepare_checks_the_certificate_once(monkeypatch):
     monkeypatch.setattr(weierstrass, "distinguished_order", counting)
     out = weierstrass_prepare(g, cert, ZERO)
     assert out.residual == ZERO
+    assert len(calls) == 1 and calls[0] == out.monic
+
+    calls.clear()
+    rebuilt = DistinguishedCertificate(cert.pivot, cert.order, cert.unit_cert,
+                                       cert.norm_witness)
+    assert rebuilt == cert
+    again = weierstrass_prepare(g, rebuilt, ZERO)
+    assert repr(again) == repr(out)
     assert len(calls) == 2 and calls[0] is g and calls[1] == out.monic
+
+
+def test_divide_trusts_only_a_certificate_of_the_divisor_object(monkeypatch):
+    # a certificate read off g itself is not derived again; one read off an
+    # equal g built apart, or rebuilt field by field, is (once), and the
+    # division is the same
+    calls = []
+    real = weierstrass.distinguished_order
+
+    def counting(f, pivot):
+        calls.append(f)
+        return real(f, pivot)
+
+    sp = B1()
+    T = Series.variable(sp, "T")
+    g = poly(sp, {(1,): 1, (2,): 2})
+    twin = poly(sp, {(1,): 1, (2,): 2})
+    cert = distinguished_order(g, "T")
+    monkeypatch.setattr(weierstrass, "distinguished_order", counting)
+    want = repr(weierstrass_divide(T, g, cert, nv(-4)))
+    assert calls == []
+    rebuilt = DistinguishedCertificate(cert.pivot, cert.order, cert.unit_cert,
+                                       cert.norm_witness)
+    for other in (distinguished_order(twin, "T"), rebuilt):
+        calls.clear()
+        assert repr(weierstrass_divide(T, g, other, nv(-4))) == want
+        assert len(calls) == 1 and calls[0] is g
 
 
 def test_divide_rejects_zero_eps_on_contracting_instance():
