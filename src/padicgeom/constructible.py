@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .scalars import NormValue, Value
 from .series import RigidPoint, Series, Space, VarSpec, compare_le
-from .formulas import (And, Atom, Formula, LE, LT, Not, Seminorms,
+from .formulas import (And, Atom, Formula, LE, LT, Seminorms,
                        dnf_to_formula, lift_formula, negate,
                        rename_formula_var, tautology, to_dnf, truth)
 
@@ -125,31 +125,13 @@ def _const_atom_truth(atom: Atom) -> Optional[bool]:
     return lhs <= rhs if atom.op == LE else lhs < rhs
 
 
-def _region_always_false(phi: Formula) -> bool:
-    """Conservative syntactic emptiness: only constant atoms decide."""
-    if isinstance(phi, Atom):
-        return _const_atom_truth(phi) is False
-    if isinstance(phi, Not):
-        return _region_always_true(phi.arg)
-    if isinstance(phi, And):
-        return any(_region_always_false(a) for a in phi.args)
-    return all(_region_always_false(a) for a in phi.args)
-
-
-def _region_always_true(phi: Formula) -> bool:
-    if isinstance(phi, Atom):
-        return _const_atom_truth(phi) is True
-    if isinstance(phi, Not):
-        return _region_always_false(phi.arg)
-    if isinstance(phi, And):
-        return all(_region_always_true(a) for a in phi.args)
-    return any(_region_always_true(a) for a in phi.args)
-
-
 def _chain_obviously_empty(chain: DatumChain) -> bool:
-    if _region_always_false(chain.base_region):
+    """Conservative syntactic emptiness: a region that is false with only
+    its constant atoms decided (``_const_atom_truth``, the rest unknown)."""
+    if truth(chain.base_region, _const_atom_truth) is False:
         return True
-    return any(_region_always_false(link.region) for link in chain.links)
+    return any(truth(link.region, _const_atom_truth) is False
+               for link in chain.links)
 
 
 def _pruned(space: Space, chains) -> ConstructibleSet:
@@ -175,7 +157,7 @@ def _chain_membership(chain: DatumChain, base: Seminorms) -> Optional[bool]:
     call or an earlier one at the same point) has walked is not walked
     again.
     """
-    out = truth(chain.base_region, base)
+    out = truth(chain.base_region, base.holds)
     if out is False:
         return False
     ev = base
@@ -190,7 +172,7 @@ def _chain_membership(chain: DatumChain, base: Seminorms) -> Optional[bool]:
             # the chart value is uncertain: nothing deeper is decidable
             return None
         ev = ev.chart(f, g, link.extended)
-        rv = truth(link.region, ev)
+        rv = truth(link.region, ev.holds)
         if rv is False:
             return False
         if rv is None:

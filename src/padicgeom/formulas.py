@@ -6,6 +6,9 @@ from the value group; equalities f = 0 are encoded as |f| <= 0*|1|.  Scales
 on both sides keep the class closed under negation with no special cases.
 Evaluation is Kleene three-valued: `None` stands for unknown and can only
 arise from tail uncertainty of inexact series.
+``truth(phi, leaf)`` is the one walker of And/Or/Not trees in the library:
+point evaluation, constructible emptiness pruning and projection's split
+pass and cell scan each supply only a leaf rule.
 """
 
 from __future__ import annotations
@@ -95,10 +98,13 @@ def formula_space(phi: Formula) -> Space:
 
 
 def formula_atoms(phi: Formula) -> List[Atom]:
-    if isinstance(phi, Atom):
-        return [phi]
-    if isinstance(phi, Not):
+    """The leaves of phi, left to right: every node that is not And, Or or
+    Not (the atoms of a formula, or projection's split atoms)."""
+    t = type(phi)
+    if t is Not:
         return formula_atoms(phi.arg)
+    if t is not And and t is not Or:
+        return [phi]
     out = []
     for a in phi.args:
         out.extend(formula_atoms(a))
@@ -260,6 +266,16 @@ class Seminorms:
     def __call__(self, f: Series) -> NormEstimate:
         return (self._memo.get(id(f)) or self._evaluate(f))[1]
 
+    def holds(self, atom: Atom) -> Optional[bool]:
+        """Kleene truth of the atom at the point: the leaf rule that
+        ``truth`` takes for evaluation."""
+        memo = self._memo
+        lhs = (memo.get(id(atom.f)) or self._evaluate(atom.f))[1].scaled(atom.alpha)
+        rhs = (memo.get(id(atom.g)) or self._evaluate(atom.g))[1].scaled(atom.beta)
+        if atom.op == LE:
+            return compare_le(lhs, rhs)
+        return compare_lt(lhs, rhs)
+
     def value(self, f: Series) -> Fraction:
         return Fraction(*(self._memo.get(id(f)) or self._evaluate(f))[2])
 
@@ -294,35 +310,36 @@ class Seminorms:
         return child
 
 
-def truth(phi: Formula, seminorm) -> Optional[bool]:
-    """Kleene truth of phi, where ``seminorm(f)`` is the certified |f| at
-    the point in question.  And/Or stop at the first deciding argument."""
-    if isinstance(phi, Atom):
-        lhs = seminorm(phi.f).scaled(phi.alpha)
-        rhs = seminorm(phi.g).scaled(phi.beta)
-        if phi.op == LE:
-            return compare_le(lhs, rhs)
-        return compare_lt(lhs, rhs)
-    if isinstance(phi, Not):
-        v = truth(phi.arg, seminorm)
+def truth(phi: Formula, leaf) -> Optional[bool]:
+    """Strong Kleene truth of the And/Or/Not tree phi: every other node is
+    a leaf, and ``leaf(node)`` gives its truth, True, False or None
+    (unknown).  Not swaps True and False and keeps None; And is False if
+    some argument is, else None if some argument is, else True; Or is the
+    dual.  And/Or stop at the first deciding argument, so ``leaf`` sees
+    the leaves left to right up to that point and no further."""
+    t = type(phi)
+    if t is And:
+        return truth_all(phi.args, leaf)
+    if t is Or:
+        out = False
+        for a in phi.args:
+            v = truth(a, leaf)
+            if v is True:
+                return True
+            if v is None:
+                out = None
+        return out
+    if t is Not:
+        v = truth(phi.arg, leaf)
         return None if v is None else (not v)
-    if isinstance(phi, And):
-        return truth_all(phi.args, seminorm)
-    out = False
-    for a in phi.args:
-        v = truth(a, seminorm)
-        if v is True:
-            return True
-        if v is None:
-            out = None
-    return out
+    return leaf(phi)
 
 
-def truth_all(args: Sequence[Formula], seminorm) -> Optional[bool]:
+def truth_all(args: Sequence[Formula], leaf) -> Optional[bool]:
     """Kleene conjunction of ``truth`` over args."""
     out: Optional[bool] = True
     for a in args:
-        v = truth(a, seminorm)
+        v = truth(a, leaf)
         if v is False:
             return False
         if v is None:
@@ -339,11 +356,11 @@ def eval_formula(phi: Formula, x: Point) -> Optional[bool]:
     point object, of any function here or of ``membership``, reuse what
     this one computed (see ``Seminorms``).
     """
-    return truth(phi, Seminorms(x))
+    return truth(phi, Seminorms(x).holds)
 
 
 def eval_conjunct(conj: BasicConjunct, x: Point) -> Optional[bool]:
-    return truth_all(conj.atoms, Seminorms(x))
+    return truth_all(conj.atoms, Seminorms(x).holds)
 
 
 # -- printing --------------------------------------------------------------------

@@ -15,7 +15,8 @@ crossing radii.  On the common refinement of every atom's cells (the
 sign-invariant cells of a one-variable cylindrical decomposition) any
 Boolean combination of the atoms is constant too, so scanning one sample
 per cell decides a whole formula, with no disjunctive normal form, and is
-a complete decision procedure over the Berkovich disc.
+a complete decision procedure over the Berkovich disc.  The split pass
+and the scan both walk the formula with ``formulas.truth``.
 
 Ultrametric lemniscates {|P| <= c} are finite unions of discs centered at
 roots; they are computed exactly as the per-root sublevel radii of the
@@ -26,13 +27,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set,
-                    Tuple, Union)
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .scalars import NormValue, Value
 from .series import MonomialPoint, Point, RigidPoint, Series, Space, VarSpec
 from .formulas import (And, Atom, Formula, LE, LT, Not, Or, eval_formula,
-                       formula_atoms, map_atoms, nnf)
+                       formula_atoms, map_atoms, nnf, truth)
 from .weierstrass import weierstrass_prepare
 from .automorphisms import DistinguishResult, Shear, make_distinguished
 
@@ -473,20 +473,6 @@ def _atom_crossing_radii(atom: SplitAtom, center: Fraction, r: NormValue,
 SplitTree = Union[SplitAtom, And, Or, None]  # None: an atom that did not split
 
 
-def _compile(node: SplitTree, leaves: List[SplitAtom]
-             ) -> Callable[[Fraction, NormValue, int], bool]:
-    """The truth of an And/Or tree of split atoms at (center, rho, p), a
-    None leaf false; appends the tree's atoms to ``leaves``."""
-    if node is None:
-        return lambda center, rho, p: False
-    if isinstance(node, SplitAtom):
-        leaves.append(node)
-        return node.holds
-    parts = [_compile(a, leaves) for a in node.args]
-    test = all if isinstance(node, And) else any
-    return lambda center, rho, p: test(f(center, rho, p) for f in parts)
-
-
 def decide_exists(atoms: Union[Sequence[SplitAtom], SplitTree], space: Space
                   ) -> Decision:
     """Exact SAT/UNSAT for "some point of the closed disc |t| <= r satisfies
@@ -500,14 +486,13 @@ def decide_exists(atoms: Union[Sequence[SplitAtom], SplitTree], space: Space
     discontinuities only at root distances and crossing radii.  The scan
     takes the centers and crossing radii of every atom of the tree (plus
     geometric midpoints), so every atom, and with it any Boolean
-    combination of them, is constant on each cell between the samples.  A
-    SAT answer always carries a verified witness, rigid whenever a sampled
-    rigid refinement of the cell checks out.
+    combination of them, is constant on each cell between the samples.
+    Each sample evaluates the tree with ``formulas.truth``.  A SAT answer
+    always carries a verified witness, rigid whenever a sampled rigid
+    refinement of the cell checks out.
     """
-    if not isinstance(atoms, (SplitAtom, And, Or)):
-        atoms = And(tuple(atoms))
-    leaves: List[SplitAtom] = []
-    holds = _compile(atoms, leaves)
+    tree = atoms if isinstance(atoms, (SplitAtom, And, Or)) else And(tuple(atoms))
+    leaves = [a for a in formula_atoms(tree) if a is not None]
     p = space.prime
     (r,) = space.radii
     zero = NormValue.zero()
@@ -527,11 +512,15 @@ def decide_exists(atoms: Union[Sequence[SplitAtom], SplitTree], space: Space
         offset = Fraction(p) ** int(-rho.exp)
         for u in range(1, min(p, 6)):
             t = center + u * offset
-            if holds(t, zero, p):
+            if truth(tree, lambda a: a is not None and a.holds(t, zero, p)):
                 return RigidPoint(space, (t,))
         return None
 
     for center in inside:
+        # reads the current sample rho of the loop below
+        def leaf(a: Optional[SplitAtom]) -> bool:
+            return a is not None and a.holds(center, rho, p)
+
         radii: Set[NormValue] = {zero, r}
         for other in all_centers:
             if other != center:
@@ -549,7 +538,7 @@ def decide_exists(atoms: Union[Sequence[SplitAtom], SplitTree], space: Space
             else:
                 samples.append(NormValue.power(Fraction(lo.exp + hi.exp, 2)))
         for rho in sorted(set(samples)):
-            if not holds(center, rho, p):
+            if not truth(tree, leaf):
                 continue
             if rho.is_zero:
                 return Decision("SAT", RigidPoint(space, (center,)))
@@ -573,29 +562,6 @@ def _specialize_1var(side: Series, x: RigidPoint, pivot: str,
     return side.substitute(assignment)
 
 
-def _split_tree(node: Formula, unsplit: List[Atom]) -> SplitTree:
-    """The split atoms of a one-variable NNF formula in its And/Or shape:
-    None for an atom that does not split (appended to ``unsplit``), and
-    for an And holding a None, which is false, so nothing more of it is
-    split."""
-    if isinstance(node, Atom):
-        sides = []
-        for s in (node.f, node.g):
-            sp = None if s.is_zero else split_series(s)
-            if sp is None and not s.is_zero:
-                unsplit.append(node)
-                return None
-            sides.append(sp)
-        return SplitAtom(node.alpha, sides[0], node.op, node.beta, sides[1])
-    args = []
-    for a in node.args:
-        leaf = _split_tree(a, unsplit)
-        if leaf is None and isinstance(node, And):
-            return None
-        args.append(leaf)
-    return type(node)(tuple(args))
-
-
 def project_decision(phi: Union[Formula, Sequence[Atom]], x: RigidPoint,
                      pivot: str, hints: Sequence[Fraction] = ()
                      ) -> Tuple[str, Optional[Point]]:
@@ -605,15 +571,17 @@ def project_decision(phi: Union[Formula, Sequence[Atom]], x: RigidPoint,
     ('UNKNOWN', None).
 
     phi goes to NNF and its atoms specialize at x to one-variable
-    polynomials.  One ``decide_exists`` scan decides the whole formula,
-    with every atom whose sides do not split over Q taken as false; since
-    an NNF formula is monotone in its atoms, a SAT found so is SAT, and an
-    UNSAT is exact when every atom split.  Otherwise a sampling fallback
-    (0, the ``hints`` and +-p^-k, those with |t| <= r) evaluates the
-    specialized formula and can still certify SAT; UNKNOWN is returned
-    when it fails.  A witness is a point of the one-variable space of the
-    pivot with its declared radius (the unit disc for an empty conjunct,
-    which is SAT at 0 over any disc).
+    polynomials.  The split pass walks the formula with ``formulas.truth``:
+    an atom is false at its first side that does not split over Q, so an
+    And that is false splits nothing more.  Unless the whole formula is
+    false so, one ``decide_exists`` scan decides it, with every atom not
+    split taken as false; since an NNF formula is monotone in its atoms, a
+    SAT found so is SAT, and an UNSAT is exact when every atom split.
+    Otherwise a sampling fallback (0, the ``hints`` and +-p^-k, those with
+    |t| <= r) evaluates the specialized formula and can still certify SAT;
+    UNKNOWN is returned when it fails.  A witness is a point of the
+    one-variable space of the pivot with its declared radius (the unit
+    disc for an empty conjunct, which is SAT at 0 over any disc).
     """
     if not isinstance(phi, (Atom, And, Or, Not)):
         phi = And(tuple(phi))
@@ -624,10 +592,25 @@ def project_decision(phi: Union[Formula, Sequence[Atom]], x: RigidPoint,
     specialized = map_atoms(nnf(phi), lambda a: Atom(
         a.alpha, _specialize_1var(a.f, x, pivot, target), a.op,
         a.beta, _specialize_1var(a.g, x, pivot, target)))
+    split: Dict[int, SplitAtom] = {}
     unsplit: List[Atom] = []
-    tree = _split_tree(specialized, unsplit)
-    if tree is not None:
-        decision = decide_exists(tree, target)
+
+    def split_atom(a: Atom) -> Optional[bool]:
+        # unknown once both sides split (the scan decides it); false at the
+        # first side that does not, and nothing more of it is split
+        sides = []
+        for s in (a.f, a.g):
+            sp = None if s.is_zero else split_series(s)
+            if sp is None and not s.is_zero:
+                unsplit.append(a)
+                return False
+            sides.append(sp)
+        split[id(a)] = SplitAtom(a.alpha, sides[0], a.op, a.beta, sides[1])
+        return None
+
+    if truth(specialized, split_atom) is not False:
+        decision = decide_exists(map_atoms(specialized, lambda a: split.get(id(a))),
+                                 target)
         if decision.status == "SAT" or not unsplit:
             return decision.status, decision.witness
     # sampling fallback: a verified witness proves SAT; nothing proves UNSAT

@@ -36,8 +36,9 @@ from .scalars import (NormValue, Rational, Value, _as_fraction, _valuation,
 
 Exponents = Tuple[int, ...]
 
-# Largest exponent Series.pow accepts (it multiplies k times, so a huge
-# exponent in a formula would otherwise run unbounded).
+# Largest degree a Series.pow result may have: f^k is refused before any
+# multiplication when k * max(degree of f, 1) exceeds it, so neither a huge
+# exponent nor nested powers such as ((T+1)^100)^100 run unbounded.
 MAX_POWER = 1000
 
 
@@ -467,8 +468,10 @@ class Series:
     def pow(self, k: int) -> "Series":
         if k < 0:
             raise ValueError("negative power of a series")
-        if k > MAX_POWER:
-            raise ValueError(f"power {k} of a series exceeds the limit {MAX_POWER}")
+        degree = max(map(sum, self.nums), default=0)
+        if k * max(degree, 1) > MAX_POWER:
+            raise ValueError(f"power {k} of a series of degree {degree} exceeds "
+                             f"the degree limit {MAX_POWER}")
         out = Series.one(self.space)
         for _ in range(k):
             out = out * self
@@ -524,20 +527,16 @@ class Series:
     # -- coefficient view along one variable ----------------------------------
 
     def coeff_view(self, pivot: str) -> List[Tuple[int, "Series"]]:
-        """Present f as sum_n c_n * pivot^n with c_n over the remaining vars.
+        """Present f as sum_n c_n * pivot^n with c_n over the remaining vars
+        (``coeff_view_multi`` along the pivot alone)."""
+        return [(nu[0], c) for nu, c in self.coeff_view_multi([pivot])]
+
+    def coeff_view_multi(self, fiber: Sequence[str]) -> List[Tuple[Exponents, "Series"]]:
+        """Present f as sum_nu c_nu * fiber^nu with c_nu over the remaining
+        vars, sorted by nu.
 
         The tail is attached to every coefficient as a shared bound.
         """
-        i = self.space.index(pivot)
-        rest = self.space.drop(pivot)
-        buckets: Dict[int, Dict[Exponents, int]] = {}
-        for expo, c in self.nums.items():
-            buckets.setdefault(expo[i], {})[expo[:i] + expo[i + 1:]] = c
-        return [(n, Series._reduced(rest, (self.den, buckets[n]), self.tail))
-                for n in sorted(buckets)]
-
-    def coeff_view_multi(self, fiber: Sequence[str]) -> List[Tuple[Exponents, "Series"]]:
-        """Like coeff_view but along several variables at once."""
         idx = [self.space.index(v) for v in fiber]
         rest = self.space
         for v in fiber:

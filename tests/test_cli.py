@@ -287,6 +287,24 @@ def test_huge_power_is_a_one_line_error(tmp_path):
     assert str(MAX_POWER) in lines[0]
 
 
+def test_nested_power_is_a_one_line_error(tmp_path):
+    # each ^ is within MAX_POWER, but the outer one would build a
+    # degree-10,000 series: it is refused before any multiplication
+    doc = {"prime": 3, "spaces": {"line": [{"name": "T", "radius": "3^0"}]},
+           "formulas": {"big": {"space": "line",
+                                "text": "|((T+1)^100)^100| <= |1|"}},
+           "points": {"o": {"space": "line", "rigid": ["0"]}}}
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(doc))
+    proc = run_subprocess(["eval", "-i", str(path), "--formula", "big",
+                           "--point", "o"], timeout=10)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert str(MAX_POWER) in lines[0]
+
+
 def test_blowup_and_pushdown(doc_path, capsys):
     code, out, _ = run(capsys, [
         "blowup", "-i", doc_path, "--chart", "1", "--series", "curve"])

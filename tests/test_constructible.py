@@ -6,15 +6,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from padicgeom import (ConstructibleSet, DatumChain, ElementaryDatum,
-                       NormValue, RigidPoint, Series, Space, VarSpec,
-                       complement, eval_formula, formula_set, intersect,
-                       membership, neighborhood_datum, parse_formula,
-                       simplify_divisible, union, unit_coefficient_covering)
-from padicgeom.formulas import Seminorms, rename_formula_var, tautology
+from padicgeom import (And, Atom, ConstructibleSet, DatumChain,
+                       ElementaryDatum, Not, NormValue, Or, RigidPoint,
+                       Series, Space, VarSpec, complement, eval_formula,
+                       formula_set, intersect, membership, neighborhood_datum,
+                       parse_formula, simplify_divisible, union,
+                       unit_coefficient_covering)
+from padicgeom.constructible import _const_atom_truth
+from padicgeom.formulas import (Seminorms, rename_formula_var, tautology,
+                                truth)
 from padicgeom.series import compare_le
-from conftest import (ONE, ZERO, nv, poly, rand_constructible, rand_rigid,
-                      space)
+from conftest import (ONE, ZERO, nv, poly, rand_constructible, rand_formula,
+                      rand_rigid, space)
 
 
 def B2(p=2):
@@ -450,6 +453,63 @@ def test_de_morgan_property(seed):
     right = intersect(complement(A), complement(B))
     for x in points:
         assert membership(left, x) is membership(right, x)
+
+
+def const_truth_reference(phi):
+    """Emptiness pruning's rule written as two mutually recursive
+    functions: False when phi is false whatever its non-constant atoms
+    are, True when it is true whatever they are, else None."""
+    def always_false(phi):
+        if isinstance(phi, Atom):
+            return _const_atom_truth(phi) is False
+        if isinstance(phi, Not):
+            return always_true(phi.arg)
+        if isinstance(phi, And):
+            return any(always_false(a) for a in phi.args)
+        return all(always_false(a) for a in phi.args)
+
+    def always_true(phi):
+        if isinstance(phi, Atom):
+            return _const_atom_truth(phi) is True
+        if isinstance(phi, Not):
+            return always_false(phi.arg)
+        if isinstance(phi, And):
+            return all(always_true(a) for a in phi.args)
+        return any(always_true(a) for a in phi.args)
+
+    if always_false(phi):
+        return False
+    return True if always_true(phi) else None
+
+
+def const_mixed_formula(sp):
+    """Not/And/Or trees over constant atoms (true |2| <= |1|, false
+    |1| < 0*|1|) and random criterion-7 formulas."""
+    const = st.sampled_from([parse_formula("|2| <= |1|", sp),
+                             parse_formula("|1| < 0*|1|", sp)])
+    rand = st.builds(lambda seed, budget: rand_formula(random.Random(seed), sp, budget),
+                     st.integers(0, 2 ** 32 - 1), st.integers(1, 2))
+    return st.recursive(const | rand, lambda sub: st.one_of(
+        sub.map(Not),
+        st.lists(sub, min_size=2, max_size=3).map(lambda xs: And(tuple(xs))),
+        st.lists(sub, min_size=2, max_size=3).map(lambda xs: Or(tuple(xs)))),
+        max_leaves=8)
+
+
+@given(st.data())
+def test_emptiness_pruning_matches_its_reference_property(data):
+    # chains are pruned where truth(region, _const_atom_truth) is False;
+    # the Kleene walk must give the reference's answer, and a decided
+    # answer must be the region's value at every point
+    p = data.draw(st.sampled_from([2, 3]))
+    sp = space(p, ("x", 0), ("y", 0))
+    phi = data.draw(const_mixed_formula(sp))
+    v = truth(phi, _const_atom_truth)
+    assert v is const_truth_reference(phi)
+    if v is not None:
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+        for _ in range(3):
+            assert eval_formula(phi, rand_rigid(rng, sp)) is v
 
 
 def test_double_complement(rng):

@@ -524,3 +524,12 @@ def test_no_split_after_a_side_fails_to_split(monkeypatch):
     status, witness = project_decision(conj.atoms, RigidPoint(base, (0,)), "T")
     assert (status, witness.text()) == ("SAT", "(0)")
     assert len(calls) == 1  # T^2 + 1 does not split over Q
+    # an Or none of whose atoms split is false, so the And around it
+    # splits nothing more: one call for each side that fails, none for
+    # |T - 1| <= |1|; the sampling fallback still finds the witness
+    calls.clear()
+    phi = parse_formula(
+        "(|T^2 + 1| <= |1| | |T^2 + 3| <= |1|) & |T - 1| <= |1|", sp)
+    status, witness = project_decision(phi, RigidPoint(base, (0,)), "T")
+    assert (status, witness.text()) == ("SAT", "(0)")
+    assert len(calls) == 2
