@@ -36,9 +36,11 @@ from .scalars import (NormValue, Rational, Value, _as_fraction, _valuation,
 
 Exponents = Tuple[int, ...]
 
-# Largest degree a Series.pow result may have: f^k is refused before any
-# multiplication when k * max(degree of f, 1) exceeds it, so neither a huge
-# exponent nor nested powers such as ((T+1)^100)^100 run unbounded.
+# Largest total degree a power or product may have.  Both are refused before
+# any multiplication: f^k when k * max(degree of f, 1) exceeds it, f * g when
+# degree f + degree g does (over Q that is the product's degree), so neither
+# a huge exponent, nested powers such as ((T+1)^100)^100 nor long products
+# such as (T+1)^1000*(T+3)^1000 run unbounded.
 MAX_POWER = 1000
 
 
@@ -143,11 +145,15 @@ def scaled_exponents(radii: Sequence[NormValue]) -> Tuple[int, Tuple[int, ...]]:
 # A term map is a pair ``(den, {expo: int})``: one positive common
 # denominator and integer numerators, zeros never stored.  ``Series`` stores
 # its polynomial this way (reduced: gcd(den, *numerators) = 1), and the
-# Weierstrass division sweep keeps its rows this way.  Integer products and
-# sums skip the gcd that every Fraction operation pays; the caller divides
-# out the content (``ints_reduce``) when it chooses.
+# Weierstrass division sweep keeps its rows this way, keyed by packed ints
+# instead of exponent tuples (``PackedTerms``, ``ints_addmul_into``;
+# ``ints_add_into`` and ``ints_reduce`` take either key).  Integer products
+# and sums skip the gcd that every Fraction operation pays; the caller
+# divides out the content (``ints_reduce``) when it chooses.
 
 IntTerms = Tuple[int, Dict[Exponents, int]]
+# the same pair keyed by packed exponent vectors (ints)
+PackedTerms = Tuple[int, Dict[int, int]]
 
 # (coordinate index i, degree K) -> ([a^j b^(K-j) for j <= K], b^K) at x_i = a/b
 PowerRows = Dict[Tuple[int, int], Tuple[List[int], int]]
@@ -205,6 +211,46 @@ def ints_add_into(a: Optional[IntTerms], b: IntTerms, sign: int) -> IntTerms:
         else:
             del ta[e]
     return da, ta
+
+
+def ints_addmul_into(acc: Optional[PackedTerms], a: PackedTerms, b: PackedTerms,
+                     sign: int) -> PackedTerms:
+    """acc + sign * a * b on packed keys, updating acc's numerator map in
+    place (a None stands for the zero map) without building the product.
+
+    Keys are packed exponent vectors (see ``weierstrass``): the key of a
+    product term is the sum of its factors' keys, which is right as long as
+    no field of the sum carries.  The result's denominator is that of
+    ``ints_add_into(acc, a * b, sign)``, and no zero numerator is stored."""
+    den = a[0] * b[0]
+    if acc is None:
+        dc, tc = den, {}
+    else:
+        dc, tc = acc
+        if dc != den:
+            lcd = dc // gcd(dc, den) * den
+            if lcd != dc:
+                m = lcd // dc
+                for e in tc:
+                    tc[e] *= m
+            if lcd != den:
+                sign *= lcd // den
+            dc = lcd
+    ta, tb = a[1], b[1]
+    if len(ta) > len(tb):
+        ta, tb = tb, ta
+    tb = tb.items()
+    get = tc.get
+    for e1, c1 in ta.items():
+        c1 *= sign
+        for e2, c2 in tb:
+            e = e1 + e2
+            c = get(e, 0) + c1 * c2
+            if c:
+                tc[e] = c
+            else:
+                del tc[e]
+    return dc, tc
 
 
 def ints_reduce(a: IntTerms) -> IntTerms:
@@ -456,6 +502,10 @@ class Series:
 
     def __mul__(self, other: "Series") -> "Series":
         self._check_same_space(other)
+        degree = max(map(sum, self.nums), default=0) + max(map(sum, other.nums), default=0)
+        if degree > MAX_POWER:
+            raise ValueError(f"a product of degree {degree} exceeds the degree limit "
+                             f"{MAX_POWER}")
         out = ints_mul((self.den, self.nums), (other.den, other.nums))
         if self.tail.is_zero and other.tail.is_zero:
             tail = NormValue.zero()

@@ -7,24 +7,28 @@ Division follows the classical contraction scheme: truncate the divisor at
 its distinguished order s, do Euclidean division by that truncation (whose
 leading coefficient is an invertible unit), and iterate on the defect, which
 shrinks by a fixed factor each round.  All intermediate arithmetic is exact:
-each pivot row is kept as integer numerators over one denominator and
-multiplied and subtracted as integers.  The loop keeps f = g q + R + h
-exactly, and the Gauss norm of the defect h is computed once per pass, on
-integer exponents; it decides whether to go on, is logged as that pass's
-iteration norm, and after the last pass, with the tail floor of the inputs,
-is the reported residual.  The certificate is thus the exact norm of
+each pivot row is kept as integer numerators over one denominator, its terms
+keyed by packed exponent vectors (one int per term, so exponents add as one
+integer addition; Monagan-Pearce, CASC 2007), and multiplied and subtracted
+as integers in one fused kernel.  The loop keeps f = g q + R + h exactly,
+and the Gauss norm of the defect h is computed once per pass, on integer
+exponents, with one valuation per class of terms of one row and one rest
+weight; it decides whether to go on, is logged as that pass's iteration
+norm, and after the last pass, with the tail floor of the inputs, is the
+reported residual.  The certificate is thus the exact norm of
 f - (g q + R), never a forward error bound.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from operator import mul
 from typing import Dict, List, Optional, Tuple
 
 from .scalars import NormValue, Value, _valuation, nv_max, nv_min
-from .series import (IntTerms, Series, Space, ints_add_into, ints_mul, ints_reduce,
-                     norm_exp)
+from .series import (Exponents, IntTerms, PackedTerms, Series, Space, ints_add_into,
+                     ints_addmul_into, ints_reduce)
 
 _MAX_DIVISION_PASSES = 400
 
@@ -199,28 +203,51 @@ class PreparationResult(Value):
 
 # -- pivot-coefficient plumbing ------------------------------------------------
 #
-# The division loop works on row maps {pivot degree: (den, {rest expo: int})}:
+# The division loop works on row maps {pivot degree: (den, {packed key: int})}:
 # each row is a term map in the remaining variables in the integer form a
-# ``Series`` stores (the ``IntTerms`` kernel of ``series``), so the inner
-# products and subtractions are integer arithmetic with no per-operation
-# gcd.  Rows are split off a series' numerators and merged back into one
-# with no Fraction in between; each sweep ends by dividing out every defect
-# row's content.
+# ``Series`` stores (the kernel of ``series``), so the inner products and
+# subtractions are integer arithmetic with no per-operation gcd.  A row's
+# terms are keyed by packed exponent vectors, sum_j e_j << (width * j) over
+# the rest variables, so exponents add as one int (``ints_addmul_into``).
+# The width is the bit length of an a priori bound on every rest exponent
+# the division can reach (the argument is in ``weierstrass_divide``), so no
+# field carries.  Rows are packed once, split off a series' numerators
+# (``_rows_of``), and unpacked once, merged back into a series
+# (``_rows_to_series``), with no Fraction in between.  A row's norm takes one
+# valuation per class of terms of equal rest weight: the smallest v_p(c) in
+# a class is v_p of the class's gcd.  Each sweep ends by dividing out every
+# defect row's content.
 
 
-def _rows_of(h: Series, pivot_index: int) -> Dict[int, IntTerms]:
-    rows: Dict[int, Dict[tuple, int]] = {}
+def _rest_degree(nums: Dict[Exponents, int], pivot_index: Optional[int]) -> int:
+    """The largest exponent of a variable other than the pivot (0 for none);
+    a pivot_index of None counts every variable."""
+    return max((x for e in nums for i, x in enumerate(e) if i != pivot_index), default=0)
+
+
+def _rows_of(h: Series, pivot_index: int, units: List[int]) -> Dict[int, PackedTerms]:
+    """h's rows, each rest exponent vector packed with the field units
+    ``units`` (1 << (width * j) for rest variable j)."""
+    mults = units[:pivot_index] + [0] + units[pivot_index:]
+    rows: Dict[int, Dict[int, int]] = {}
     for expo, c in h.nums.items():
-        rest = expo[:pivot_index] + expo[pivot_index + 1:]
-        rows.setdefault(expo[pivot_index], {})[rest] = c
+        rows.setdefault(expo[pivot_index], {})[sum(map(mul, expo, mults))] = c
     return {k: ints_reduce((h.den, row)) for k, row in rows.items()}
 
 
-def _rows_to_series(rows: Dict[int, IntTerms], space: Space, pivot_index: int) -> Series:
+def _rows_to_series(rows: Dict[int, PackedTerms], space: Space, pivot_index: int,
+                    width: int) -> Series:
+    shifts = [width * j for j in range(len(space.vars) - 1)]
+    mask = (1 << width) - 1
+
+    def expo(key: int, k: int) -> Exponents:
+        rest = [key >> sh & mask for sh in shifts]
+        rest.insert(pivot_index, k)
+        return tuple(rest)
+
     out: IntTerms = (1, {})
     for k, (den, row) in rows.items():
-        out = ints_add_into(out, (den, {rest[:pivot_index] + (k,) + rest[pivot_index:]: c
-                                        for rest, c in row.items()}), 1)
+        out = ints_add_into(out, (den, {expo(key, k): c for key, c in row.items()}), 1)
     return Series._reduced(space, out, NormValue.zero())
 
 
@@ -237,6 +264,21 @@ def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
 
     The certificate, witness included, must be the one g has; it is
     derived again unless it was read off this g object (``_own_certificate``).
+
+    Rows key each term by sum_j e_j << (width * j) over the exponents e_j of
+    the variables other than the pivot, so a product's key is the sum of its
+    factors' keys as long as no field carries.  None can: each elimination
+    step (one row k of one sweep) forms q_k = row * v and subtracts q_k
+    times the rows of g, which raises the largest rest exponent by at most
+    deg v + deg_rest g.  A sweep visits at most top_f + 1 + P * max(0,
+    top_g - s) rows, since each sweep raises the top pivot degree by at most
+    top_g - s, and there are at most P = ``_MAX_DIVISION_PASSES`` sweeps, so
+    at most N = P * (top_f + 1 + P * max(0, top_g - s)) steps.  Every
+    exponent therefore stays within bound = deg_rest f + N * (deg v +
+    deg_rest g), and width = bound.bit_length() fields hold it.  Here
+    top_f and top_g are the largest pivot degrees of f and g, and deg is the
+    largest exponent of any one rest variable.  One-variable rows pack to
+    key 0.
     """
     if f.space != g.space:
         raise ValueError("dividend and divisor live on different spaces")
@@ -250,25 +292,20 @@ def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
                               NormValue.zero(), (), NormValue.zero())
 
     f0, g0 = f.drop_tail(), g.drop_tail()
-    pivot_index = space.index(pivot)
+    i = space.index(pivot)
     d, weights = space.scaled_radii()
-    pivot_weight = weights[pivot_index]
-    rest_scaled = (d, weights[:pivot_index] + weights[pivot_index + 1:])
-
-    def rows_norm(rows: Dict[int, IntTerms]) -> NormValue:
-        """Exact Gauss norm of a row map, on integer exponents over d."""
-        best = None
-        for k, (den, row) in rows.items():
-            x = norm_exp(row, p, rest_scaled)
-            if x is not None:
-                x += k * pivot_weight + d * _valuation(den, 1, p)
-                if best is None or x > best:
-                    best = x
-        return NormValue.zero() if best is None else NormValue.of_scaled(best, d)
+    pivot_weight = weights[i]
+    rest_weights = weights[:i] + weights[i + 1:]
 
     norm_g = cert.norm_witness
-    g_rows = sorted(_rows_of(g0, pivot_index).items())
-    above = rows_norm({m: row for m, row in g_rows if m > s})
+    lead_terms: Dict[Exponents, int] = {}
+    above_terms: Dict[Exponents, int] = {}
+    for e, c in g0.nums.items():
+        if e[i] == s:
+            lead_terms[e[:i] + e[i + 1:]] = c
+        elif e[i] > s:
+            above_terms[e] = c
+    above = Series._reduced(space, (g0.den, above_terms), NormValue.zero()).main_norm()
     kappa_stored = above / norm_g if not above.is_zero else NormValue.zero()
     kappa_logged = nv_max(above, g.tail) / norm_g if not nv_max(above, g.tail).is_zero \
         else NormValue.zero()
@@ -277,7 +314,7 @@ def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
     if floor > eps:
         raise ValueError("eps is below the tail floor of the division instance")
 
-    lead = Series._raw(space.drop(pivot), *dict(g_rows)[s], NormValue.zero())
+    lead = Series._reduced(space.drop(pivot), (g0.den, lead_terms), NormValue.zero())
     lead_scalar = lead.as_scalar()
     if lead_scalar is not None:
         v = Series.constant(lead.space, Fraction(1) / lead_scalar)
@@ -292,10 +329,44 @@ def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
 
     contraction = nv_max(kappa_logged, tau)
 
-    v_row = (v.den, v.nums)
-    h_rows = _rows_of(f0, pivot_index)
-    q_rows: Dict[int, IntTerms] = {}
-    r_rows: Dict[int, IntTerms] = {}
+    # the packing width: see the docstring
+    top_f = max((e[i] for e in f0.nums), default=0)
+    top_g = max(e[i] for e in g0.nums)
+    passes = _MAX_DIVISION_PASSES
+    steps = passes * (top_f + 1 + passes * max(0, top_g - s))
+    width = (_rest_degree(f0.nums, i) + steps * (_rest_degree(v.nums, None)
+                                                  + _rest_degree(g0.nums, i))).bit_length()
+    shifts = [width * j for j in range(len(rest_weights))]
+    units = [1 << sh for sh in shifts]
+    mask = (1 << width) - 1
+    key_weight: Dict[int, int] = {}
+
+    def rows_norm(rows: Dict[int, PackedTerms]) -> NormValue:
+        """Exact Gauss norm of a row map, on integer exponents over d: the
+        smallest v_p(c) among a row's terms of one rest weight is v_p of
+        their gcd, so each (row, weight) class takes one valuation."""
+        best = None
+        for k, (den, row) in rows.items():
+            classes: Dict[int, int] = {}
+            content = classes.get
+            for key, c in row.items():
+                w = key_weight.get(key)
+                if w is None:
+                    w = key_weight[key] = sum((key >> sh & mask) * x
+                                              for sh, x in zip(shifts, rest_weights))
+                classes[w] = gcd(content(w, 0), c)
+            base = k * pivot_weight + d * _valuation(den, 1, p)
+            for w, c in classes.items():
+                x = base + w - d * _valuation(c, 1, p)
+                if best is None or x > best:
+                    best = x
+        return NormValue.zero() if best is None else NormValue.of_scaled(best, d)
+
+    v_row = (v.den, {sum(map(mul, e, units)): c for e, c in v.nums.items()})
+    g_rows = sorted(_rows_of(g0, i, units).items())
+    h_rows = _rows_of(f0, i, units)
+    q_rows: Dict[int, PackedTerms] = {}
+    r_rows: Dict[int, PackedTerms] = {}
     iters: List[NormValue] = []
     defect = rows_norm(h_rows)
     while defect > eps:
@@ -310,11 +381,11 @@ def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
             row = h_rows.get(k)
             if row is None or not row[1]:
                 continue
-            q_k = ints_mul(row, v_row)
+            q_k = ints_addmul_into(None, row, v_row, 1)
             q_rows[k - s] = ints_add_into(q_rows.get(k - s), q_k, 1)
             for m, g_row in g_rows:
                 j = k - s + m
-                h_rows[j] = ints_add_into(h_rows.get(j), ints_mul(q_k, g_row), -1)
+                h_rows[j] = ints_addmul_into(h_rows.get(j), q_k, g_row, -1)
         # rows below the order move to the remainder
         for k in [k for k in h_rows if k < s]:
             row = h_rows.pop(k)
@@ -324,8 +395,8 @@ def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
         defect = rows_norm(h_rows)
         iters.append(defect)
 
-    q = _rows_to_series(q_rows, space, pivot_index)
-    r_part = _rows_to_series(r_rows, space, pivot_index)
+    q = _rows_to_series(q_rows, space, i, width)
+    r_part = _rows_to_series(r_rows, space, i, width)
     return DivisionResult(q, r_part, nv_max(defect, floor), tuple(iters), contraction)
 
 

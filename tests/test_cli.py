@@ -305,6 +305,24 @@ def test_nested_power_is_a_one_line_error(tmp_path):
     assert str(MAX_POWER) in lines[0]
 
 
+def test_long_product_is_a_one_line_error(tmp_path):
+    # each power is within MAX_POWER, but their product has degree 2,000:
+    # it is refused before the multiplication
+    doc = {"prime": 3, "spaces": {"line": [{"name": "T", "radius": "3^0"}]},
+           "formulas": {"big": {"space": "line",
+                                "text": "|(T+1)^1000*(T+3)^1000| <= |1|"}},
+           "points": {"o": {"space": "line", "rigid": ["0"]}}}
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps(doc))
+    proc = run_subprocess(["eval", "-i", str(path), "--formula", "big",
+                           "--point", "o"], timeout=60)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "product" in lines[0] and str(MAX_POWER) in lines[0]
+
+
 def test_blowup_and_pushdown(doc_path, capsys):
     code, out, _ = run(capsys, [
         "blowup", "-i", doc_path, "--chart", "1", "--series", "curve"])

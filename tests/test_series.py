@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 from padicgeom import (MonomialPoint, NormValue, RigidPoint, Series, Space,
                        VarSpec, gauss_point, pushforward_eval)
 from padicgeom.formulas import Seminorms
-from padicgeom.series import NormEstimate
+from padicgeom.series import (MAX_POWER, NormEstimate, ints_add_into,
+                              ints_addmul_into, ints_mul)
 from conftest import (ONE, ZERO, nv, poly, rand_nonzero_series, rand_rigid,
                       space)
 
@@ -524,3 +525,45 @@ def test_drop_keeps_one_space_per_name():
     assert sp == space(3, ("x", 0), ("y", "1/2"), ("z", 1))
     with pytest.raises(KeyError):
         sp.drop("w")
+
+
+def test_product_degree_limit():
+    # a product is refused before it is multiplied once its degree would
+    # exceed MAX_POWER; a product of exactly that degree is built
+    sp = B1()
+    half = Series.monomial(sp, (MAX_POWER // 2,))
+    assert (half * half).degree_in("T") == MAX_POWER
+    with pytest.raises(ValueError, match=f"product of degree {MAX_POWER + 1} .* {MAX_POWER}"):
+        half * (half * Series.variable(sp, "T"))
+
+
+_packed_terms = st.tuples(
+    st.integers(1, 12),
+    st.dictionaries(st.integers(0, 30), st.integers(-5, 5).filter(bool), max_size=6))
+
+
+def _copy(t):
+    return None if t is None else (t[0], dict(t[1]))
+
+
+@given(st.one_of(st.none(), _packed_terms), _packed_terms, _packed_terms,
+       st.sampled_from([1, -1]), st.booleans())
+def test_fused_multiply_add_matches_add_into_property(acc, a, b, sign, cancel):
+    # acc + sign * a * b on int keys equals adding the built product (here
+    # the tuple kernel on one-field keys); with cancel, acc holds -sign * a * b
+    # so the product's terms cancel exactly; no zero numerator is stored
+    den, tuples = ints_mul((a[0], {(e,): c for e, c in a[1].items()}),
+                           (b[0], {(e,): c for e, c in b[1].items()}))
+    product = (den, {e: c for (e,), c in tuples.items()})
+    if cancel:
+        alone = acc is None
+        acc = ints_add_into(_copy(acc), product, -sign)
+    want = ints_add_into(_copy(acc), product, sign)
+    start = _copy(acc)
+    got = ints_addmul_into(start, _copy(a), _copy(b), sign)
+    assert got == want
+    assert 0 not in got[1].values()
+    if start is not None:
+        assert got[1] is start[1]
+    if cancel and alone:
+        assert got[1] == {}

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from padicgeom import weierstrass
+from padicgeom.scalars import _valuation
+from padicgeom.series import ints_add_into, ints_mul, ints_reduce, norm_exp
 from padicgeom import (DistinguishedCertificate, NormValue, RigidPoint, Series,
                        certify_unit, distinguished_order, invert_unit,
                        weierstrass_divide, weierstrass_prepare)
@@ -389,3 +392,138 @@ def test_division_builds_no_coeff_view(monkeypatch):
     cert = distinguished_order(g, "T")
     weierstrass_divide(poly(sp, {(0, 3): 1, (1, 0): 1}), g, cert, nv(-4))
     assert calls == []
+
+
+def _reference_divide(f, g, cert, eps):
+    """The division sweep with each row keyed by its rest exponent tuple:
+    products by ``ints_mul``, sums by ``ints_add_into`` and row norms term
+    by term with ``norm_exp``; no packing, no norm classes."""
+    pivot, s = cert.pivot, cert.order
+    space, p = f.space, f.space.prime
+    f0, g0 = f.drop_tail(), g.drop_tail()
+    i = space.index(pivot)
+    d, weights = space.scaled_radii()
+    rest_scaled = (d, weights[:i] + weights[i + 1:])
+
+    def rows_of(h):
+        rows = {}
+        for e, c in h.nums.items():
+            rows.setdefault(e[i], {})[e[:i] + e[i + 1:]] = c
+        return {k: ints_reduce((h.den, row)) for k, row in rows.items()}
+
+    def to_series(rows):
+        out = (1, {})
+        for k, (den, row) in rows.items():
+            out = ints_add_into(out, (den, {r[:i] + (k,) + r[i:]: c
+                                            for r, c in row.items()}), 1)
+        return Series._reduced(space, out, ZERO)
+
+    def rows_norm(rows):
+        best = None
+        for k, (den, row) in rows.items():
+            x = norm_exp(row, p, rest_scaled)
+            if x is not None:
+                x += k * weights[i] + d * _valuation(den, 1, p)
+                best = x if best is None else max(best, x)
+        return ZERO if best is None else NormValue.of_scaled(best, d)
+
+    norm_g = cert.norm_witness
+    g_rows = sorted(rows_of(g0).items())
+    above = rows_norm({m: row for m, row in g_rows if m > s})
+    kappa = above / norm_g if not above.is_zero else ZERO
+    logged = max(above, g.tail)
+    contraction = logged / norm_g if not logged.is_zero else ZERO
+    floor = max(f.tail, g.tail * (f0.main_norm() / norm_g))
+    lead = Series._raw(space.drop(pivot), *dict(g_rows)[s], ZERO)
+    if lead.as_scalar() is not None:
+        v, tau = Series.constant(lead.space, 1 / lead.as_scalar()), ZERO
+    else:
+        tau = min(kappa if not kappa.is_zero else nv(-1), nv(-1))
+        v = invert_unit(certify_unit(lead), tau).drop_tail()
+    contraction = max(contraction, tau)
+    h_rows, q_rows, r_rows, iters = rows_of(f0), {}, {}, []
+    defect = rows_norm(h_rows)
+    while defect > eps:
+        for k in range(max(h_rows, default=0), s - 1, -1):
+            row = h_rows.get(k)
+            if row is None or not row[1]:
+                continue
+            q_k = ints_mul(row, (v.den, v.nums))
+            q_rows[k - s] = ints_add_into(q_rows.get(k - s), q_k, 1)
+            for m, g_row in g_rows:
+                h_rows[k - s + m] = ints_add_into(h_rows.get(k - s + m),
+                                                  ints_mul(q_k, g_row), -1)
+        for k in [k for k in h_rows if k < s]:
+            row = h_rows.pop(k)
+            if row[1]:
+                r_rows[k] = ints_add_into(r_rows.get(k), row, 1)
+        h_rows = {k: ints_reduce(row) for k, row in h_rows.items() if row[1]}
+        defect = rows_norm(h_rows)
+        iters.append(defect)
+    return (to_series(q_rows), to_series(r_rows), max(defect, floor), tuple(iters),
+            contraction)
+
+
+def _packing_instance(rng):
+    """A division on one to three variables, the pivot T anywhere among
+    them, with rest exponents up to 2^31 (radius exponents 0 and -3/2
+    only: a huge exponent of a variable of radius > 1 needs a coefficient
+    of huge valuation), p-power and unit denominators, and a series-unit
+    lead on half the draws of two or three variables.  g is built
+    pivot-distinguished of order s."""
+    p = rng.choice([2, 3, 5])
+    unit = {2: 3, 3: 2, 5: 3}[p]
+    names = ["x", "y", "T"][3 - rng.randint(1, 3):]
+    rng.shuffle(names)
+    radii = {nm: Fraction(rng.choice(["0", "1/2", "-3/2"])) for nm in names}
+    sp = space(p, *[(nm, radii[nm]) for nm in names])
+    rest = [nm for nm in names if nm != "T"]
+
+    def scalar(v):
+        num = rng.choice([1, -1, unit, -unit * unit])
+        return Fraction(num, rng.choice([1, unit])) * Fraction(p) ** v
+
+    def expo(m, big):
+        e = {"T": m}
+        for nm in rest:
+            huge = big and radii[nm] <= 0 and rng.random() < 0.4
+            e[nm] = rng.choice([2 ** 31 - 1, 2 ** 31]) if huge else rng.randint(0, 3)
+        return tuple(e[nm] for nm in names), sum(e[nm] * radii[nm] for nm in names)
+
+    s = rng.randint(0, 3)
+    c0 = scalar(rng.randint(-2, 2))
+    top = -_valuation(c0.numerator, c0.denominator, p) + s * radii["T"]
+    coeffs = {tuple(s if nm == "T" else 0 for nm in names): c0}
+    unit_lead = rest and rng.random() < 0.5
+    if unit_lead:
+        # series-unit lead: c0 (1 + u X) with |u X| < 1, X a small monomial
+        e, w = expo(s, False)
+        if any(e[j] for j, nm in enumerate(names) if nm != "T"):
+            w -= s * radii["T"]
+            coeffs[e] = c0 * scalar(max(math.floor(w) + 1, -3) + rng.randint(0, 1))
+    for _ in range(rng.randint(1, 4)):
+        m = rng.randint(0, s + 3)
+        if m == s:
+            continue
+        # no huge exponent beside a series-unit lead: a tiny row norm above
+        # the order would ask for an inverse of degree above MAX_POWER
+        e, w = expo(m, not unit_lead)
+        # rows below s at most the witness, rows above it strictly below
+        need = math.ceil(w - top) if m < s else math.floor(w - top) + 1
+        coeffs[e] = scalar(max(need, -3) + rng.randint(0, 1))
+    g = Series(sp, coeffs)
+    f = Series(sp, {expo(rng.randint(0, 6), True)[0]: scalar(rng.randint(-2, 2))
+                    for _ in range(rng.randint(1, 3))})
+    return f, g, s, f.main_norm() * nv(-rng.randint(0, 6))
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_packed_division_matches_tuple_reference_property(seed):
+    rng = random.Random(seed)
+    f, g, s, eps = _packing_instance(rng)
+    cert = distinguished_order(g, "T")
+    assert cert is not None and cert.order == s
+    out = weierstrass_divide(f, g, cert, eps)
+    ref = _reference_divide(f, g, cert, eps)
+    assert (out.quotient, out.remainder, out.residual, out.iterations,
+            out.contraction) == ref
