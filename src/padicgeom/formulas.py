@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .scalars import NormValue, Value, parse_norm, scalar_text
-from .series import (NormEstimate, Point, RigidPoint, Series, Space,
+from .series import (MAX_POWER, NormEstimate, Point, RigidPoint, Series, Space,
                      compare_le, compare_lt)
 
 LE = "<="
@@ -530,46 +530,67 @@ class _Parser:
         self.take("star")
         return nv
 
-    # polynomial expressions inside norm bars
+    # polynomial expressions inside norm bars.  Each rule returns the
+    # polynomial with a bound on its degree, and every power and product is
+    # checked against MAX_POWER on the bounds before it is multiplied out: a
+    # term's factors are parsed first, their powers left unbuilt, so a huge
+    # power or a long product such as (T+1)^1000*(T+3)^1000 is refused
+    # before any of its factors is raised (a parenthesised factor is built
+    # as it is parsed).  The bound of a sum is its terms' largest, of a
+    # product the sum of its factors', of f^k k * max(bound of f, 1) (the
+    # rule of Series.pow); it is never below the degree built.
 
     def poly(self) -> Series:
-        return self.poly_sum()
+        return self.poly_sum()[1]
 
-    def poly_sum(self) -> Series:
+    def poly_sum(self) -> Tuple[int, Series]:
         if self.peek()[0] == "minus":
             self.take("minus")
-            total = -self.poly_term()
+            degree, total = self.poly_term()
+            total = -total
         else:
-            total = self.poly_term()
+            degree, total = self.poly_term()
         while self.peek()[0] in ("plus", "minus"):
-            if self.take()[0] == "plus":
-                total = total + self.poly_term()
-            else:
-                total = total - self.poly_term()
-        return total
+            plus = self.take()[0] == "plus"
+            d, term = self.poly_term()
+            degree = max(degree, d)
+            total = total + term if plus else total - term
+        return degree, total
 
-    def poly_term(self) -> Series:
-        total = self.poly_factor()
+    def poly_term(self) -> Tuple[int, Series]:
+        factors = [self.poly_factor()]
+        degree = factors[0][0]
         while True:
             tok = self.peek()
             if tok[0] == "star":
                 self.take("star")
-                total = total * self.poly_factor()
-            elif tok[0] in ("ident", "lpar"):
-                # implicit multiplication: 2T, 3(x+1)
-                total = total * self.poly_factor()
-            else:
-                return total
+            elif tok[0] not in ("ident", "lpar"):
+                break
+            # (ident or lpar: implicit multiplication, 2T, 3(x+1))
+            factors.append(self.poly_factor())
+            degree += factors[-1][0]
+            if degree > MAX_POWER:
+                raise ValueError(f"a product of degree {degree} exceeds the "
+                                 f"degree limit {MAX_POWER}")
+        total = None
+        for _, base, k in factors:
+            factor = base if k is None else base.pow(k)
+            total = factor if total is None else total * factor
+        return degree, total
 
-    def poly_factor(self) -> Series:
-        base = self.poly_primary()
-        if self.peek()[0] == "caret":
-            self.take("caret")
-            tok = self.take("num")
-            return base.pow(int(tok[1]))
-        return base
+    def poly_factor(self) -> Tuple[int, Series, Optional[int]]:
+        """A primary and its exponent (None for no ``^``), not yet raised."""
+        degree, base = self.poly_primary()
+        if self.peek()[0] != "caret":
+            return degree, base, None
+        self.take("caret")
+        k = int(self.take("num")[1])
+        if k * max(degree, 1) > MAX_POWER:
+            raise ValueError(f"power {k} of a polynomial of degree {degree} "
+                             f"exceeds the degree limit {MAX_POWER}")
+        return k * max(degree, 1), base, k
 
-    def poly_primary(self) -> Series:
+    def poly_primary(self) -> Tuple[int, Series]:
         tok = self.take()
         if tok[0] == "num":
             num = int(tok[1])
@@ -578,11 +599,11 @@ class _Parser:
                 den = int(self.take("num")[1])
                 if not den:
                     raise FormulaSyntaxError("zero denominator", slash[2])
-                return Series.constant(self.space, Fraction(num, den))
-            return Series.constant(self.space, num)
+                return 0, Series.constant(self.space, Fraction(num, den))
+            return 0, Series.constant(self.space, num)
         if tok[0] == "ident":
             try:
-                return Series.variable(self.space, tok[1])
+                return 1, Series.variable(self.space, tok[1])
             except KeyError:
                 raise FormulaSyntaxError(f"undeclared variable {tok[1]!r}", tok[2])
         if tok[0] == "lpar":

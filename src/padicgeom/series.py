@@ -36,11 +36,14 @@ from .scalars import (NormValue, Rational, Value, _as_fraction, _valuation,
 
 Exponents = Tuple[int, ...]
 
-# Largest total degree a power or product may have.  Both are refused before
-# any multiplication: f^k when k * max(degree of f, 1) exceeds it, f * g when
-# degree f + degree g does (over Q that is the product's degree), so neither
-# a huge exponent, nested powers such as ((T+1)^100)^100 nor long products
-# such as (T+1)^1000*(T+3)^1000 run unbounded.
+# Largest degree a Series.pow result may have: f^k is refused before any
+# multiplication when k * max(degree of f, 1) exceeds it.  The formula DSL
+# (``formulas``) bounds every power and product it reads by the same limit,
+# on degree bounds checked before the power or product is multiplied out,
+# so neither a huge exponent, nested powers such as ((T+1)^100)^100 nor
+# long products such as (T+1)^1000*(T+3)^1000 run unbounded there.
+# Products inside the library (``Series.__mul__``, e.g. the geometric
+# series of ``invert_unit``) are not bounded.
 MAX_POWER = 1000
 
 
@@ -421,7 +424,9 @@ class Series:
 
     @staticmethod
     def constant(space: Space, c: Rational) -> "Series":
-        return Series(space, {(0,) * len(space.vars): c})
+        c = _as_fraction(c)
+        nums = {(0,) * len(space.vars): c.numerator} if c else {}
+        return Series._raw(space, c.denominator, nums, NormValue.zero())
 
     @staticmethod
     def one(space: Space) -> "Series":
@@ -502,10 +507,6 @@ class Series:
 
     def __mul__(self, other: "Series") -> "Series":
         self._check_same_space(other)
-        degree = max(map(sum, self.nums), default=0) + max(map(sum, other.nums), default=0)
-        if degree > MAX_POWER:
-            raise ValueError(f"a product of degree {degree} exceeds the degree limit "
-                             f"{MAX_POWER}")
         out = ints_mul((self.den, self.nums), (other.den, other.nums))
         if self.tail.is_zero and other.tail.is_zero:
             tail = NormValue.zero()

@@ -13,6 +13,7 @@ from padicgeom import (And, Atom, MonomialPoint, Not, NormValue, Or,
                        parse_formula, to_dnf)
 from padicgeom.formulas import (FormulaSyntaxError, dnf_to_formula,
                                 eval_conjunct, map_atoms, parse_poly)
+from padicgeom.series import MAX_POWER
 from conftest import (ONE, ZERO, nv, poly, rand_formula, rand_monomial,
                       rand_nonzero_series, rand_rigid, space)
 
@@ -182,6 +183,30 @@ def test_poly_parser_implicit_multiplication():
     assert parse_poly("T^2+2T+4", sp) == poly(sp, {(2,): 1, (1,): 2, (0,): 4})
     assert parse_poly("3/4*T", sp) == poly(sp, {(1,): "3/4"})
     assert parse_poly("-(T - 1)^2", sp) == poly(sp, {(2,): -1, (1,): 2, (0,): -1})
+
+
+def test_poly_degree_limit_refuses_before_multiplying(monkeypatch):
+    # every product and power the DSL writes is bounded by MAX_POWER on a
+    # degree bound taken while parsing: degree exactly MAX_POWER is built,
+    # and a term above it is refused before any of its factors is
+    # multiplied out
+    sp = space(3, ("T", 0), ("x", 0))
+    half = MAX_POWER // 2
+    assert parse_poly(f"T^{half}*x^{half}", sp).nums == {(half, half): 1}
+    with pytest.raises(ValueError, match=f"^power 3 of a polynomial of degree {half} "
+                                         f"exceeds the degree limit {MAX_POWER}$"):
+        parse_poly(f"((T+1)^{half})^3", sp)
+    calls = []
+    real = Series.__mul__
+    monkeypatch.setattr(Series, "__mul__", lambda f, g: calls.append(1) or real(f, g))
+    for text, what in [(f"(T+1)^{MAX_POWER}*(T+3)^{MAX_POWER}", "a product of degree 2000"),
+                       (f"1 - 3T^{half}*x^{half}*T", "a product of degree 1001"),
+                       ("2^1001", "power 1001 of a polynomial of degree 0")]:
+        with pytest.raises(ValueError, match=f"^{what} exceeds the degree limit {MAX_POWER}$"):
+            parse_poly(text, sp)
+    with pytest.raises(ValueError, match="product of degree 2000"):
+        parse_formula(f"|x| < |(T+1)^{MAX_POWER}*(T+3)^{MAX_POWER}|", sp)
+    assert calls == []
 
 
 # Random token strings over the formula alphabet: the parser either returns

@@ -527,14 +527,12 @@ def test_drop_keeps_one_space_per_name():
         sp.drop("w")
 
 
-def test_product_degree_limit():
-    # a product is refused before it is multiplied once its degree would
-    # exceed MAX_POWER; a product of exactly that degree is built
+def test_library_products_are_unbounded():
+    # MAX_POWER bounds Series.pow and the formula DSL (tests/test_formulas.py),
+    # not products inside the library, such as invert_unit's powers
     sp = B1()
-    half = Series.monomial(sp, (MAX_POWER // 2,))
-    assert (half * half).degree_in("T") == MAX_POWER
-    with pytest.raises(ValueError, match=f"product of degree {MAX_POWER + 1} .* {MAX_POWER}"):
-        half * (half * Series.variable(sp, "T"))
+    top = Series.monomial(sp, (MAX_POWER,))
+    assert (top * top * Series.variable(sp, "T")).degree_in("T") == 2 * MAX_POWER + 1
 
 
 _packed_terms = st.tuples(

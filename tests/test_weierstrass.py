@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from padicgeom import weierstrass
 from padicgeom.scalars import _valuation
-from padicgeom.series import ints_add_into, ints_mul, ints_reduce, norm_exp
+from padicgeom.series import MAX_POWER, ints_add_into, ints_mul, ints_reduce, norm_exp
 from padicgeom import (DistinguishedCertificate, NormValue, RigidPoint, Series,
                        certify_unit, distinguished_order, invert_unit,
                        weierstrass_divide, weierstrass_prepare)
@@ -44,6 +44,31 @@ def test_invert_unit_examples():
 
     one = invert_unit(certify_unit(Series.one(sp)), nv(-10))
     assert one == Series.one(sp)
+
+
+def test_invert_unit_past_the_degree_limit():
+    # 1/(1 + 3y^3) to precision 3^-400 is a geometric series of degree
+    # 1,197: library products are not bounded by MAX_POWER
+    sp = space(3, ("y", 0))
+    u = poly(sp, {(0,): 1, (3,): 3})
+    v = invert_unit(certify_unit(u), nv(-400))
+    assert v.degree_in("y") == 1197 > MAX_POWER
+    assert (u * v.drop_tail() - Series.one(sp)).gauss_norm().value <= nv(-400)
+
+
+def test_divide_by_series_unit_lead_with_high_degree_inverse():
+    # g = (1 + 3y^3) T + 3^400 T^2: the row above the order is tiny, so
+    # the lead's inverse is taken to precision 3^-400, past MAX_POWER
+    sp = space(3, ("y", 0), ("T", 0))
+    g = poly(sp, {(0, 1): 1, (3, 1): 3, (0, 2): Fraction(3) ** 400})
+    cert = distinguished_order(g, "T")
+    assert cert.order == 1
+    f = poly(sp, {(0, 3): 1, (1, 0): 1})
+    eps = nv(-500)
+    out = weierstrass_divide(f, g, cert, eps)
+    defect = f - (g * out.quotient + out.remainder)
+    assert defect.gauss_norm().value <= out.residual <= eps
+    assert out.remainder.degree_in("T") < cert.order
 
 
 def test_distinguished_order_examples():
@@ -469,7 +494,8 @@ def _packing_instance(rng):
     them, with rest exponents up to 2^31 (radius exponents 0 and -3/2
     only: a huge exponent of a variable of radius > 1 needs a coefficient
     of huge valuation), p-power and unit denominators, and a series-unit
-    lead on half the draws of two or three variables.  g is built
+    lead on half the draws of two or three variables, its rest and the
+    rows beside it free to carry huge exponents too.  g is built
     pivot-distinguished of order s."""
     p = rng.choice([2, 3, 5])
     unit = {2: 3, 3: 2, 5: 3}[p]
@@ -483,10 +509,12 @@ def _packing_instance(rng):
         num = rng.choice([1, -1, unit, -unit * unit])
         return Fraction(num, rng.choice([1, unit])) * Fraction(p) ** v
 
-    def expo(m, big):
+    def expo(m, big=(0, Fraction(-3, 2))):
+        # T at m; a rest variable whose radius exponent is in big takes a
+        # huge exponent on 40% of draws
         e = {"T": m}
         for nm in rest:
-            huge = big and radii[nm] <= 0 and rng.random() < 0.4
+            huge = radii[nm] in big and rng.random() < 0.4
             e[nm] = rng.choice([2 ** 31 - 1, 2 ** 31]) if huge else rng.randint(0, 3)
         return tuple(e[nm] for nm in names), sum(e[nm] * radii[nm] for nm in names)
 
@@ -496,8 +524,8 @@ def _packing_instance(rng):
     coeffs = {tuple(s if nm == "T" else 0 for nm in names): c0}
     unit_lead = rest and rng.random() < 0.5
     if unit_lead:
-        # series-unit lead: c0 (1 + u X) with |u X| < 1, X a small monomial
-        e, w = expo(s, False)
+        # series-unit lead: c0 (1 + u X) with |u X| < 1, X a monomial
+        e, w = expo(s)
         if any(e[j] for j, nm in enumerate(names) if nm != "T"):
             w -= s * radii["T"]
             coeffs[e] = c0 * scalar(max(math.floor(w) + 1, -3) + rng.randint(0, 1))
@@ -505,15 +533,18 @@ def _packing_instance(rng):
         m = rng.randint(0, s + 3)
         if m == s:
             continue
-        # no huge exponent beside a series-unit lead: a tiny row norm above
-        # the order would ask for an inverse of degree above MAX_POWER
-        e, w = expo(m, not unit_lead)
+        # above the order of a series-unit lead, a huge exponent only at
+        # radius exponent 0: at -3/2 the row's norm is about p^(-3 * 2^30),
+        # and invert_unit's geometric series down to that precision takes
+        # some 10^9 products, however the rows are keyed
+        e, w = expo(m, (0,) if unit_lead and m > s else (0, Fraction(-3, 2)))
         # rows below s at most the witness, rows above it strictly below
         need = math.ceil(w - top) if m < s else math.floor(w - top) + 1
         coeffs[e] = scalar(max(need, -3) + rng.randint(0, 1))
     g = Series(sp, coeffs)
-    f = Series(sp, {expo(rng.randint(0, 6), True)[0]: scalar(rng.randint(-2, 2))
-                    for _ in range(rng.randint(1, 3))})
+    # up to six terms on four pivot degrees, so rows share rest weights
+    f = Series(sp, {expo(rng.randint(0, 3))[0]: scalar(rng.randint(-2, 2))
+                    for _ in range(rng.randint(1, 6))})
     return f, g, s, f.main_norm() * nv(-rng.randint(0, 6))
 
 
