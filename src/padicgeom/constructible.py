@@ -115,13 +115,13 @@ def formula_set(space: Space, phi: Formula) -> ConstructibleSet:
 
 
 def _const_atom_truth(atom: Atom) -> Optional[bool]:
-    """Truth of an atom whose sides are exact constants, else None."""
-    cf, cg = atom.f.as_scalar(), atom.g.as_scalar()
-    if cf is None or cg is None:
+    """Truth of an atom whose sides are exact constants, else None: the
+    sides' norms are their kept ``Series.constant_seminorm``."""
+    cf, cg = atom.f.constant_seminorm(), atom.g.constant_seminorm()
+    if cf is None or cg is None or not (atom.f.tail.is_zero and atom.g.tail.is_zero):
         return None
-    p = atom.space.prime
-    lhs = atom.alpha * NormValue.of_scalar(cf, p)
-    rhs = atom.beta * NormValue.of_scalar(cg, p)
+    lhs = atom.alpha * cf[0].value
+    rhs = atom.beta * cg[0].value
     return lhs <= rhs if atom.op == LE else lhs < rhs
 
 
@@ -196,6 +196,9 @@ def membership(cs: ConstructibleSet, x: RigidPoint) -> Optional[bool]:
     evaluated once per point, chart constraints and regions alike.  The
     memo lives on the point, so later calls at the same point object (in
     other sets sharing series objects, or in ``eval_formula``) reuse it.
+    A constant side (the tautologies, the ``g = 0`` pieces of
+    ``complement``) is not evaluated at all: its estimate is kept on the
+    series, the same at every point (``Series.constant_seminorm``).
     """
     if not isinstance(x, RigidPoint):
         raise ValueError("constructible membership is defined at rigid "

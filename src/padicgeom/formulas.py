@@ -212,6 +212,14 @@ class Seminorms:
     until the point is dropped.  The tables never refer back to the point,
     so reference counting frees it.
 
+    A seminorm extends the absolute value of Q, so a series with no
+    non-constant term has the same estimate at every point.  That
+    estimate lives on the series (``Series.constant_seminorm``, computed
+    once per series object), and the point's memo entry for a constant
+    only refers to it: no evaluation, no valuation.  ``Series.zero`` and
+    ``Series.one`` are one object per space object, so the tautologies
+    and ``g = 0`` pieces of a set share one memo entry each.
+
     The point is checked against a space once, on the first series asked
     about or by ``check``.  Every other space object then passes iff it
     ``==`` the point's space, which is exactly what ``check_in`` would
@@ -219,10 +227,11 @@ class Seminorms:
     A check that raises records nothing, so it raises again on the next
     call.  Each series object is evaluated once: the memo is keyed by
     object identity (it holds the series, so an identity cannot be reused
-    while it lives).  At a rigid point every evaluation runs on integers,
-    with the power rows a_i^j b_i^(K-j) built once per (coordinate, degree
-    K) and shared (``Series.eval_ints``), and |f(x)| is read off the
-    unreduced (num, den); ``value(f)`` builds the Fraction only on demand.
+    while it lives).  At a rigid point every non-constant evaluation runs
+    on integers, with the power rows a_i^j b_i^(K-j) built once per
+    (coordinate, degree K) and shared (``Series.eval_ints``), and |f(x)|
+    is read off the unreduced (num, den); ``value(f)`` builds the Fraction
+    only on demand.
 
     ``chart`` gives the Seminorms at the extended point (x, f(x)/g(x)),
     one child per chart prefix: charts with the same f and g objects, name
@@ -251,10 +260,16 @@ class Seminorms:
             self._spaces[id(sp)] = sp
 
     def _evaluate(self, f: Series):
+        """Check f's space, then memoise (f, estimate, (num, den) or None
+        at a monomial point) for f at the point; a constant's estimate and
+        pair are its own ``Series.constant_seminorm``."""
         sp = f.space
         if id(sp) not in self._spaces:
             self.check(sp)
-        if self._rows is None:
+        const = f.constant_seminorm()
+        if const is not None:
+            hit = (f, const[0], const[1])
+        elif self._rows is None:
             hit = (f, f.seminorm_at(self.point), None)
         else:
             num, den = f.eval_ints(self.point.coords, self._rows)

@@ -60,6 +60,17 @@ class VarSpec(Value):
         object.__setattr__(self, "radius", radius)
 
 
+def _state_without_memo(obj) -> dict:
+    """The state of a point or space for copy and pickle, without the memo
+    of ``formulas.Seminorms`` (``_seminorms``, keyed by object identity,
+    which a copy does not keep) or the shared zero and one series of
+    ``Series.zero`` (``_zero_one``, which a copy builds for itself)."""
+    state = dict(obj.__dict__)
+    state.pop("_seminorms", None)
+    state.pop("_zero_one", None)
+    return state
+
+
 class Space(Value):
     """A polydisc: the prime of the ground field plus ordered coordinates."""
 
@@ -119,6 +130,8 @@ class Space(Value):
             if e:
                 w = w * (v.radius ** e)
         return w
+
+    __getstate__ = _state_without_memo
 
     def scaled_radii(self) -> Tuple[int, Tuple[int, ...]]:
         """(D, (D e_1, ..., D e_n)) for radii p^e_i, with D the lcm of the
@@ -365,9 +378,10 @@ class Series:
     which makes values safe to share across threads.
     """
 
-    # _degrees (see eval_ints) is set on first use only: the constructors
-    # leave it unset, so building a series pays nothing for it
-    __slots__ = ("space", "den", "nums", "tail", "_hash", "_degrees")
+    # _degrees (see eval_ints) and _const (see constant_seminorm) are set on
+    # first use only: the constructors leave them unset, so building a
+    # series pays nothing for them
+    __slots__ = ("space", "den", "nums", "tail", "_hash", "_degrees", "_const")
 
     def __init__(self, space: Space, coeffs: Mapping[Exponents, Rational],
                  tail: NormValue = NormValue.zero()):
@@ -420,7 +434,9 @@ class Series:
 
     @staticmethod
     def zero(space: Space) -> "Series":
-        return Series._raw(space, 1, {}, NormValue.zero())
+        """The zero series on ``space``: one object per Space object (see
+        ``_zero_one``)."""
+        return _zero_one(space)[0]
 
     @staticmethod
     def constant(space: Space, c: Rational) -> "Series":
@@ -430,7 +446,9 @@ class Series:
 
     @staticmethod
     def one(space: Space) -> "Series":
-        return Series._raw(space, 1, {(0,) * len(space.vars): 1}, NormValue.zero())
+        """The constant 1 on ``space``: one object per Space object (see
+        ``_zero_one``)."""
+        return _zero_one(space)[1]
 
     @staticmethod
     def variable(space: Space, name: str) -> "Series":
@@ -457,9 +475,29 @@ class Series:
 
     def as_scalar(self) -> Optional[Fraction]:
         """The value of an exact constant series, else None."""
-        if not self.tail.is_zero or any(any(expo) for expo in self.nums):
+        const = self.constant_seminorm()
+        if const is None or not self.tail.is_zero:
             return None
-        return self.constant_term()
+        return Fraction(*const[1])
+
+    def constant_seminorm(self) -> Optional[Tuple[NormEstimate, Tuple[int, int]]]:
+        """For a series with no non-constant term, stored part c = num/den:
+        (NormEstimate(|c|, tail), (num, den)), its seminorm at every point
+        of the polydisc (a point's seminorm extends the absolute value of
+        Q) and its value at every rigid point, the pair ``eval_ints``
+        gives.  None for a series with a non-constant term.  Computed on
+        the first call and kept on the series."""
+        try:
+            return self._const
+        except AttributeError:
+            pass
+        out = None
+        if not any(map(any, self.nums)):
+            num = next(iter(self.nums.values()), 0)
+            out = (NormEstimate(NormValue.of_ratio(num, self.den, self.space.prime),
+                                self.tail), (num, self.den))
+        object.__setattr__(self, "_const", out)
+        return out
 
     def degree_in(self, name: str) -> int:
         """Largest stored exponent of the named variable (-1 for no terms)."""
@@ -772,16 +810,25 @@ class Series:
         return f"<Series {self.text()}{t} on {self.space.names}>"
 
 
+def _zero_one(space: Space) -> Tuple[Series, Series]:
+    """The zero and one series of ``Series.zero``/``Series.one``, built on
+    the first call and kept on the space object (as ``Space.drop`` keeps
+    its results), so every tautology and every ``g = 0`` piece over one
+    space object shares them and their ``constant_seminorm``.  The space
+    then refers to series that refer back to it: a reference cycle, which
+    the garbage collector frees, not reference counting.  No operation
+    mutates a series' ``nums`` (the in-place kernels get fresh maps), so
+    sharing is safe."""
+    pair = getattr(space, "_zero_one", None)
+    if pair is None:
+        zero = NormValue.zero()
+        pair = (Series._raw(space, 1, {}, zero),
+                Series._raw(space, 1, {(0,) * len(space.vars): 1}, zero))
+        object.__setattr__(space, "_zero_one", pair)
+    return pair
+
+
 # -- points -----------------------------------------------------------------
-
-
-def _state_without_memo(point) -> dict:
-    """A point's state for copy and pickle, without ``_seminorms``: the memo
-    of ``formulas.Seminorms`` is keyed by object identity, which a copy
-    does not keep."""
-    state = dict(point.__dict__)
-    state.pop("_seminorms", None)
-    return state
 
 
 class RigidPoint(Value):

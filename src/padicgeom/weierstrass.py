@@ -265,6 +265,14 @@ def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
     The certificate, witness included, must be the one g has; it is
     derived again unless it was read off this g object (``_own_certificate``).
 
+    A lead row that is a series unit, not a scalar, is inverted to
+    precision tau = min(kappa, p^-1), kappa the norm of g's rows above the
+    order over ||g||, and for eps > 0 tau is raised to at least
+    min(eps/||f||, p^-1): each sweep then contracts the defect by
+    max(kappa, tau), and the inverse is never more precise than the target
+    (a tiny row above the order would otherwise ask ``invert_unit`` for an
+    unbounded number of products).
+
     Rows key each term by sum_j e_j << (width * j) over the exponents e_j of
     the variables other than the pivot, so a product's key is the sum of its
     factors' keys as long as no field carries.  None can: each elimination
@@ -310,7 +318,8 @@ def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
     kappa_logged = nv_max(above, g.tail) / norm_g if not nv_max(above, g.tail).is_zero \
         else NormValue.zero()
 
-    floor = nv_max(f.tail, g.tail * (f0.main_norm() / norm_g))
+    norm_f = f0.main_norm()
+    floor = nv_max(f.tail, g.tail * (norm_f / norm_g))
     if floor > eps:
         raise ValueError("eps is below the tail floor of the division instance")
 
@@ -325,6 +334,8 @@ def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
             raise ValueError("invalid certificate: leading coefficient is not a unit")
         tau = kappa_stored if not kappa_stored.is_zero else NormValue.power(-1)
         tau = nv_min(tau, NormValue.power(-1))
+        if not (eps.is_zero or norm_f.is_zero):
+            tau = nv_max(tau, nv_min(eps / norm_f, NormValue.power(-1)))
         v = invert_unit(lcert, tau).drop_tail()
 
     contraction = nv_max(kappa_logged, tau)

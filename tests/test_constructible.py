@@ -13,8 +13,8 @@ from padicgeom import (And, Atom, ConstructibleSet, DatumChain,
                        parse_formula, simplify_divisible, union,
                        unit_coefficient_covering)
 from padicgeom.constructible import _const_atom_truth
-from padicgeom.formulas import (Seminorms, rename_formula_var, tautology,
-                                truth)
+from padicgeom.formulas import (Seminorms, formula_atoms, rename_formula_var,
+                                tautology, truth)
 from padicgeom.series import compare_le
 from conftest import (ONE, ZERO, nv, poly, rand_constructible, rand_formula,
                       rand_rigid, space)
@@ -274,6 +274,58 @@ def test_five_sets_check_a_point_once_and_evaluate_each_series_once(rng, monkeyp
             assert len(checks) == 1
             assert evals
             assert len({(id(c), id(f)) for c, f in evals}) == len(evals)
+
+
+def test_five_sets_value_each_constant_once_across_points(rng, monkeypatch):
+    # a constant's seminorm is the same at every point: it is kept on the
+    # series, so no constant goes through eval_ints once per point
+    cases = [(five_sets(A, rand_constructible(rng, A.space)), points)
+             for A, points in charted_pairs(rng, 6)]
+    evals = []
+    original = Series.eval_ints
+
+    def recording(f, coords, rows):
+        evals.append(f)
+        return original(f, coords, rows)
+
+    monkeypatch.setattr(Series, "eval_ints", recording)
+    for sets, points in cases:
+        constants = [f for cs in sets for ch in cs.chains
+                     for phi in [ch.base_region] + [l.region for l in ch.links]
+                     for atom in formula_atoms(phi) for f in (atom.f, atom.g)
+                     if f.constant_seminorm() is not None]
+        assert constants
+        del evals[:]
+        for x in points:
+            for cs in sets:
+                assert membership(cs, x) is not None
+        valued = [f for f in evals if f.constant_seminorm() is not None]
+        assert len({id(f) for f in valued}) == len(valued)
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_constant_atom_truth_decides_only_exact_constants_property(seed):
+    rng = random.Random(seed)
+    p = rng.choice([2, 3])
+    sp = space(p, ("x", 0))
+    sides = [Series.zero(sp), Series.one(sp), Series.variable(sp, "x"),
+             Series.constant(sp, Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                             * Fraction(p) ** rng.randint(-2, 2))]
+    sides += [f.with_tail(nv(rng.randint(-3, 1))) for f in sides]
+    scales = [ZERO, ONE, nv(rng.randint(-2, 2))]
+    for _ in range(20):
+        alpha, beta = rng.choice(scales), rng.choice(scales)
+        if alpha.is_zero and beta.is_zero:
+            continue
+        atom = Atom(alpha, rng.choice(sides), rng.choice(["<=", "<"]), beta,
+                    rng.choice(sides))
+        cf, cg = atom.f.as_scalar(), atom.g.as_scalar()
+        want = None
+        if cf is not None and cg is not None:
+            lhs = alpha * NormValue.of_scalar(cf, p)
+            rhs = beta * NormValue.of_scalar(cg, p)
+            want = lhs <= rhs if atom.op == "<=" else lhs < rhs
+        assert _const_atom_truth(atom) is want
 
 
 def test_intersect_keeps_the_series_objects_of_a_chartless_first_chain(rng):

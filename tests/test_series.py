@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,8 +12,10 @@ from padicgeom import (MonomialPoint, NormValue, RigidPoint, Series, Space,
 from padicgeom.formulas import Seminorms
 from padicgeom.series import (MAX_POWER, NormEstimate, ints_add_into,
                               ints_addmul_into, ints_mul)
-from conftest import (ONE, ZERO, nv, poly, rand_nonzero_series, rand_rigid,
-                      space)
+from padicgeom.weierstrass import (certify_unit, distinguished_order, invert_unit,
+                                   weierstrass_divide)
+from conftest import (ONE, ZERO, nv, poly, rand_nonzero_series, rand_point_coord,
+                      rand_rigid, rand_scalar, space)
 
 
 def B1(p=2, e=0):
@@ -525,6 +530,82 @@ def test_drop_keeps_one_space_per_name():
     assert sp == space(3, ("x", 0), ("y", "1/2"), ("z", 1))
     with pytest.raises(KeyError):
         sp.drop("w")
+
+
+def test_zero_and_one_are_one_object_per_space():
+    sp = B2()
+    twin = B2()
+    for make in (Series.zero, Series.one):
+        assert make(sp) is make(sp)
+        assert make(twin) == make(sp) and make(twin) is not make(sp)
+    assert Series.zero(sp).nums == {} and Series.one(sp).nums == {(0, 0): 1}
+    assert Series.one(sp).scale(0) is Series.zero(sp)
+    # copies and pickles of a space, or of a point on it, leave the shared
+    # series behind and build their own on first use
+    x = RigidPoint(sp, (2, 4))
+    for dup in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert dup == x
+        assert Series.one(dup.space) == Series.one(sp)
+        assert Series.zero(dup.space).eval_seminorm(dup).value == ZERO
+
+
+def test_shared_zero_and_one_survive_every_operation(rng):
+    # the kernels update some term maps in place (ints_add_into,
+    # ints_reduce): no operation may hand them a shared series' own map
+    sp = space(3, ("x", 0), ("y", 0))
+    zero, one = Series.zero(sp), Series.one(sp)
+    wide = sp.extend(VarSpec("t", nv(1)))
+    g = poly(sp, {(0, 1): 1, (1, 2): 3})
+    cert = distinguished_order(g, "y")
+    for _ in range(20):
+        f = rand_nonzero_series(rng, sp, max_deg=2)
+        small = f.scale(Fraction(3) ** 4).drop_tail()
+        small = small if small.gauss_norm().value <= ONE else zero
+        eps = nv(-12)
+        for a in (zero, one, f):
+            for b in (zero, one, f):
+                a + b, a - b, a * b, -a, a.scale(3), a.pow(2)
+                a.substitute({"x": b if b is not f else small, "y": one})
+            a.lift_to(wide), a.lift_to(sp), a.drop_tail(), a.with_tail(nv(-2))
+            weierstrass_divide(a, g, cert, eps)
+            weierstrass_divide(a, one, distinguished_order(one, "y"), eps)
+        invert_unit(certify_unit(one + small.scale(3)), eps)
+        assert one.den == 1 and one.nums == {(0, 0): 1} and one.tail == ZERO
+        assert zero.den == 1 and zero.nums == {} and zero.tail == ZERO
+        assert Series.one(sp) is one and Series.zero(sp) is zero
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_constant_seminorm_is_the_seminorm_at_every_point_property(seed):
+    # zero, one, random rationals, with and without a tail, at rigid and
+    # monomial points of one to three variables with rational radii
+    rng = random.Random(seed)
+    p = rng.choice([2, 3, 5])
+    sp = space(p, *[(f"x{i}", rng.choice(["0", "1", "1/2", "-3/2"]))
+                    for i in range(rng.randint(1, 3))])
+    tail = nv(rng.randint(-4, 4))
+    consts = [Series.zero(sp), Series.one(sp)]
+    for _ in range(3):
+        c = rand_scalar(rng, p) if rng.random() < 0.9 else Fraction(0)
+        consts.append(Series.constant(sp, c))
+    consts += [c.with_tail(tail) for c in consts]
+    points = []
+    for _ in range(3):
+        points.append(rand_rigid(rng, sp))
+        center = [rand_point_coord(rng, p, r.exp, depth=2) for r in sp.radii]
+        rho = [r * nv(Fraction(-rng.randint(0, 4), rng.choice([1, 2]))) for r in sp.radii]
+        points.append(MonomialPoint(sp, center, rho))
+    for f in consts:
+        est, pair = f.constant_seminorm()
+        assert f.constant_seminorm()[0] is est  # kept on the series
+        assert est.uncertainty == f.tail
+        for x in points:
+            assert est == f.seminorm_at(x) == f.eval_seminorm(x)
+            assert Seminorms(x)(f) == est
+            if isinstance(x, RigidPoint):
+                assert pair == f.eval_ints(x.coords, {})
+                assert Seminorms(x).value(f) == f.eval_exact(x.coords)
+    assert (Series.variable(sp, "x0") + Series.one(sp)).constant_seminorm() is None
 
 
 def test_library_products_are_unbounded():

@@ -71,6 +71,24 @@ def test_divide_by_series_unit_lead_with_high_degree_inverse():
     assert out.remainder.degree_in("T") < cert.order
 
 
+def test_divide_inverts_the_lead_only_to_the_target_precision():
+    # g = (1 + 3y) T + y^(2^31) T^2 with |y| = 3^-3/2: the row above the
+    # order has norm about 3^(-3 * 2^30), so inverting the series-unit
+    # lead to precision kappa would take some 10^9 products.  The lead is
+    # inverted to eps/||f|| = 3^-20 instead, and one sweep reaches eps.
+    sp = space(3, ("y", Fraction(-3, 2)), ("T", 0))
+    g = poly(sp, {(0, 1): 1, (1, 1): 3, (2 ** 31, 2): 1})
+    cert = distinguished_order(g, "T")
+    assert cert.order == 1 and not cert.unit_cert.rest.is_zero
+    f = poly(sp, {(0, 3): 1, (1, 0): 1})
+    eps = f.gauss_norm().value * nv(-20)
+    out = weierstrass_divide(f, g, cert, eps)
+    assert len(out.iterations) == 1
+    defect = f - (g * out.quotient + out.remainder)
+    assert defect.is_exact and defect.gauss_norm().value <= out.residual <= eps
+    assert out.remainder.degree_in("T") < cert.order
+
+
 def test_distinguished_order_examples():
     sp = B1()
     assert distinguished_order(poly(sp, {(2,): 1, (3,): 2}), "T").order == 2
@@ -464,6 +482,8 @@ def _reference_divide(f, g, cert, eps):
         v, tau = Series.constant(lead.space, 1 / lead.as_scalar()), ZERO
     else:
         tau = min(kappa if not kappa.is_zero else nv(-1), nv(-1))
+        if not (eps.is_zero or f0.main_norm().is_zero):
+            tau = max(tau, min(eps / f0.main_norm(), nv(-1)))
         v = invert_unit(certify_unit(lead), tau).drop_tail()
     contraction = max(contraction, tau)
     h_rows, q_rows, r_rows, iters = rows_of(f0), {}, {}, []
@@ -495,8 +515,8 @@ def _packing_instance(rng):
     only: a huge exponent of a variable of radius > 1 needs a coefficient
     of huge valuation), p-power and unit denominators, and a series-unit
     lead on half the draws of two or three variables, its rest and the
-    rows beside it free to carry huge exponents too.  g is built
-    pivot-distinguished of order s."""
+    rows beside it, above the order too, free to carry huge exponents.
+    g is built pivot-distinguished of order s."""
     p = rng.choice([2, 3, 5])
     unit = {2: 3, 3: 2, 5: 3}[p]
     names = ["x", "y", "T"][3 - rng.randint(1, 3):]
@@ -509,12 +529,12 @@ def _packing_instance(rng):
         num = rng.choice([1, -1, unit, -unit * unit])
         return Fraction(num, rng.choice([1, unit])) * Fraction(p) ** v
 
-    def expo(m, big=(0, Fraction(-3, 2))):
-        # T at m; a rest variable whose radius exponent is in big takes a
-        # huge exponent on 40% of draws
+    def expo(m):
+        # T at m; a rest variable of radius exponent 0 or -3/2 takes a huge
+        # exponent on 40% of draws
         e = {"T": m}
         for nm in rest:
-            huge = radii[nm] in big and rng.random() < 0.4
+            huge = radii[nm] in (0, Fraction(-3, 2)) and rng.random() < 0.4
             e[nm] = rng.choice([2 ** 31 - 1, 2 ** 31]) if huge else rng.randint(0, 3)
         return tuple(e[nm] for nm in names), sum(e[nm] * radii[nm] for nm in names)
 
@@ -533,11 +553,10 @@ def _packing_instance(rng):
         m = rng.randint(0, s + 3)
         if m == s:
             continue
-        # above the order of a series-unit lead, a huge exponent only at
-        # radius exponent 0: at -3/2 the row's norm is about p^(-3 * 2^30),
-        # and invert_unit's geometric series down to that precision takes
-        # some 10^9 products, however the rows are keyed
-        e, w = expo(m, (0,) if unit_lead and m > s else (0, Fraction(-3, 2)))
+        # a huge exponent at radius exponent -3/2 above the order of a
+        # series-unit lead makes kappa about p^(-3 * 2^30): the division
+        # must invert the lead only to its own precision eps/||f||
+        e, w = expo(m)
         # rows below s at most the witness, rows above it strictly below
         need = math.ceil(w - top) if m < s else math.floor(w - top) + 1
         coeffs[e] = scalar(max(need, -3) + rng.randint(0, 1))
