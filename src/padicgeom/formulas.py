@@ -216,9 +216,7 @@ class Seminorms:
     non-constant term has the same estimate at every point.  That
     estimate lives on the series (``Series.constant_seminorm``, computed
     once per series object), and the point's memo entry for a constant
-    only refers to it: no evaluation, no valuation.  ``Series.zero`` and
-    ``Series.one`` are one object per space object, so the tautologies
-    and ``g = 0`` pieces of a set share one memo entry each.
+    only refers to it: no evaluation, no valuation.
 
     The point is checked against a space once, on the first series asked
     about or by ``check``.  Every other space object then passes iff it
@@ -260,15 +258,16 @@ class Seminorms:
             self._spaces[id(sp)] = sp
 
     def _evaluate(self, f: Series):
-        """Check f's space, then memoise (f, estimate, (num, den) or None
-        at a monomial point) for f at the point; a constant's estimate and
-        pair are its own ``Series.constant_seminorm``."""
+        """Check f's space, then memoise (f, estimate, (num, den) at a
+        rigid point or None at a monomial point) for f at the point; a
+        constant's estimate and pair are its own
+        ``Series.constant_seminorm``."""
         sp = f.space
         if id(sp) not in self._spaces:
             self.check(sp)
         const = f.constant_seminorm()
         if const is not None:
-            hit = (f, const[0], const[1])
+            hit = (f, const[0], None if self._rows is None else const[1])
         elif self._rows is None:
             hit = (f, f.seminorm_at(self.point), None)
         else:

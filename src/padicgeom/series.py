@@ -60,17 +60,6 @@ class VarSpec(Value):
         object.__setattr__(self, "radius", radius)
 
 
-def _state_without_memo(obj) -> dict:
-    """The state of a point or space for copy and pickle, without the memo
-    of ``formulas.Seminorms`` (``_seminorms``, keyed by object identity,
-    which a copy does not keep) or the shared zero and one series of
-    ``Series.zero`` (``_zero_one``, which a copy builds for itself)."""
-    state = dict(obj.__dict__)
-    state.pop("_seminorms", None)
-    state.pop("_zero_one", None)
-    return state
-
-
 class Space(Value):
     """A polydisc: the prime of the ground field plus ordered coordinates."""
 
@@ -130,8 +119,6 @@ class Space(Value):
             if e:
                 w = w * (v.radius ** e)
         return w
-
-    __getstate__ = _state_without_memo
 
     def scaled_radii(self) -> Tuple[int, Tuple[int, ...]]:
         """(D, (D e_1, ..., D e_n)) for radii p^e_i, with D the lcm of the
@@ -434,9 +421,7 @@ class Series:
 
     @staticmethod
     def zero(space: Space) -> "Series":
-        """The zero series on ``space``: one object per Space object (see
-        ``_zero_one``)."""
-        return _zero_one(space)[0]
+        return Series._raw(space, 1, {}, NormValue.zero())
 
     @staticmethod
     def constant(space: Space, c: Rational) -> "Series":
@@ -446,9 +431,7 @@ class Series:
 
     @staticmethod
     def one(space: Space) -> "Series":
-        """The constant 1 on ``space``: one object per Space object (see
-        ``_zero_one``)."""
-        return _zero_one(space)[1]
+        return Series._raw(space, 1, {(0,) * len(space.vars): 1}, NormValue.zero())
 
     @staticmethod
     def variable(space: Space, name: str) -> "Series":
@@ -475,10 +458,9 @@ class Series:
 
     def as_scalar(self) -> Optional[Fraction]:
         """The value of an exact constant series, else None."""
-        const = self.constant_seminorm()
-        if const is None or not self.tail.is_zero:
+        if not self.tail.is_zero or any(any(expo) for expo in self.nums):
             return None
-        return Fraction(*const[1])
+        return self.constant_term()
 
     def constant_seminorm(self) -> Optional[Tuple[NormEstimate, Tuple[int, int]]]:
         """For a series with no non-constant term, stored part c = num/den:
@@ -810,25 +792,16 @@ class Series:
         return f"<Series {self.text()}{t} on {self.space.names}>"
 
 
-def _zero_one(space: Space) -> Tuple[Series, Series]:
-    """The zero and one series of ``Series.zero``/``Series.one``, built on
-    the first call and kept on the space object (as ``Space.drop`` keeps
-    its results), so every tautology and every ``g = 0`` piece over one
-    space object shares them and their ``constant_seminorm``.  The space
-    then refers to series that refer back to it: a reference cycle, which
-    the garbage collector frees, not reference counting.  No operation
-    mutates a series' ``nums`` (the in-place kernels get fresh maps), so
-    sharing is safe."""
-    pair = getattr(space, "_zero_one", None)
-    if pair is None:
-        zero = NormValue.zero()
-        pair = (Series._raw(space, 1, {}, zero),
-                Series._raw(space, 1, {(0,) * len(space.vars): 1}, zero))
-        object.__setattr__(space, "_zero_one", pair)
-    return pair
-
-
 # -- points -----------------------------------------------------------------
+
+
+def _state_without_memo(point) -> dict:
+    """A point's state for copy and pickle, without ``_seminorms``: the memo
+    of ``formulas.Seminorms`` is keyed by object identity, which a copy
+    does not keep."""
+    state = dict(point.__dict__)
+    state.pop("_seminorms", None)
+    return state
 
 
 class RigidPoint(Value):
