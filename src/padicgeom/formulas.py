@@ -413,8 +413,8 @@ _TOKEN_RE = re.compile(r"""
   | (?P<lpar>\() | (?P<rpar>\)) | (?P<star>\*) | (?P<plus>\+)
   | (?P<minus>-) | (?P<caret>\^) | (?P<slash>/)
   | (?P<num>\d+) | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<ws>\s+)
-""", re.VERBOSE)
+  | (?P<ws>\s+) | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 
 class FormulaSyntaxError(ValueError):
@@ -424,15 +424,15 @@ class FormulaSyntaxError(ValueError):
 
 
 def _tokenize(text: str):
+    # one pass: every character starts a match, since `bad` takes any
+    # character the other alternatives do not
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise FormulaSyntaxError(f"unexpected character {m.group()!r}", m.start())
+        if kind != "ws":
+            tokens.append((kind, m.group(), m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
 

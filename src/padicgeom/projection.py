@@ -18,6 +18,13 @@ per cell decides a whole formula, with no disjunctive normal form, and is
 a complete decision procedure over the Berkovich disc.  The split pass
 and the scan both walk the formula with ``formulas.truth``.
 
+Every value of a split polynomial is lead * prod max(rho, d)^m over the
+root distances d from the center (``_norm_product``).  ``SplitPoly.value_at``
+and ``SplitAtom.holds`` are the reference evaluation at one point: they
+value the lead and every distance again on each call.  The scan values
+each root's distance once per center instead, in one table that the grid,
+the crossing radii and every sample read.
+
 Ultrametric lemniscates {|P| <= c} are finite unions of discs centered at
 roots; they are computed exactly as the per-root sublevel radii of the
 increasing piecewise-monomial functions N_i.
@@ -59,11 +66,8 @@ class SplitPoly(Value):
     def value_at(self, center: Fraction, rho: NormValue, p: int) -> NormValue:
         """|P| at the disc-tree point (center, rho): |P(center)| at rho = 0,
         the seminorm of the monomial point otherwise."""
-        out = NormValue.of_scalar(self.lead, p)
-        for a, m in self.roots:
-            d = NormValue.of_scalar(center - a, p)
-            out = out * ((rho if d < rho else d) ** m)
-        return out
+        return _norm_product(NormValue.of_scalar(self.lead, p),
+                             _distances(self, center, p), rho)
 
 
 def split_series(f: Series) -> Optional[SplitPoly]:
@@ -250,6 +254,16 @@ def region_contains(region: DiscRegion, point: Point) -> bool:
 # with M the multiplicity of the roots within lo of the center.
 
 
+def _norm_product(lead: NormValue, dists: Sequence[Tuple[NormValue, int]],
+                  rho: NormValue) -> NormValue:
+    """N(rho) = lead * prod max(rho, d)^m: the one evaluation rule of a
+    split polynomial, from its lead norm and root distances."""
+    out = lead
+    for d, m in dists:
+        out = out * ((rho if d < rho else d) ** m)
+    return out
+
+
 def _distances(poly: SplitPoly, center: Fraction, p: int
                ) -> List[Tuple[NormValue, int]]:
     """(distance from center, multiplicity) for each root."""
@@ -269,11 +283,8 @@ def _segments(lead: NormValue, dists: Sequence[Tuple[NormValue, int]],
     the increasing tops, the first with lo = 0."""
     lo = NormValue.zero()
     for hi in tops:
-        value = lead
-        for d, m in dists:
-            value = value * ((hi if d < hi else d) ** m)
         M = sum(m for d, m in dists if d <= lo)
-        yield lo, hi, M, value / hi ** M
+        yield lo, hi, M, _norm_product(lead, dists, hi) / hi ** M
         lo = hi
 
 
@@ -445,22 +456,24 @@ class Decision(Value):
         object.__setattr__(self, "witness", witness)
 
 
-def _atom_crossing_radii(atom: SplitAtom, center: Fraction, r: NormValue,
-                         p: int) -> List[NormValue]:
+# A side of a split atom over one center: (scale * |lead|, [(d, m)]) with the
+# root distances d from the center, so that its scaled value at (center, rho)
+# is _norm_product(*side, rho).  A zero side has lead zero.
+SideTable = Tuple[NormValue, List[Tuple[NormValue, int]]]
+
+
+def _crossing_radii(left: SideTable, right: SideTable, r: NormValue
+                    ) -> List[NormValue]:
     """Radii in (0, r] where the two scaled side values can change order
-    at the monomial points over this center."""
-    if (atom.left is None or atom.right is None
-            or atom.scale_left.is_zero or atom.scale_right.is_zero):
+    at the monomial points over the center of the two tables."""
+    (lead_left, dists_left), (lead_right, dists_right) = left, right
+    if lead_left.is_zero or lead_right.is_zero:
         return []
-    left = _distances(atom.left, center, p)
-    right = _distances(atom.right, center, p)
-    tops = _grid(left + right, r)
+    tops = _grid(dists_left + dists_right, r)
     out = []
     for (lo, hi, m1, k1), (_, _, m2, k2) in zip(
-            _segments(NormValue.of_scalar(atom.left.lead, p) * atom.scale_left,
-                      left, tops),
-            _segments(NormValue.of_scalar(atom.right.lead, p) * atom.scale_right,
-                      right, tops)):
+            _segments(lead_left, dists_left, tops),
+            _segments(lead_right, dists_right, tops)):
         if m1 == m2:
             continue
         # k1 rho^m1 = k2 rho^m2  =>  rho = (k2/k1)^(1/(m1-m2))
@@ -490,6 +503,14 @@ def decide_exists(atoms: Union[Sequence[SplitAtom], SplitTree], space: Space
     Each sample evaluates the tree with ``formulas.truth``.  A SAT answer
     always carries a verified witness, rigid whenever a sampled rigid
     refinement of the cell checks out.
+
+    Per center, the distance |center - a| to every root a (and to 0) is
+    valued once, into a table that gives each side of each atom as
+    (scale * |lead|, [(d, m)]); the lead norms are valued once per call.
+    The grid, the crossing radii and the leaf rule at every sample read
+    that table and agree with ``SplitAtom.holds`` (the reference, which
+    values everything again); the rigid refinement checks its candidates,
+    points off the table, with ``holds``.
     """
     tree = atoms if isinstance(atoms, (SplitAtom, And, Or)) else And(tuple(atoms))
     leaves = [a for a in formula_atoms(tree) if a is not None]
@@ -503,6 +524,18 @@ def decide_exists(atoms: Union[Sequence[SplitAtom], SplitTree], space: Space
                 centers.update(a for a, _ in poly.roots)
     all_centers = sorted(centers)
     inside = [a for a in all_centers if NormValue.of_scalar(a, p) <= r]
+    # each side as (scale * |lead|, ((root index in all_centers, mult), ...)):
+    # the lead norms are taken once, and no Fraction is hashed in the loops
+    index = {a: i for i, a in enumerate(all_centers)}
+
+    def side(scale: NormValue, poly: Optional[SplitPoly]):
+        if poly is None:
+            return zero, ()
+        return (scale * NormValue.of_scalar(poly.lead, p),
+                tuple((index[a], m) for a, m in poly.roots))
+
+    sides = {id(a): (side(a.scale_left, a.left), a.op, side(a.scale_right, a.right))
+             for a in leaves}
 
     def rigid_refinement(center: Fraction, rho: NormValue) -> Optional[RigidPoint]:
         # |center + u p^-e| <= max(|center|, rho) <= r for rho = p^e and
@@ -517,18 +550,25 @@ def decide_exists(atoms: Union[Sequence[SplitAtom], SplitTree], space: Space
         return None
 
     for center in inside:
+        # the distance table of this center: every root valued once
+        dist = [NormValue.of_scalar(center - a, p) for a in all_centers]
+        tables: Dict[int, Tuple[SideTable, str, SideTable]] = {
+            k: ((lead_left, [(dist[i], m) for i, m in left]), op,
+                (lead_right, [(dist[i], m) for i, m in right]))
+            for k, ((lead_left, left), op, (lead_right, right)) in sides.items()}
+
         # reads the current sample rho of the loop below
         def leaf(a: Optional[SplitAtom]) -> bool:
-            return a is not None and a.holds(center, rho, p)
+            if a is None:
+                return False
+            left, op, right = tables[id(a)]
+            return _compare(_norm_product(*left, rho), op, _norm_product(*right, rho))
 
-        radii: Set[NormValue] = {zero, r}
-        for other in all_centers:
-            if other != center:
-                d = NormValue.of_scalar(center - other, p)
-                if d <= r:
-                    radii.add(d)
-        for atom in leaves:
-            radii.update(_atom_crossing_radii(atom, center, r, p))
+        # the center's own distance is zero
+        radii: Set[NormValue] = {d for d in dist if d <= r}
+        radii.add(r)
+        for left, _, right in tables.values():
+            radii.update(_crossing_radii(left, right, r))
         ordered = sorted(radii)
         # geometric midpoints of consecutive grid radii sample the open cells
         samples: List[NormValue] = list(ordered)
@@ -553,6 +593,9 @@ def decide_exists(atoms: Union[Sequence[SplitAtom], SplitTree], space: Space
 
 def _specialize_1var(side: Series, x: RigidPoint, pivot: str,
                      target: Space) -> Series:
+    if side.space == target:
+        # at an empty base point the pivot goes to itself: nothing changes
+        return side
     assignment: Dict[str, Series] = {}
     for v in side.space.vars:
         if v.name == pivot:

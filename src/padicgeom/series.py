@@ -393,6 +393,11 @@ class Series:
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Series is immutable")
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through _raw on a dict of their
+        # own; the lazy slots stay unset, as on a new series
+        return Series._raw, (self.space, self.den, dict(self.nums), self.tail)
+
     @staticmethod
     def _raw(space: Space, den: int, nums: Dict[Exponents, int],
              tail: NormValue) -> "Series":

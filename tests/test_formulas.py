@@ -2,6 +2,7 @@ import copy
 import gc
 import pickle
 import random
+import re
 import weakref
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from padicgeom import (And, Atom, MonomialPoint, Not, NormValue, Or,
                        RigidPoint, Series, eval_formula, formula_text, negate,
                        parse_formula, to_dnf)
-from padicgeom.formulas import (FormulaSyntaxError, dnf_to_formula,
+from padicgeom.formulas import (FormulaSyntaxError, _tokenize, dnf_to_formula,
                                 eval_conjunct, map_atoms, parse_poly)
 from padicgeom.series import MAX_POWER
 from conftest import (ONE, ZERO, nv, poly, rand_formula, rand_monomial,
@@ -235,6 +236,49 @@ def test_parser_fuzz_returns_or_raises_value_error(text):
     except ValueError:
         return
     assert isinstance(phi, (Atom, And, Or, Not))
+
+
+# The tokenizer as a loop that matches at every position, with the token
+# pattern of the grammar (no catch-all): the reference for the one-pass scan.
+REFERENCE_TOKEN_RE = re.compile(r"""
+    (?P<le><=) | (?P<lt><) | (?P<amp>&) | (?P<bang>!) | (?P<bar>\|)
+  | (?P<lpar>\() | (?P<rpar>\)) | (?P<star>\*) | (?P<plus>\+)
+  | (?P<minus>-) | (?P<caret>\^) | (?P<slash>/)
+  | (?P<num>\d+) | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<ws>\s+)
+""", re.VERBOSE)
+
+
+def reference_tokenize(text):
+    tokens, pos = [], 0
+    while pos < len(text):
+        m = REFERENCE_TOKEN_RE.match(text, pos)
+        if not m:
+            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos)
+        if m.lastgroup != "ws":
+            tokens.append((m.lastgroup, m.group(), pos))
+        pos = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+def tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except FormulaSyntaxError as e:
+        return str(e), e.pos
+
+
+# the DSL alphabet, whitespace of several kinds, and stray characters: a
+# newline (which `.` alone does not match), a non-ASCII digit (which \d does)
+# and punctuation outside the grammar
+token_text = st.text(st.sampled_from("<=&!|()*+-^/0123456789Txy_ \t\n\x0b\r"
+                                    "@.>\u00e9\u0663\x00"), max_size=30)
+
+
+@given(token_text)
+def test_tokenize_matches_the_per_position_reference(text):
+    assert tokens_or_error(_tokenize, text) == tokens_or_error(reference_tokenize, text)
 
 
 def test_zero_denominator_is_a_syntax_error():

@@ -5,12 +5,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from padicgeom import (Atom, Disc, MonomialPoint, NormValue, RigidPoint,
-                       Series, Space, SplitAtom, SplitPoly, decide_exists,
+from padicgeom import (And, Atom, Decision, Disc, MonomialPoint, NormValue, Or,
+                       RigidPoint, Series, Space, SplitAtom, SplitPoly, decide_exists,
                        lemniscate_region, project_decision, qe_prepare,
                        region_contains, split_series)
-from padicgeom.formulas import eval_conjunct, eval_formula, parse_formula, to_dnf
-from conftest import ONE, ZERO, nv, poly, rand_formula, rand_rigid, space
+from padicgeom.formulas import (eval_conjunct, eval_formula, formula_atoms,
+                                parse_formula, to_dnf, truth)
+from padicgeom.projection import _specialize_1var
+from conftest import (ONE, ZERO, nv, poly, rand_formula, rand_rigid, rand_series,
+                      space)
 
 
 def unit_line(p=2):
@@ -192,6 +195,152 @@ def test_decide_exists_over_a_disc_matches_the_rescaled_unit_decision(p, e, atom
                        if isinstance(d.witness, RigidPoint)
                        else (d.witness.center[0], d.witness.rho[0]))
         assert all(a.holds(center, rho, p) for a in atoms)
+
+
+# -- the scan against its reference ------------------------------------------------
+
+
+def reference_crossings(atom, center, r, p):
+    """The crossing radii of one atom over the center, every distance and
+    side value recomputed through ``SplitPoly.value_at``."""
+    if (atom.left is None or atom.right is None
+            or atom.scale_left.is_zero or atom.scale_right.is_zero):
+        return []
+    polys = (atom.left, atom.right)
+    dists = {NormValue.of_scalar(center - a, p) for poly in polys for a, _ in poly.roots}
+    tops = sorted(d for d in dists if not d.is_zero and d < r) + [r]
+    out, lo = [], ZERO
+    for hi in tops:
+        # on (lo, hi] each side is K rho^M, M the multiplicity within lo
+        ml, mr = (sum(m for a, m in poly.roots
+                      if NormValue.of_scalar(center - a, p) <= lo) for poly in polys)
+        if ml != mr:
+            kl = atom.left.value_at(center, hi, p) * atom.scale_left / hi ** ml
+            kr = atom.right.value_at(center, hi, p) * atom.scale_right / hi ** mr
+            sol = (kr / kl) ** Fraction(1, ml - mr)
+            if lo < sol <= hi:
+                out.append(sol)
+        lo = hi
+    return out
+
+
+def reference_decide(tree, sp):
+    """The decision scan with ``SplitAtom.holds`` at every sample: the
+    same centers, grid, samples and witness order as ``decide_exists``."""
+    leaves = [a for a in formula_atoms(tree) if a is not None]
+    p, (r,) = sp.prime, sp.radii
+    centers = sorted({Fraction(0)} | {a for atom in leaves
+                                      for poly in (atom.left, atom.right) if poly
+                                      for a, _ in poly.roots})
+    for center in (a for a in centers if NormValue.of_scalar(a, p) <= r):
+        radii = {ZERO, r} | {d for d in (NormValue.of_scalar(center - o, p)
+                                         for o in centers) if d <= r}
+        for atom in leaves:
+            radii.update(reference_crossings(atom, center, r, p))
+        ordered = sorted(radii)
+        samples = set(ordered)
+        for lo, hi in zip(ordered, ordered[1:]):
+            samples.add(hi * NormValue.power(-1) if lo.is_zero
+                        else NormValue.power(Fraction(lo.exp + hi.exp, 2)))
+        for rho in sorted(samples):
+            if not truth(tree, lambda a: a is not None and a.holds(center, rho, p)):
+                continue
+            if rho.is_zero:
+                return Decision("SAT", RigidPoint(sp, (center,)))
+            if rho.exp.denominator == 1:
+                for u in range(1, min(p, 6)):
+                    t = center + u * Fraction(p) ** int(-rho.exp)
+                    if truth(tree, lambda a: a is not None and a.holds(t, ZERO, p)):
+                        return Decision("SAT", RigidPoint(sp, (t,)))
+            return Decision("SAT", MonomialPoint(sp, (center,), (rho,)))
+    return Decision("UNSAT")
+
+
+# zero scales, zero sides (None), roots outside the disc (|1/2| = 2 at p = 2)
+# and leaves that did not split (None); scales near 1, half exponents
+# included, so that both answers and both kinds of witness occur
+scale = st.one_of(st.just(ZERO), st.builds(lambda n, d: NormValue.power(Fraction(n, d)),
+                                           st.integers(-3, 2), st.sampled_from([1, 2])))
+split_side = st.one_of(st.none(), split_poly, split_poly)
+split_atom_leaf = st.builds(SplitAtom, scale, split_side, st.sampled_from(["<=", "<"]),
+                            scale, split_side)
+# true at monomial points only: at the Gauss point of |t| <= 1 (p = 2), and
+# on the sphere |t| = p^1/2 of the wider disc; true only near 1, which is
+# not the first center the scan visits
+T_T1 = SplitPoly(Fraction(1), ((Fraction(0), 1), (Fraction(1), 1)))
+T_ONLY = SplitPoly(Fraction(1), ((Fraction(0), 1),))
+T_1 = SplitPoly(Fraction(1), ((Fraction(1), 1),))
+fixed_leaf = st.sampled_from([SplitAtom(ONE, CONST1, "<=", ONE, T_T1),
+                              SplitAtom(ONE, CONST1, "<", ONE, T_ONLY),
+                              SplitAtom(ONE, T_1, "<=", nv(-2), CONST1)])
+split_leaf = st.one_of(st.none(), fixed_leaf, split_atom_leaf, split_atom_leaf)
+
+
+def split_node(sub):
+    return st.builds(lambda kind, args: kind(tuple(args)), st.sampled_from([And, Or]),
+                     st.lists(sub, min_size=1, max_size=3))
+
+
+split_tree = split_node(st.recursive(split_leaf, split_node, max_leaves=5))
+# radius exponents 0 and 1/2: the disc |t| <= 1 and |t| <= p^1/2
+split_disc = st.builds(lambda p, e: space(p, ("t", e)), st.sampled_from([2, 3]),
+                       st.sampled_from([0, "1/2"]))
+
+
+@given(split_disc, split_tree)
+def test_decide_exists_matches_the_reference_scan_property(sp, tree):
+    assert decide_exists(tree, sp) == reference_decide(tree, sp)
+
+
+@given(split_disc, split_tree)
+def test_decide_exists_values_each_distance_once_per_center(sp, tree):
+    # one |center - a| per (center inside the disc, root or 0), one |lead|
+    # per side and one |a| per center for the inside filter; a rigid
+    # refinement checks its candidates with SplitAtom.holds, counted apart
+    p, (r,) = sp.prime, sp.radii
+    leaves = [a for a in formula_atoms(tree) if a is not None]
+    sides = [poly for atom in leaves for poly in (atom.left, atom.right) if poly]
+    centers = {Fraction(0)} | {a for poly in sides for a, _ in poly.roots}
+    inside = [a for a in centers if NormValue.of_scalar(a, p) <= r]
+    calls, depth = [], [0]
+    of_scalar, holds = NormValue.of_scalar, SplitAtom.holds
+
+    def counting(a, q):
+        if not depth[0]:
+            calls.append(a)
+        return of_scalar(a, q)
+
+    def reference(atom, center, rho, q):
+        depth[0] += 1
+        try:
+            return holds(atom, center, rho, q)
+        finally:
+            depth[0] -= 1
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(NormValue, "of_scalar", staticmethod(counting))
+        mp.setattr(SplitAtom, "holds", reference)
+        decide_exists(tree, sp)
+    assert len(calls) <= len(centers) + len(sides) + len(inside) * len(centers)
+
+
+def test_specialize_1var_returns_the_side_itself_only_on_the_target_space(rng):
+    for p in (2, 3):
+        target = space(p, ("T", 0))
+        empty = RigidPoint(Space(p, ()), ())
+        for _ in range(10):
+            f = rand_series(rng, target).with_tail(nv(rng.randint(-6, 0)))
+            assert _specialize_1var(f, empty, "T", target) is f
+            assert f.substitute({"T": Series.variable(target, "T")}) == f
+            # a wider disc for T, and a base variable x at a point
+            for sp, x, fixed in ((space(p, ("T", 1)), empty, {}),
+                                 (space(p, ("x", 0), ("T", 0)),
+                                  RigidPoint(space(p, ("x", 0)), (Fraction(p, 5),)),
+                                  {"x": Series.constant(target, Fraction(p, 5))})):
+                g = rand_series(rng, sp).with_tail(nv(rng.randint(-6, 0)))
+                got = _specialize_1var(g, x, "T", target)
+                assert got is not g and got.space == target
+                assert got == g.substitute({**fixed, "T": Series.variable(target, "T")})
 
 
 def test_lemniscate_examples():

@@ -1,19 +1,22 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from padicgeom import (MonomialPoint, NormValue, RigidPoint, Series, Space,
+from padicgeom import (Atom, MonomialPoint, NormValue, RigidPoint, Series, Space,
                        VarSpec, gauss_point, pushforward_eval)
 from padicgeom.formulas import Seminorms
 from padicgeom.series import (MAX_POWER, NormEstimate, ints_add_into,
                               ints_addmul_into, ints_mul)
 from padicgeom.weierstrass import (certify_unit, distinguished_order, invert_unit,
                                    weierstrass_divide)
-from conftest import (ONE, ZERO, nv, poly, rand_nonzero_series, rand_point_coord,
-                      rand_rigid, rand_scalar, space)
+from padicgeom.scalars import Value
+from conftest import (ONE, ZERO, nv, poly, rand_constructible, rand_nonzero_series,
+                      rand_point_coord, rand_rigid, rand_scalar, space)
 
 
 def B1(p=2, e=0):
@@ -627,3 +630,43 @@ def test_fused_multiply_add_matches_add_into_property(acc, a, b, sign, cancel):
         assert got[1] is start[1]
     if cancel and alone:
         assert got[1] == {}
+
+
+def series_in(x):
+    """Every Series inside x, through Value fields and tuples."""
+    if isinstance(x, Series):
+        return [x]
+    if isinstance(x, tuple):
+        return [s for y in x for s in series_in(y)]
+    if isinstance(x, Value):
+        return [s for name in x._fields for s in series_in(getattr(x, name))]
+    return []
+
+
+def test_series_copy_and_pickle_round_trips(rng):
+    # a copy is an equal series on a term map of its own; its hash and its
+    # constant seminorm are computed again, not carried over
+    sp = space(3, ("x", 0), ("y", 0))
+    g = poly(sp, {(0, 1): 1, (1, 2): 3})
+    for _ in range(5):
+        f = rand_nonzero_series(rng, sp).with_tail(nv(rng.randint(-6, 0)))
+        one = Series.one(sp)
+        objects = [f, one, Series.zero(sp), Series.constant(sp, Fraction(2, 9)),
+                   Atom(ONE, f, "<=", nv(-1), one), rand_constructible(rng, sp),
+                   weierstrass_divide(f.drop_tail(), g, distinguished_order(g, "y"),
+                                      nv(-12))]
+        for x in objects:
+            hash(x)
+            for s in series_in(x):
+                s.constant_seminorm()
+            copies = [copy.deepcopy(x)] + [pickle.loads(pickle.dumps(x, proto))
+                                           for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+            if isinstance(x, Series):
+                copies.append(copy.copy(x))
+            for y in copies:
+                assert type(y) is type(x) and y == x and hash(y) == hash(x)
+                ours, theirs = series_in(y), series_in(x)
+                assert len(ours) == len(theirs) > 0
+                assert not {id(s.nums) for s in ours} & {id(s.nums) for s in theirs}
+                for a, b in zip(ours, theirs):
+                    assert a.constant_seminorm() == b.constant_seminorm()
