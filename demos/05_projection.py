@@ -51,8 +51,8 @@ atom_w = Atom(ONE, f, "<=", NormValue.power(-1), Series.one(wide))
 prep = qe_prepare([atom_w], "T")
 pa = prep.atoms[0]
 print(f"  |T + 2T^2| <= 2^-1 becomes "
-      f"{pa.scale_left.text(p)}*|{pa.left.text()}| {pa.op} "
-      f"{pa.scale_right.text(p)}*|{pa.right.text()}|")
+      f"{pa.alpha.text(p)}*|{pa.f.text()}| {pa.op} "
+      f"{pa.beta.text(p)}*|{pa.g.text()}|")
 
 print("\n== pointwise projection over a base ==")
 base = Space(p, (VarSpec("x", ONE),))

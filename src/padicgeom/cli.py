@@ -27,12 +27,14 @@ class CommandError(Exception):
     pass
 
 
+def _named(section: dict, kind: str, name: str):
+    if name not in section:
+        raise CommandError(f"no {kind} named {name!r}")
+    return section[name]
+
+
 def _space_for(doc: Document, name: Optional[str]) -> Space:
-    if name is not None:
-        if name not in doc.spaces:
-            raise CommandError(f"no space named {name!r}")
-        return doc.spaces[name]
-    return doc.sole_space()
+    return doc.sole_space() if name is None else _named(doc.spaces, "space", name)
 
 
 def _resolve_series(doc: Document, text: str, space_name: Optional[str]) -> Series:
@@ -138,9 +140,7 @@ def cmd_sigma(doc: Document, args) -> int:
 
 
 def cmd_eval(doc: Document, args) -> int:
-    if args.formula not in doc.formulas:
-        raise CommandError(f"no formula named {args.formula!r}")
-    phi = doc.formulas[args.formula]
+    phi = _named(doc.formulas, "formula", args.formula)
     x = _resolve_point(doc, args.point, args.space)
     value = eval_formula(phi, x)
     print(_three_valued(value))
@@ -148,9 +148,7 @@ def cmd_eval(doc: Document, args) -> int:
 
 
 def cmd_member(doc: Document, args) -> int:
-    if args.set not in doc.sets:
-        raise CommandError(f"no set named {args.set!r}")
-    cs = doc.sets[args.set]
+    cs = _named(doc.sets, "set", args.set)
     x = _resolve_point(doc, args.point, args.space)
     if not isinstance(x, RigidPoint):
         raise CommandError("membership is defined at rigid points only")
@@ -160,9 +158,7 @@ def cmd_member(doc: Document, args) -> int:
 
 
 def cmd_complement(doc: Document, args) -> int:
-    if args.set not in doc.sets:
-        raise CommandError(f"no set named {args.set!r}")
-    out = complement(doc.sets[args.set])
+    out = complement(_named(doc.sets, "set", args.set))
     save_set(args.output, out)
     print(f"wrote {len(out.chains)} chain(s) to {args.output}")
     return 0
@@ -172,11 +168,7 @@ def cmd_intersect(doc: Document, args) -> int:
     names = [s.strip() for s in args.sets.split(",") if s.strip()]
     if len(names) < 2:
         raise CommandError("intersect needs at least two set names")
-    sets = []
-    for n in names:
-        if n not in doc.sets:
-            raise CommandError(f"no set named {n!r}")
-        sets.append(doc.sets[n])
+    sets = [_named(doc.sets, "set", n) for n in names]
     out = sets[0]
     for other in sets[1:]:
         out = intersect(out, other)
@@ -186,9 +178,7 @@ def cmd_intersect(doc: Document, args) -> int:
 
 
 def cmd_qe1(doc: Document, args) -> int:
-    if args.conjunct not in doc.formulas:
-        raise CommandError(f"no formula named {args.conjunct!r}")
-    phi = doc.formulas[args.conjunct]
+    phi = _named(doc.formulas, "formula", args.conjunct)
     hints = []
     if args.roots:
         hints = [parse_scalar(r) for r in args.roots.split(",") if r.strip()]

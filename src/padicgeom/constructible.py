@@ -409,8 +409,7 @@ class CoveringPiece(Value):
 
 def unit_coefficient_covering(f: Series, fiber: Sequence[str],
                               members: Sequence[Tuple[int, ...]],
-                              phis: Dict[Tuple[int, ...], Series],
-                              chart_radius: Optional[NormValue] = None
+                              phis: Dict[Tuple[int, ...], Series]
                               ) -> List[CoveringPiece]:
     """Covering of the base on whose pieces f pulls back to f_nu * g_nu
     with g_nu carrying coefficient 1 at nu.
@@ -423,9 +422,7 @@ def unit_coefficient_covering(f: Series, fiber: Sequence[str],
     scalar, in which case its piece already covers everything).
     """
     space = f.space
-    p = space.prime
-    if chart_radius is None:
-        chart_radius = NormValue.power(1)
+    chart_radius = NormValue.power(1)
     members = [tuple(nu) for nu in members]
     base = space
     for name in fiber:
@@ -472,27 +469,24 @@ def unit_coefficient_covering(f: Series, fiber: Sequence[str],
         ext_space = space
         for mu in others:
             ext_space = ext_space.extend(VarSpec(t_names[mu], chart_radius))
-        g_nu = (Series.monomial(ext_space, fiber_expo[nu] + (0,) * len(others))
-                + phis[nu].lift_to(ext_space))
+        # the carriers T^mu + phi_mu over ext_space
+        pad = (0,) * len(others)
+        carrier = {mu: Series.monomial(ext_space, fiber_expo[mu] + pad)
+                   + phis[mu].lift_to(ext_space) for mu in members}
+        t_vars = {mu: Series.variable(ext_space, t_names[mu]) for mu in others}
+        g_nu = carrier[nu]
         for mu in others:
-            t_var = Series.variable(ext_space, t_names[mu])
-            g_nu = g_nu + t_var * (Series.monomial(
-                ext_space, fiber_expo[mu] + (0,) * len(others))
-                + phis[mu].lift_to(ext_space))
+            g_nu = g_nu + t_vars[mu] * carrier[mu]
         # exact identity: f_nu g_nu = f + sum (t_mu f_nu - f_mu)(T^mu + phi_mu)
-        lhs = coeffs[nu].lift_to(ext_space) * g_nu
+        f_nu_ext = coeffs[nu].lift_to(ext_space)
+        lhs = f_nu_ext * g_nu
         rhs = f.drop_tail().lift_to(ext_space)
         for mu in others:
-            t_var = Series.variable(ext_space, t_names[mu])
-            diff = (t_var * coeffs[nu].lift_to(ext_space)
-                    - coeffs[mu].lift_to(ext_space))
-            rhs = rhs + diff * (Series.monomial(
-                ext_space, fiber_expo[mu] + (0,) * len(others))
-                + phis[mu].lift_to(ext_space))
+            diff = t_vars[mu] * f_nu_ext - coeffs[mu].lift_to(ext_space)
+            rhs = rhs + diff * carrier[mu]
         if lhs != rhs:
             raise ValueError("pullback factorization failed to verify")
-        unit_expo = fiber_expo[nu] + (0,) * len(others)
-        if g_nu.nums.get(unit_expo) != g_nu.den:
+        if g_nu.nums.get(fiber_expo[nu] + pad) != g_nu.den:
             raise ValueError("cofactor does not carry coefficient 1 at nu")
         sc = f_nu.as_scalar()
         if sc is not None and sc != 0:

@@ -157,8 +157,9 @@ def load_document(path: str) -> Document:
     return doc
 
 
-def save_set(path: str, cs: ConstructibleSet, set_name: str = "out") -> None:
-    """Write a one-set document; link series get synthetic names."""
+def save_set(path: str, cs: ConstructibleSet) -> None:
+    """Write a one-set document, the set named "out"; link series get
+    synthetic names."""
     p = cs.space.prime
     series_entries: Dict[str, dict] = {}
     names: Dict[str, str] = {}  # JSON text of a series -> its name
@@ -193,7 +194,7 @@ def save_set(path: str, cs: ConstructibleSet, set_name: str = "out") -> None:
         "spaces": {"base": [{"name": v.name, "radius": v.radius.text(p)}
                             for v in cs.space.vars]},
         "series": series_entries,
-        "sets": {set_name: {"space": "base", "chains": chains_out}},
+        "sets": {"out": {"space": "base", "chains": chains_out}},
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)

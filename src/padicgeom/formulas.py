@@ -89,14 +89,6 @@ def tautology(space: Space) -> Atom:
                 NormValue.one(), Series.one(space))
 
 
-def formula_space(phi: Formula) -> Space:
-    if isinstance(phi, Atom):
-        return phi.space
-    if isinstance(phi, Not):
-        return formula_space(phi.arg)
-    return formula_space(phi.args[0])
-
-
 def formula_atoms(phi: Formula) -> List[Atom]:
     """The leaves of phi, left to right: every node that is not And, Or or
     Not (the atoms of a formula, or projection's split atoms)."""

@@ -1,22 +1,25 @@
 """One-variable existential decisions over the declared closed disc.
 
-The pipeline: a conjunction of norm atoms over a polydisc with radii > 1 is
-sheared and Weierstrass-prepared so every atom compares scaled monic
-polynomials in the pivot variable (the unit factors contribute constant
-scales because their seminorm is constant on the polydisc).  For split
-polynomials (all roots rational) the existential question "is there a point
-of the closed disc |t| <= r satisfying the formula", r the radius the space
-declares for its variable, is decided exactly.  A point of the Berkovich
-disc is a pair (center, rho) with rho >= 0: rho = 0 is the rigid point
-t = center, rho > 0 the monomial point.  The value of |P| there is a
-piecewise monomial function of rho over a fixed center, so atom truth is
-constant on the cells cut out by the root-distance grid and the per-atom
-crossing radii.  On the common refinement of every atom's cells (the
-sign-invariant cells of a one-variable cylindrical decomposition) any
-Boolean combination of the atoms is constant too, so scanning one sample
-per cell decides a whole formula, with no disjunctive normal form, and is
-a complete decision procedure over the Berkovich disc.  The split pass
-and the scan both walk the formula with ``formulas.truth``.
+``qe_prepare`` shears a conjunction of norm atoms over a polydisc with
+radii > 1 and Weierstrass-prepares every side: the ``Atom``s it returns
+compare monic polynomials in the pivot variable, scaled by the constant
+seminorms of the unit factors.  The decision does not use it:
+``project_decision`` specializes every atom at a rigid base point, splits
+the one-variable sides over Q (``split_series``) and hands the split
+formula to ``decide_exists``.  For split polynomials (all roots rational)
+the existential question "is there a point of the closed disc |t| <= r
+satisfying the formula", r the radius the space declares for its variable,
+is decided exactly.  A point of the Berkovich disc is a pair (center, rho)
+with rho >= 0: rho = 0 is the rigid point t = center, rho > 0 the monomial
+point.  The value of |P| there is a piecewise monomial function of rho
+over a fixed center, so atom truth is constant on the cells cut out by the
+root-distance grid and the per-atom crossing radii.  On the common
+refinement of every atom's cells (the sign-invariant cells of a
+one-variable cylindrical decomposition) any Boolean combination of the
+atoms is constant too, so scanning one sample per cell decides a whole
+formula, with no disjunctive normal form, and is a complete decision
+procedure over the Berkovich disc.  The split pass and the scan both walk
+the formula with ``formulas.truth``.
 
 Every value of a split polynomial is lead * prod max(rho, d)^m over the
 root distances d from the center (``_norm_product``).  ``SplitPoly.value_at``
@@ -41,7 +44,7 @@ from .series import MonomialPoint, Point, RigidPoint, Series, Space, VarSpec
 from .formulas import (And, Atom, Formula, LE, LT, Not, Or, eval_formula,
                        formula_atoms, map_atoms, nnf, truth)
 from .weierstrass import weierstrass_prepare
-from .automorphisms import DistinguishResult, Shear, make_distinguished
+from .automorphisms import DistinguishResult, make_distinguished
 
 
 # -- split polynomials ---------------------------------------------------------
@@ -342,37 +345,13 @@ def lemniscate_region(poly: SplitPoly, cmp: str, c: NormValue, space: Space
 # -- prepared atoms and the existential decision -------------------------------------
 
 
-class PreparedAtom(Value):
-    """scale_left * |left(x)| op scale_right * |right(x)| with both sides
-    polynomial in the pivot variable."""
-
-    scale_left: NormValue
-    left: Series
-    op: str
-    scale_right: NormValue
-    right: Series
-
-    def __init__(self, scale_left: NormValue, left: Series, op: str,
-                 scale_right: NormValue, right: Series):
-        object.__setattr__(self, "scale_left", scale_left)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "scale_right", scale_right)
-        object.__setattr__(self, "right", right)
-
-
 class QEPreparation(Value):
-    shear: Shear
-    rho: Tuple[NormValue, ...]
-    space: Space
-    atoms: Tuple[PreparedAtom, ...]
+    """Prepared atoms on the sheared space, and the shear that made them."""
+
+    atoms: Tuple[Atom, ...]
     distinguish: DistinguishResult
 
-    def __init__(self, shear: Shear, rho: Tuple[NormValue, ...], space: Space,
-                 atoms: Tuple[PreparedAtom, ...], distinguish: DistinguishResult):
-        object.__setattr__(self, "shear", shear)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "space", space)
+    def __init__(self, atoms: Tuple[Atom, ...], distinguish: DistinguishResult):
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "distinguish", distinguish)
 
@@ -381,6 +360,8 @@ def qe_prepare(conjunct: Sequence[Atom], pivot: str) -> QEPreparation:
     """Rewrite a conjunction of atoms with constant scales and monic
     polynomial parts in the pivot, pointwise equivalent on the closed unit
     polydisc (through the shear, which restricts to an automorphism of it).
+    Each returned ``Atom`` lives on the sheared space: a side e w becomes
+    its monic factor w, and its unit e a factor |e| of that side's scale.
 
     Requires every atom series nonzero with radii > 1 (overconvergence) and
     raises when a preparation does not certify residual zero.
@@ -413,11 +394,10 @@ def qe_prepare(conjunct: Sequence[Atom], pivot: str) -> QEPreparation:
     for j, atom in enumerate(conjunct):
         pf = prepared_sides[2 * j]
         pg = prepared_sides[2 * j + 1]
-        atoms_out.append(PreparedAtom(
+        atoms_out.append(Atom(
             atom.alpha * pf.unit_cert.norm(), pf.monic, atom.op,
             atom.beta * pg.unit_cert.norm(), pg.monic))
-    target = dist.transformed[0].space if dist.transformed else space
-    return QEPreparation(dist.shear, dist.rho, target, tuple(atoms_out), dist)
+    return QEPreparation(tuple(atoms_out), dist)
 
 
 class SplitAtom(Value):
@@ -491,7 +471,8 @@ def decide_exists(atoms: Union[Sequence[SplitAtom], SplitTree], space: Space
     """Exact SAT/UNSAT for "some point of the closed disc |t| <= r satisfies
     the atoms", r the radius of the one variable of the space: a sequence
     of atoms means their conjunction, an And/Or tree any positive Boolean
-    combination (a None leaf is false).  A witness is a point of the space.
+    combination (a None leaf, or a bare None, is false).  A witness is a
+    point of the space.
 
     Complete over the Berkovich disc: every point shares its root-distance
     vector with a point (center, rho) at the nearest grid center, and atom
@@ -512,7 +493,8 @@ def decide_exists(atoms: Union[Sequence[SplitAtom], SplitTree], space: Space
     values everything again); the rigid refinement checks its candidates,
     points off the table, with ``holds``.
     """
-    tree = atoms if isinstance(atoms, (SplitAtom, And, Or)) else And(tuple(atoms))
+    tree = atoms if atoms is None or isinstance(atoms, (SplitAtom, And, Or)) \
+        else And(tuple(atoms))
     leaves = [a for a in formula_atoms(tree) if a is not None]
     p = space.prime
     (r,) = space.radii

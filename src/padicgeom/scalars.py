@@ -264,9 +264,6 @@ class NormValue(Value):
             return _ZERO
         return _power(self.exp * k)
 
-    def inverse(self) -> "NormValue":
-        return _ONE / self
-
     # -- total order: zero < every power; powers ordered by exponent --------
 
     def __lt__(self, other: "NormValue") -> bool:

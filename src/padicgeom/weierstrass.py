@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .scalars import NormValue, Value, _valuation, nv_max, nv_min
 from .series import (Exponents, IntTerms, PackedTerms, Series, Space, ints_add_into,
-                     ints_addmul_into, ints_reduce)
+                     ints_addmul_into, ints_reduce, norm_exp)
 
 _MAX_DIVISION_PASSES = 400
 
@@ -306,37 +306,29 @@ def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
     rest_weights = weights[:i] + weights[i + 1:]
 
     norm_g = cert.norm_witness
-    lead_terms: Dict[Exponents, int] = {}
-    above_terms: Dict[Exponents, int] = {}
-    for e, c in g0.nums.items():
-        if e[i] == s:
-            lead_terms[e[:i] + e[i + 1:]] = c
-        elif e[i] > s:
-            above_terms[e] = c
-    above = Series._reduced(space, (g0.den, above_terms), NormValue.zero()).main_norm()
-    kappa_stored = above / norm_g if not above.is_zero else NormValue.zero()
-    kappa_logged = nv_max(above, g.tail) / norm_g if not nv_max(above, g.tail).is_zero \
-        else NormValue.zero()
+    above = norm_exp({e: c for e, c in g0.nums.items() if e[i] > s}, p, (d, weights))
+    above = NormValue.zero() if above is None else NormValue.of_scaled(
+        above + d * _valuation(g0.den, 1, p), d)
+    kappa_stored = above / norm_g
+    kappa_logged = nv_max(above, g.tail) / norm_g
 
     norm_f = f0.main_norm()
     floor = nv_max(f.tail, g.tail * (norm_f / norm_g))
     if floor > eps:
         raise ValueError("eps is below the tail floor of the division instance")
 
-    lead = Series._reduced(space.drop(pivot), (g0.den, lead_terms), NormValue.zero())
-    lead_scalar = lead.as_scalar()
-    if lead_scalar is not None:
-        v = Series.constant(lead.space, Fraction(1) / lead_scalar)
+    # g's lead row is certified as scale * (1 + rest), rest carrying g's tail
+    unit = cert.unit_cert
+    if not unit.rest.nums:
+        v = Series.constant(unit.rest.space, 1 / unit.scale)
         tau = NormValue.zero()
     else:
-        lcert = certify_unit(lead)
-        if lcert is None:
-            raise ValueError("invalid certificate: leading coefficient is not a unit")
         tau = kappa_stored if not kappa_stored.is_zero else NormValue.power(-1)
         tau = nv_min(tau, NormValue.power(-1))
         if not (eps.is_zero or norm_f.is_zero):
             tau = nv_max(tau, nv_min(eps / norm_f, NormValue.power(-1)))
-        v = invert_unit(lcert, tau).drop_tail()
+        # invert the stored row: invert_unit refuses g's tail above tau
+        v = invert_unit(UnitCertificate(unit.scale, unit.rest.drop_tail()), tau).drop_tail()
 
     contraction = nv_max(kappa_logged, tau)
 

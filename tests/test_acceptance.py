@@ -273,12 +273,12 @@ def test_criterion_8_qe_preparation_equivalence():
                 lv = atom.f.eval_seminorm(x).value * atom.alpha
                 rv = atom.g.eval_seminorm(x).value * atom.beta
                 want = lv <= rv if atom.op == "<=" else lv < rv
-                pl = patom.left.substitute(
+                pl = patom.f.substitute(
                     {"T": Series.variable(unit_sp, "T")}).eval_seminorm(ux)
-                pr = patom.right.substitute(
+                pr = patom.g.substitute(
                     {"T": Series.variable(unit_sp, "T")}).eval_seminorm(ux)
-                gl = pl.value * patom.scale_left
-                gr = pr.value * patom.scale_right
+                gl = pl.value * patom.alpha
+                gr = pr.value * patom.beta
                 got = gl <= gr if patom.op == "<=" else gl < gr
                 assert got == want
     report(8, "100 conjuncts x 100 unit-disc points: prepared form "

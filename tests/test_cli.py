@@ -347,6 +347,19 @@ def test_unknown_pivot_error_prints_the_message(doc_path, capsys):
     assert err == "error: no variable 'Z' in space ('T',)"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["norm", "--series", "T", "--space", "Z"], "no space named 'Z'"),
+    (["eval", "--formula", "Z", "--point", "origin"], "no formula named 'Z'"),
+    (["member", "--set", "Z", "--point", "origin"], "no set named 'Z'"),
+    (["complement", "--set", "Z", "-o", "out.json"], "no set named 'Z'"),
+    (["intersect", "--sets", "S,Z", "-o", "out.json"], "no set named 'Z'"),
+    (["qe1", "--conjunct", "Z", "--pivot", "T"], "no formula named 'Z'"),
+])
+def test_unknown_name_is_a_one_line_error(doc_path, capsys, argv, message):
+    code, out, err = run(capsys, argv[:1] + ["-i", doc_path] + argv[1:])
+    assert (code, out, err) == (1, "", f"error: {message}")
+
+
 def _composite_prime():
     # prime 4 with matching literals: once printed |2| = 4^0 and |4| = 4^-1
     return {"prime": 4,

@@ -423,6 +423,12 @@ def test_decide_exists_examples():
     assert isinstance(d3.witness, RigidPoint)
 
 
+def test_decide_exists_of_a_bare_none_is_unsat():
+    # an atom that did not split is false, also as the whole tree
+    assert decide_exists(None, unit_line()) == Decision("UNSAT")
+    assert decide_exists(Or((None,)), unit_line()) == Decision("UNSAT")
+
+
 def test_decide_exists_witnesses_verify(rng):
     for _ in range(40):
         p = rng.choice([2, 3])
@@ -507,15 +513,15 @@ def test_qe_prepare_worked_example():
     atom = Atom(ONE, f, "<=", nv(-1), Series.one(sp))
     prep = qe_prepare([atom], "T")
     a = prep.atoms[0]
-    assert a.scale_left == ONE
-    assert a.left.coeffs == {(1,): Fraction(1)}
-    assert a.scale_right == nv(-1)
+    assert a.alpha == ONE
+    assert a.f.coeffs == {(1,): Fraction(1)}
+    assert a.beta == nv(-1)
 
     monic = poly(sp, {(3,): 1})
     atom2 = Atom(ONE, monic, "<=", ONE, Series.one(sp))
     prep2 = qe_prepare([atom2], "T")
-    assert prep2.atoms[0].left.coeffs == {(3,): Fraction(1)}
-    assert prep2.atoms[0].scale_left == ONE
+    assert prep2.atoms[0].f.coeffs == {(3,): Fraction(1)}
+    assert prep2.atoms[0].alpha == ONE
 
 
 def test_qe_prepare_pointwise_equivalence(rng):
@@ -533,13 +539,13 @@ def test_qe_prepare_pointwise_equivalence(rng):
             lhs = atom.f.eval_seminorm(orig_pt).value * atom.alpha
             rhs = atom.g.eval_seminorm(orig_pt).value * atom.beta
             want = lhs <= rhs if atom.op == "<=" else lhs < rhs
-            pl = patom.left.substitute(
+            pl = patom.f.substitute(
                 {"T": Series.variable(unit_space, "T")}) \
                 .eval_seminorm(RigidPoint(unit_space, (t,))).value
-            pr = patom.right.substitute(
+            pr = patom.g.substitute(
                 {"T": Series.variable(unit_space, "T")}) \
                 .eval_seminorm(RigidPoint(unit_space, (t,))).value
-            got_l, got_r = patom.scale_left * pl, patom.scale_right * pr
+            got_l, got_r = patom.alpha * pl, patom.beta * pr
             got = got_l <= got_r if patom.op == "<=" else got_l < got_r
             assert got == want
 

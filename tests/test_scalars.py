@@ -261,7 +261,6 @@ def value_examples():
         sp.extend(p.VarSpec("t", ONE))))
     chain = p.DatumChain(sp, atom, (datum,))
     split = p.SplitPoly(Fraction(1), ((Fraction(0), 2),))
-    prepared = p.PreparedAtom(ONE, T, "<=", nv(-1), one)
     dist = p.DistinguishResult(shear, 3, nv(1), (nv(1), nv(2)), ((0, 1),),
                                (1,), (cert,), (T,))
     return {
@@ -296,9 +295,7 @@ def value_examples():
                           p.CoveringPiece(chain, None, None)),
         p.SplitPoly: (split, p.SplitPoly(Fraction(2), ((Fraction(0), 2),))),
         p.Disc: (p.Disc(Fraction(1), ONE), p.Disc(Fraction(1), ONE, False)),
-        p.PreparedAtom: (prepared, p.PreparedAtom(ONE, T, "<", nv(-1), one)),
-        p.QEPreparation: (p.QEPreparation(shear, (nv(1),), sp, (prepared,), dist),
-                          p.QEPreparation(shear, (nv(2),), sp, (prepared,), dist)),
+        p.QEPreparation: (p.QEPreparation((atom,), dist), p.QEPreparation((atom2,), dist)),
         p.SplitAtom: (p.SplitAtom(ONE, split, "<=", ONE, None),
                       p.SplitAtom(ONE, None, "<=", ONE, split)),
         p.Decision: (p.Decision("SAT", p.RigidPoint(line, (0,))),

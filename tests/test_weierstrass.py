@@ -422,6 +422,28 @@ def test_divide_by_series_unit_lead_with_tail():
                out.remainder.gauss_norm().value) == f.gauss_norm().value
 
 
+def test_divide_by_scalar_lead_inverts_it():
+    # the lead 2 is not +-1 mod 5, so its inverse 1/2 differs from 2 there
+    sp = B1(5)
+    g = poly(sp, {(1,): 2, (0,): 1})
+    f = poly(sp, {(2,): 1})
+    out = weierstrass_divide(f, g, distinguished_order(g, "T"), ZERO)
+    assert out.quotient.text() == "1/2*T - 1/4"
+    assert out.remainder.text() == "1/4"
+    assert out.residual == ZERO and len(out.iterations) == 1
+
+
+def test_divide_by_series_unit_lead_with_tail_above_tau():
+    # g's tail 2^-1/2 over its lead scale 1 lies above the lead inverse's
+    # precision tau = 2^-1, so the lead is inverted without g's tail
+    sp = space(2, ("x", 0), ("T", 0))
+    g = poly(sp, {(0, 1): 1, (1, 1): 2}).with_tail(nv("-1/2"))
+    f = poly(sp, {(0, 3): 1, (1, 0): 1, (0, 0): 1})
+    out = weierstrass_divide(f, g, distinguished_order(g, "T"), nv("-1/2"))
+    assert out.residual == nv("-1/2") and len(out.iterations) == 1
+    assert out.remainder.text() == "x + 1"
+
+
 def test_division_builds_no_coeff_view(monkeypatch):
     calls = []
     real = Series.coeff_view
