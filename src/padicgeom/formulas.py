@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .scalars import NormValue, Value, parse_norm, scalar_text
-from .series import (MAX_POWER, NormEstimate, Point, RigidPoint, Series, Space,
-                     compare_le, compare_lt)
+from .series import (MAX_POWER, IntTerms, NormEstimate, Point, RigidPoint, Series,
+                     Space, compare_le, compare_lt, ints_add_into, ints_mul)
 
 LE = "<="
 LT = "<"
@@ -400,13 +400,13 @@ def formula_text(phi: Formula) -> str:
 
 # -- parser -----------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"""
-    (?P<le><=) | (?P<lt><) | (?P<amp>&) | (?P<bang>!) | (?P<bar>\|)
-  | (?P<lpar>\() | (?P<rpar>\)) | (?P<star>\*) | (?P<plus>\+)
-  | (?P<minus>-) | (?P<caret>\^) | (?P<slash>/)
-  | (?P<num>\d+) | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<ws>\s+) | (?P<bad>.)
-""", re.VERBOSE | re.DOTALL)
+# one scan: each match skips whitespace and takes one token, and a character
+# that starts no longer token is taken alone and read off _CHAR_KINDS
+_TOKEN_RE = re.compile(r"\s*(?:(<=)|(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\S))")
+_GROUP_KINDS = (None, "le", "num", "ident")
+_CHAR_KINDS = {"<": "lt", "&": "amp", "!": "bang", "|": "bar", "(": "lpar",
+               ")": "rpar", "*": "star", "+": "plus", "-": "minus", "^": "caret",
+               "/": "slash"}
 
 
 class FormulaSyntaxError(ValueError):
@@ -416,15 +416,19 @@ class FormulaSyntaxError(ValueError):
 
 
 def _tokenize(text: str):
-    # one pass: every character starts a match, since `bad` takes any
-    # character the other alternatives do not
+    # no character is skipped: a match fails only on whitespace that runs
+    # to the end of the text
     tokens = []
     for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise FormulaSyntaxError(f"unexpected character {m.group()!r}", m.start())
-        if kind != "ws":
-            tokens.append((kind, m.group(), m.start()))
+        group = m.lastindex
+        tok, pos = m[group], m.start(group)
+        if group == 4:
+            kind = _CHAR_KINDS.get(tok)
+            if kind is None:
+                raise FormulaSyntaxError(f"unexpected character {tok!r}", pos)
+        else:
+            kind = _GROUP_KINDS[group]
+        tokens.append((kind, tok, pos))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -441,6 +445,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.space = space
+        self.origin = (0,) * len(space.vars)
 
     def peek(self):
         return self.tokens[self.i]
@@ -520,9 +525,15 @@ class _Parser:
             if self.peek()[0] == "slash":
                 self.take("slash")
                 den = int(self.take("num")[1])
-            nv = parse_norm(f"{base_tok[1]}^{sign * num}"
-                            + (f"/{den}" if den != 1 else ""),
-                            self.space.prime)
+            if den and int(base_tok[1]) == self.space.prime:
+                nv = NormValue.power(Fraction(sign * num, den) if den != 1
+                                     else sign * num)
+            else:
+                # parse_norm's errors for a base that is not p or a zero
+                # denominator
+                nv = parse_norm(f"{base_tok[1]}^{sign * num}"
+                                + (f"/{den}" if den != 1 else ""),
+                                self.space.prime)
         elif base_tok[1] == "0":
             nv = NormValue.zero()
         elif base_tok[1] == "1":
@@ -536,36 +547,41 @@ class _Parser:
         self.take("star")
         return nv
 
-    # polynomial expressions inside norm bars.  Each rule returns the
-    # polynomial with a bound on its degree, and every power and product is
-    # checked against MAX_POWER on the bounds before it is multiplied out: a
-    # term's factors are parsed first, their powers left unbuilt, so a huge
-    # power or a long product such as (T+1)^1000*(T+3)^1000 is refused
-    # before any of its factors is raised (a parenthesised factor is built
-    # as it is parsed).  The bound of a sum is its terms' largest, of a
-    # product the sum of its factors', of f^k k * max(bound of f, 1) (the
-    # rule of Series.pow); it is never below the degree built.
+    # polynomial expressions inside norm bars.  Each rule returns a bound on
+    # the degree of its polynomial and the polynomial as an unbuilt node: a
+    # leaf (den, {expo: int}) (``series.IntTerms``), ("+", [(sign, node),
+    # ...]), ("*", [node, ...]) or ("^", node, k).  Every power and product is
+    # checked against MAX_POWER on the bounds as it is parsed, and ``poly``
+    # builds the whole side once it is read, so a huge power, a nested one
+    # such as ((T+1)^1000)^2 or a long product such as
+    # (T+1)^1000*(T+3)^1000 is refused before anything is multiplied out.
+    # The bound of a sum is its terms' largest, of a product the sum of its
+    # factors', of f^k k * max(bound of f, 1) (the rule of Series.pow); it is
+    # never below the degree built.
 
     def poly(self) -> Series:
-        return self.poly_sum()[1]
+        return Series._reduced(self.space, _build(self.poly_sum()[1]),
+                               NormValue.zero())
 
-    def poly_sum(self) -> Tuple[int, Series]:
+    def poly_sum(self) -> Tuple[int, tuple]:
+        sign = 1
         if self.peek()[0] == "minus":
             self.take("minus")
-            degree, total = self.poly_term()
-            total = -total
-        else:
-            degree, total = self.poly_term()
+            sign = -1
+        degree, node = self.poly_term()
+        if sign == 1 and self.peek()[0] not in ("plus", "minus"):
+            return degree, node
+        terms = [(sign, node)]
         while self.peek()[0] in ("plus", "minus"):
-            plus = self.take()[0] == "plus"
-            d, term = self.poly_term()
+            sign = 1 if self.take()[0] == "plus" else -1
+            d, node = self.poly_term()
             degree = max(degree, d)
-            total = total + term if plus else total - term
-        return degree, total
+            terms.append((sign, node))
+        return degree, ("+", terms)
 
-    def poly_term(self) -> Tuple[int, Series]:
-        factors = [self.poly_factor()]
-        degree = factors[0][0]
+    def poly_term(self) -> Tuple[int, tuple]:
+        degree, node = self.poly_factor()
+        factors = [node]
         while True:
             tok = self.peek()
             if tok[0] == "star":
@@ -573,51 +589,75 @@ class _Parser:
             elif tok[0] not in ("ident", "lpar"):
                 break
             # (ident or lpar: implicit multiplication, 2T, 3(x+1))
-            factors.append(self.poly_factor())
-            degree += factors[-1][0]
+            d, node = self.poly_factor()
+            factors.append(node)
+            degree += d
             if degree > MAX_POWER:
                 raise ValueError(f"a product of degree {degree} exceeds the "
                                  f"degree limit {MAX_POWER}")
-        total = None
-        for _, base, k in factors:
-            factor = base if k is None else base.pow(k)
-            total = factor if total is None else total * factor
-        return degree, total
+        return degree, factors[0] if len(factors) == 1 else ("*", factors)
 
-    def poly_factor(self) -> Tuple[int, Series, Optional[int]]:
-        """A primary and its exponent (None for no ``^``), not yet raised."""
+    def poly_factor(self) -> Tuple[int, tuple]:
+        """A primary and its exponent: the node ("^", base, k) for ``^k``."""
         degree, base = self.poly_primary()
         if self.peek()[0] != "caret":
-            return degree, base, None
+            return degree, base
         self.take("caret")
         k = int(self.take("num")[1])
         if k * max(degree, 1) > MAX_POWER:
             raise ValueError(f"power {k} of a polynomial of degree {degree} "
                              f"exceeds the degree limit {MAX_POWER}")
-        return k * max(degree, 1), base, k
+        # f^0 is 1, as in Series.pow
+        return k * max(degree, 1), ("^", base, k) if k else (1, {self.origin: 1})
 
-    def poly_primary(self) -> Tuple[int, Series]:
+    def poly_primary(self) -> Tuple[int, tuple]:
         tok = self.take()
         if tok[0] == "num":
-            num = int(tok[1])
+            num, den = int(tok[1]), 1
             if self.peek()[0] == "slash":
                 slash = self.take("slash")
                 den = int(self.take("num")[1])
                 if not den:
                     raise FormulaSyntaxError("zero denominator", slash[2])
-                return 0, Series.constant(self.space, Fraction(num, den))
-            return 0, Series.constant(self.space, num)
+            return 0, (den, {self.origin: num} if num else {})
         if tok[0] == "ident":
             try:
-                return 1, Series.variable(self.space, tok[1])
+                i = self.space.index(tok[1])
             except KeyError:
                 raise FormulaSyntaxError(f"undeclared variable {tok[1]!r}", tok[2])
+            expo = self.origin[:i] + (1,) + self.origin[i + 1:]
+            return 1, (1, {expo: 1})
         if tok[0] == "lpar":
             inner = self.poly_sum()
             self.take("rpar")
             return inner
         raise FormulaSyntaxError(f"unexpected token {tok[1]!r} in polynomial",
                                  tok[2])
+
+
+def _build(node) -> IntTerms:
+    """The terms of a parsed node (see ``_Parser.poly``), in a new pair the
+    caller owns, by the same sequence of kernel calls as the ``Series``
+    arithmetic it stands for (``-``, ``+``, ``*`` and ``Series.pow``)."""
+    kind = node[0]
+    if kind == "+":
+        out = None
+        for sign, sub in node[1]:
+            out = ints_add_into(out, _build(sub), sign)
+        return out
+    if kind == "*":
+        out = _build(node[1][0])
+        for sub in node[1][1:]:
+            out = ints_mul(out, _build(sub))
+        return out
+    if kind == "^":
+        # one * base is base; then k - 1 more factors (k >= 1: the parser
+        # reads f^0 as the leaf 1)
+        out = base = _build(node[1])
+        for _ in range(node[2] - 1):
+            out = ints_mul(out, base)
+        return out
+    return node
 
 
 def parse_formula(text: str, space: Space) -> Formula:

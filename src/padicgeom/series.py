@@ -39,9 +39,10 @@ Exponents = Tuple[int, ...]
 # Largest degree a Series.pow result may have: f^k is refused before any
 # multiplication when k * max(degree of f, 1) exceeds it.  The formula DSL
 # (``formulas``) bounds every power and product it reads by the same limit,
-# on degree bounds checked before the power or product is multiplied out,
-# so neither a huge exponent, nested powers such as ((T+1)^100)^100 nor
-# long products such as (T+1)^1000*(T+3)^1000 run unbounded there.
+# on degree bounds checked while a norm bar is parsed, and builds the bar's
+# polynomial only once all of its checks pass, so neither a huge exponent,
+# nested powers such as ((T+1)^1000)^2 nor long products such as
+# (T+1)^1000*(T+3)^1000 multiply anything out before they are refused.
 # Products inside the library (``Series.__mul__``, e.g. the geometric
 # series of ``invert_unit``) are not bounded.
 MAX_POWER = 1000

@@ -480,11 +480,10 @@ fuzz_norm = st.one_of(st.builds(lambda n, d: f"3^{n}" + (f"/{d}" if d > 1 else "
                                 st.integers(-3, 3), st.integers(1, 3)),
                       st.just("0"))
 # formulas over the degree limit (MAX_POWER): long products and powers,
-# refused while the document is read, before anything is multiplied out
-# (a parenthesised inner power, as in ((T+1)^1000)^2, is still built
-# before the outer one is checked, so it is left out here)
+# nested ones included, refused while the document is read, before
+# anything is multiplied out
 OVER_LIMIT = ["|(T+1)^600*(T+3)^600| <= |1|", "|T^1001| <= |1|",
-              "|T| <= |T^500*T^501 + 1| | |T| < |1|"]
+              "|T| <= |T^500*T^501 + 1| | |T| < |1|", "|((T+1)^1000)^2| <= |1|"]
 fuzz_formula = st.sampled_from([
     "|T - 1| <= 3^-1*|1| | !(|T| < |1|)", "|T| <= 0*|1|", "|T^2 - 1| < |T|",
     "3^1/2*|T + 1| <= |T - 2| & |T| < |1|", "!(|3*T| <= 3^-2*|1|)"] + OVER_LIMIT)

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from padicgeom import (And, Atom, MonomialPoint, Not, NormValue, Or,
-                       RigidPoint, Series, eval_formula, formula_text, negate,
-                       parse_formula, to_dnf)
+                       RigidPoint, Series, eval_formula, formula_text, formulas,
+                       negate, parse_formula, to_dnf)
 from padicgeom.formulas import (FormulaSyntaxError, _tokenize, dnf_to_formula,
                                 eval_conjunct, map_atoms, parse_poly)
 from padicgeom.series import MAX_POWER
@@ -189,25 +189,126 @@ def test_poly_parser_implicit_multiplication():
 def test_poly_degree_limit_refuses_before_multiplying(monkeypatch):
     # every product and power the DSL writes is bounded by MAX_POWER on a
     # degree bound taken while parsing: degree exactly MAX_POWER is built,
-    # and a term above it is refused before any of its factors is
-    # multiplied out
+    # and a side above it is refused before anything in it is multiplied
+    # out, a parenthesised inner power included
     sp = space(3, ("T", 0), ("x", 0))
     half = MAX_POWER // 2
     assert parse_poly(f"T^{half}*x^{half}", sp).nums == {(half, half): 1}
     with pytest.raises(ValueError, match=f"^power 3 of a polynomial of degree {half} "
                                          f"exceeds the degree limit {MAX_POWER}$"):
         parse_poly(f"((T+1)^{half})^3", sp)
+    # the parser multiplies with this kernel only
     calls = []
-    real = Series.__mul__
-    monkeypatch.setattr(Series, "__mul__", lambda f, g: calls.append(1) or real(f, g))
+    real = formulas.ints_mul
+    monkeypatch.setattr(formulas, "ints_mul", lambda a, b: calls.append(1) or real(a, b))
     for text, what in [(f"(T+1)^{MAX_POWER}*(T+3)^{MAX_POWER}", "a product of degree 2000"),
                        (f"1 - 3T^{half}*x^{half}*T", "a product of degree 1001"),
-                       ("2^1001", "power 1001 of a polynomial of degree 0")]:
-        with pytest.raises(ValueError, match=f"^{what} exceeds the degree limit {MAX_POWER}$"):
+                       ("2^1001", "power 1001 of a polynomial of degree 0"),
+                       (f"((T+1)^{MAX_POWER})^2",
+                        f"power 2 of a polynomial of degree {MAX_POWER}")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(what)} exceeds the degree "
+                                             f"limit {MAX_POWER}$"):
             parse_poly(text, sp)
     with pytest.raises(ValueError, match="product of degree 2000"):
         parse_formula(f"|x| < |(T+1)^{MAX_POWER}*(T+3)^{MAX_POWER}|", sp)
     assert calls == []
+    # the spy sees the products of a side that passes its checks
+    assert parse_poly("(T+1)^2", sp) == poly(sp, {(2, 0): 1, (1, 0): 2, (0, 0): 1})
+    assert calls
+
+
+def test_scale_errors_are_parse_norms():
+    # a scale p^q/d is read off its tokens; a base that is not p or a zero
+    # denominator gives parse_norm's error for the literal as written
+    sp = XY()
+    for text, message in [("3^1*|x| <= |1|", "norm literal base 3 does not match prime 2"),
+                          ("|x| < 5^-2/3*|1|", "norm literal base 5 does not match prime 2"),
+                          ("2^1/0*|x| <= |1|", "bad norm literal: '2^1/0'"),
+                          ("|x| < 02^-3/0*|1|", "bad norm literal: '02^-3/0'"),
+                          ("3^1/0*|x| <= |1|", "norm literal base 3 does not match prime 2")]:
+        with pytest.raises(ValueError) as info:
+            parse_formula(text, sp)
+        assert str(info.value) == message
+    phi = parse_formula("02^-3/6*|x| < 2^4/2*|y|", sp)
+    assert (phi.alpha, phi.beta) == (nv("-1/2"), nv(2))
+
+
+# Random polynomial expression trees: int and fraction literals (0
+# included), x and y, unary minus, + and -, explicit and implicit *, small
+# powers and parentheses.  A tree is rendered to DSL text with parentheses
+# only where the grammar needs them, and its value is computed with Series
+# arithmetic, which the parser must equal.
+def expr_trees(depth):
+    leaf = st.one_of(st.tuples(st.just("lit"), st.integers(0, 12),
+                               st.sampled_from([1, 1, 2, 3, 4])),
+                     st.tuples(st.just("var"), st.sampled_from(["x", "y"])))
+    if depth == 0:
+        return leaf
+    sub = expr_trees(depth - 1)
+    return st.one_of(leaf, st.tuples(st.just("neg"), sub),
+                     st.tuples(st.sampled_from(["add", "sub", "mul", "imul"]), sub, sub),
+                     st.tuples(st.just("pow"), sub, st.integers(0, 3)))
+
+
+def expr_value(t, sp):
+    kind = t[0]
+    if kind == "lit":
+        return Series.constant(sp, Fraction(t[1], t[2]))
+    if kind == "var":
+        return Series.variable(sp, t[1])
+    if kind == "neg":
+        return -expr_value(t[1], sp)
+    if kind == "pow":
+        return expr_value(t[1], sp).pow(t[2])
+    a, b = expr_value(t[1], sp), expr_value(t[2], sp)
+    if kind == "add":
+        return a + b
+    if kind == "sub":
+        return a - b
+    return a * b
+
+
+def expr_sum_text(t):
+    if t[0] in ("add", "sub"):
+        op = " + " if t[0] == "add" else " - "
+        return expr_sum_text(t[1]) + op + expr_term_text(t[2])
+    if t[0] == "neg":
+        # a sum may open with a minus that negates its first term
+        return "-" + expr_term_text(t[1])
+    return expr_term_text(t)
+
+
+def expr_term_text(t):
+    if t[0] not in ("mul", "imul"):
+        return expr_factor_text(t)
+    left, right = expr_term_text(t[1]), expr_factor_text(t[2])
+    if t[0] == "mul" or not (right[0].isalpha() or right[0] == "("):
+        return left + "*" + right
+    # implicit: a factor that opens with a variable or a parenthesis; no
+    # space where the left side cannot run into it
+    glue = "" if left[-1].isdigit() or left[-1] == ")" else " "
+    return left + glue + right
+
+
+def expr_factor_text(t):
+    if t[0] == "pow":
+        return expr_primary_text(t[1]) + f"^{t[2]}"
+    return expr_primary_text(t)
+
+
+def expr_primary_text(t):
+    if t[0] == "lit":
+        return str(t[1]) if t[2] == 1 else f"{t[1]}/{t[2]}"
+    if t[0] == "var":
+        return t[1]
+    return "(" + expr_sum_text(t) + ")"
+
+
+@settings(max_examples=300)
+@given(expr_trees(4))
+def test_parse_poly_equals_series_arithmetic_property(tree):
+    sp = XY(3)
+    assert parse_poly(expr_sum_text(tree), sp) == expr_value(tree, sp)
 
 
 # Random token strings over the formula alphabet: the parser either returns
@@ -231,11 +332,13 @@ fuzz_text = st.lists(st.one_of(
 @settings(max_examples=500)
 @given(fuzz_text)
 def test_parser_fuzz_returns_or_raises_value_error(text):
+    sp = XY()
     try:
-        phi = parse_formula(text, XY())
+        phi = parse_formula(text, sp)
     except ValueError:
         return
     assert isinstance(phi, (Atom, And, Or, Not))
+    assert parse_formula(formula_text(phi), sp) == phi
 
 
 # The tokenizer as a loop that matches at every position, with the token
