@@ -150,10 +150,11 @@ def scaled_exponents(radii: Sequence[NormValue]) -> Tuple[int, Tuple[int, ...]]:
 # denominator and integer numerators, zeros never stored.  ``Series`` stores
 # its polynomial this way (reduced: gcd(den, *numerators) = 1), and the
 # Weierstrass division sweep keeps its rows this way, keyed by packed ints
-# instead of exponent tuples (``PackedTerms``, ``ints_addmul_into``;
-# ``ints_add_into`` and ``ints_reduce`` take either key).  Integer products
-# and sums skip the gcd that every Fraction operation pays; the caller
-# divides out the content (``ints_reduce``) when it chooses.
+# instead of exponent tuples (``PackedTerms``, ``ints_addmul_into``,
+# ``ints_addmul_rows``; ``ints_add_into`` and ``ints_reduce`` take either
+# key).  Integer products and sums skip the gcd that every Fraction
+# operation pays; the caller divides out the content (``ints_reduce``) when
+# it chooses.
 
 IntTerms = Tuple[int, Dict[Exponents, int]]
 # the same pair keyed by packed exponent vectors (ints)
@@ -226,35 +227,59 @@ def ints_addmul_into(acc: Optional[PackedTerms], a: PackedTerms, b: PackedTerms,
     product term is the sum of its factors' keys, which is right as long as
     no field of the sum carries.  The result's denominator is that of
     ``ints_add_into(acc, a * b, sign)``, and no zero numerator is stored."""
-    den = a[0] * b[0]
-    if acc is None:
-        dc, tc = den, {}
-    else:
-        dc, tc = acc
-        if dc != den:
-            lcd = dc // gcd(dc, den) * den
-            if lcd != dc:
-                m = lcd // dc
-                for e in tc:
-                    tc[e] *= m
-            if lcd != den:
-                sign *= lcd // den
-            dc = lcd
-    ta, tb = a[1], b[1]
-    if len(ta) > len(tb):
-        ta, tb = tb, ta
-    tb = tb.items()
-    get = tc.get
-    for e1, c1 in ta.items():
-        c1 *= sign
-        for e2, c2 in tb:
-            e = e1 + e2
-            c = get(e, 0) + c1 * c2
-            if c:
-                tc[e] = c
-            else:
-                del tc[e]
-    return dc, tc
+    if len(a[1]) == 1:
+        a, b = b, a
+    if acc is None and len(b[1]) == 1:
+        # a product by a monomial: keys shift injectively, nothing cancels
+        (e2, c2), = b[1].items()
+        c2 *= sign
+        return a[0] * b[0], {e1 + e2: c1 * c2 for e1, c1 in a[1].items()}
+    rows = {} if acc is None else {0: acc}
+    ints_addmul_rows(rows, 0, a, ((0, b),), sign)
+    return rows[0]
+
+
+def ints_addmul_rows(rows: Dict[int, PackedTerms], shift: int, a: PackedTerms,
+                     bs: Sequence[Tuple[int, PackedTerms]], sign: int) -> None:
+    """rows[shift + m] += sign * a * b for every (m, b) in bs, each target
+    row's numerator map updated in place (a missing row stands for the zero
+    map) without building the products.  Each target row is rescaled on
+    its own to the lcm of its denominator and a's times b's, as in
+    ``ints_addmul_into``; a row whose terms all cancel stays, with no
+    terms."""
+    da, ta = a
+    get_row = rows.get
+    for m, (db, tb) in bs:
+        j = shift + m
+        den = da * db
+        scale = sign
+        acc = get_row(j)
+        if acc is None:
+            dc, tc = den, {}
+        else:
+            dc, tc = acc
+            if dc != den:
+                lcd = dc // gcd(dc, den) * den
+                if lcd != dc:
+                    up = lcd // dc
+                    for e in tc:
+                        tc[e] *= up
+                if lcd != den:
+                    scale *= lcd // den
+                dc = lcd
+        small, big = (ta, tb) if len(ta) <= len(tb) else (tb, ta)
+        big = big.items()
+        get = tc.get
+        for e1, c1 in small.items():
+            c1 *= scale
+            for e2, c2 in big:
+                e = e1 + e2
+                c = get(e, 0) + c1 * c2
+                if c:
+                    tc[e] = c
+                else:
+                    del tc[e]
+        rows[j] = dc, tc
 
 
 def ints_reduce(a: IntTerms) -> IntTerms:

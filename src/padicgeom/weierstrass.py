@@ -10,25 +10,31 @@ shrinks by a fixed factor each round.  All intermediate arithmetic is exact:
 each pivot row is kept as integer numerators over one denominator, its terms
 keyed by packed exponent vectors (one int per term, so exponents add as one
 integer addition; Monagan-Pearce, CASC 2007), and multiplied and subtracted
-as integers in one fused kernel.  The loop keeps f = g q + R + h exactly,
-and the Gauss norm of the defect h is computed once per pass, on integer
-exponents, with one valuation per class of terms of one row and one rest
-weight; it decides whether to go on, is logged as that pass's iteration
-norm, and after the last pass, with the tail floor of the inputs, is the
-reported residual.  The certificate is thus the exact norm of
+as integers in one fused kernel.  Eliminating row k of the defect takes
+q_k = h_k v, v the inverse of g's lead row g_s, subtracts q_k g_m from every
+row m != s of g in one call, and leaves h_k E in row k itself, where
+E = 1 - v g_s is formed once per division: zero for a scalar lead, whose
+rows are then dropped, and a short series for a series-unit lead (v is g_s's
+inverse to a precision), so row k is never multiplied by g_s.  The loop
+keeps f = g q + R + h exactly, and the Gauss norm of the defect h is
+computed once per pass, on integer exponents, with one valuation per class
+of terms of one row and one rest weight, in the scan that also divides out
+each row's content; it decides whether to go on, is logged as that pass's
+iteration norm, and after the last pass, with the tail floor of the inputs,
+is the reported residual.  The certificate is thus the exact norm of
 f - (g q + R), never a forward error bound.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Dict, List, Optional, Tuple
 
 from .scalars import NormValue, Value, _valuation, nv_max, nv_min
-from .series import (Exponents, IntTerms, PackedTerms, Series, Space, ints_add_into,
-                     ints_addmul_into, ints_reduce, norm_exp)
+from .series import (Exponents, PackedTerms, Series, Space, ints_add_into,
+                     ints_addmul_into, ints_addmul_rows, ints_reduce, norm_exp)
 
 _MAX_DIVISION_PASSES = 400
 
@@ -215,8 +221,9 @@ class PreparationResult(Value):
 # (``_rows_of``), and unpacked once, merged back into a series
 # (``_rows_to_series``), with no Fraction in between.  A row's norm takes one
 # valuation per class of terms of equal rest weight: the smallest v_p(c) in
-# a class is v_p of the class's gcd.  Each sweep ends by dividing out every
-# defect row's content.
+# a class is v_p of the class's gcd (with every rest weight zero, a row is
+# one class).  Each sweep ends with one scan per defect row that gives its
+# norm and divides out its content, the gcd of den and the class gcds.
 
 
 def _rest_degree(nums: Dict[Exponents, int], pivot_index: Optional[int]) -> int:
@@ -245,10 +252,11 @@ def _rows_to_series(rows: Dict[int, PackedTerms], space: Space, pivot_index: int
         rest.insert(pivot_index, k)
         return tuple(rest)
 
-    out: IntTerms = (1, {})
-    for k, (den, row) in rows.items():
-        out = ints_add_into(out, (den, {expo(key, k): c for key, c in row.items()}), 1)
-    return Series._reduced(space, out, NormValue.zero())
+    # rows never share a term, so each row is scaled once, to the lcm
+    den = lcm(*(row[0] for row in rows.values()))
+    out = {expo(key, k): c * (den // rden)
+           for k, (rden, row) in rows.items() for key, c in row.items()}
+    return Series._reduced(space, (den, out), NormValue.zero())
 
 
 def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
@@ -276,12 +284,15 @@ def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
     Rows key each term by sum_j e_j << (width * j) over the exponents e_j of
     the variables other than the pivot, so a product's key is the sum of its
     factors' keys as long as no field carries.  None can: each elimination
-    step (one row k of one sweep) forms q_k = row * v and subtracts q_k
-    times the rows of g, which raises the largest rest exponent by at most
-    deg v + deg_rest g.  A sweep visits at most top_f + 1 + P * max(0,
-    top_g - s) rows, since each sweep raises the top pivot degree by at most
-    top_g - s, and there are at most P = ``_MAX_DIVISION_PASSES`` sweeps, so
-    at most N = P * (top_f + 1 + P * max(0, top_g - s)) steps.  Every
+    step (one row k of one sweep) forms q_k = row * v, subtracts q_k times
+    the rows of g other than the lead row g_s, and replaces row k by
+    row * E with E = 1 - v g_s (the same value as row - q_k g_s); each of
+    these raises the largest rest exponent by at most deg v + deg_rest g,
+    since deg_rest E <= deg v + deg_rest g_s.  A sweep visits at most
+    top_f + 1 + P * max(0, top_g - s) rows, since each sweep raises the top
+    pivot degree by at most top_g - s, and there are at most
+    P = ``_MAX_DIVISION_PASSES`` sweeps, so at most
+    N = P * (top_f + 1 + P * max(0, top_g - s)) steps.  Every
     exponent therefore stays within bound = deg_rest f + N * (deg v +
     deg_rest g), and width = bound.bit_length() fields hold it.  Here
     top_f and top_g are the largest pivot degrees of f and g, and deg is the
@@ -344,20 +355,33 @@ def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
     mask = (1 << width) - 1
     key_weight: Dict[int, int] = {}
 
+    one_class = not any(rest_weights)
+
     def rows_norm(rows: Dict[int, PackedTerms]) -> NormValue:
-        """Exact Gauss norm of a row map, on integer exponents over d: the
-        smallest v_p(c) among a row's terms of one rest weight is v_p of
-        their gcd, so each (row, weight) class takes one valuation."""
+        """Exact Gauss norm of a row map, on integer exponents over d, in
+        one scan per row that also divides out the row's content in place:
+        the smallest v_p(c) among a row's terms of one rest weight is v_p of
+        their gcd, so each (row, weight) class takes one valuation, and the
+        content is the gcd of den and the class gcds.  With every rest
+        weight zero a row is one class."""
         best = None
         for k, (den, row) in rows.items():
-            classes: Dict[int, int] = {}
-            content = classes.get
-            for key, c in row.items():
-                w = key_weight.get(key)
-                if w is None:
-                    w = key_weight[key] = sum((key >> sh & mask) * x
-                                              for sh, x in zip(shifts, rest_weights))
-                classes[w] = gcd(content(w, 0), c)
+            if one_class:
+                classes = {0: gcd(*row.values())}
+            else:
+                classes = {}
+                content = classes.get
+                for key, c in row.items():
+                    w = key_weight.get(key)
+                    if w is None:
+                        w = key_weight[key] = sum((key >> sh & mask) * x
+                                                  for sh, x in zip(shifts, rest_weights))
+                    classes[w] = gcd(content(w, 0), c)
+            g = gcd(den, *classes.values())
+            if g > 1:
+                for key in row:
+                    row[key] //= g
+                rows[k] = den // g, row
             base = k * pivot_weight + d * _valuation(den, 1, p)
             for w, c in classes.items():
                 x = base + w - d * _valuation(c, 1, p)
@@ -366,7 +390,14 @@ def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
         return NormValue.zero() if best is None else NormValue.of_scaled(best, d)
 
     v_row = (v.den, {sum(map(mul, e, units)): c for e, c in v.nums.items()})
-    g_rows = sorted(_rows_of(g0, i, units).items())
+    g_rows = _rows_of(g0, i, units)
+    # an eliminated row k is h_k (1 - v g_s): e_row, None when v inverts
+    # the lead exactly (a scalar lead), so that the row is dropped
+    lead = g_rows.pop(s)
+    e_row = ints_reduce(ints_addmul_into((lead[0] * v.den, {0: lead[0] * v.den}),
+                                         v_row, lead, -1))
+    e_row = e_row if e_row[1] else None
+    g_rows = sorted(g_rows.items())
     h_rows = _rows_of(f0, i, units)
     q_rows: Dict[int, PackedTerms] = {}
     r_rows: Dict[int, PackedTerms] = {}
@@ -379,22 +410,25 @@ def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
             raise ValueError("division did not contract below eps "
                              f"after {len(iters)} passes")
         # one sweep: reduce by the order-truncation, subtracting the full g
-        # so the remaining rows are exactly the next defect
+        # so the remaining rows are exactly the next defect; row k itself
+        # becomes h_k - q_k g_s = h_k e_row
         for k in range(max(h_rows, default=0), s - 1, -1):
-            row = h_rows.get(k)
+            row = h_rows.pop(k, None)
             if row is None or not row[1]:
                 continue
             q_k = ints_addmul_into(None, row, v_row, 1)
-            q_rows[k - s] = ints_add_into(q_rows.get(k - s), q_k, 1)
-            for m, g_row in g_rows:
-                j = k - s + m
-                h_rows[j] = ints_addmul_into(h_rows.get(j), q_k, g_row, -1)
+            ints_addmul_rows(h_rows, k - s, q_k, g_rows, -1)
+            if e_row is not None:
+                h_rows[k] = ints_addmul_into(None, row, e_row, 1)
+            acc = q_rows.get(k - s)
+            q_rows[k - s] = q_k if acc is None else ints_add_into(acc, q_k, 1)
         # rows below the order move to the remainder
         for k in [k for k in h_rows if k < s]:
             row = h_rows.pop(k)
             if row[1]:
-                r_rows[k] = ints_add_into(r_rows.get(k), row, 1)
-        h_rows = {k: ints_reduce(row) for k, row in h_rows.items() if row[1]}
+                acc = r_rows.get(k)
+                r_rows[k] = row if acc is None else ints_add_into(acc, row, 1)
+        h_rows = {k: row for k, row in h_rows.items() if row[1]}
         defect = rows_norm(h_rows)
         iters.append(defect)
 

@@ -15,8 +15,12 @@ from padicgeom.formulas import tautology
 
 # Property tests run derandomized with a bounded example count, so the suite
 # is reproducible and its run time bounded; no example database is kept.
+# ``--hypothesis-profile padicgeom-deep`` runs chosen properties on 20 times
+# as many examples, still derandomized (a step of the CI workflow).
 settings.register_profile("padicgeom", derandomize=True, max_examples=100,
                           deadline=None, database=None)
+settings.register_profile("padicgeom-deep", settings.get_profile("padicgeom"),
+                          max_examples=2000)
 settings.load_profile("padicgeom")
 
 
