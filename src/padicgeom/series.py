@@ -227,13 +227,6 @@ def ints_addmul_into(acc: Optional[PackedTerms], a: PackedTerms, b: PackedTerms,
     product term is the sum of its factors' keys, which is right as long as
     no field of the sum carries.  The result's denominator is that of
     ``ints_add_into(acc, a * b, sign)``, and no zero numerator is stored."""
-    if len(a[1]) == 1:
-        a, b = b, a
-    if acc is None and len(b[1]) == 1:
-        # a product by a monomial: keys shift injectively, nothing cancels
-        (e2, c2), = b[1].items()
-        c2 *= sign
-        return a[0] * b[0], {e1 + e2: c1 * c2 for e1, c1 in a[1].items()}
     rows = {} if acc is None else {0: acc}
     ints_addmul_rows(rows, 0, a, ((0, b),), sign)
     return rows[0]

@@ -221,9 +221,9 @@ class PreparationResult(Value):
 # (``_rows_of``), and unpacked once, merged back into a series
 # (``_rows_to_series``), with no Fraction in between.  A row's norm takes one
 # valuation per class of terms of equal rest weight: the smallest v_p(c) in
-# a class is v_p of the class's gcd (with every rest weight zero, a row is
-# one class).  Each sweep ends with one scan per defect row that gives its
-# norm and divides out its content, the gcd of den and the class gcds.
+# a class is v_p of the class's gcd.  Each sweep ends with one scan per
+# defect row that gives its norm and divides out its content, the gcd of
+# den and the class gcds.
 
 
 def _rest_degree(nums: Dict[Exponents, int], pivot_index: Optional[int]) -> int:
@@ -355,33 +355,27 @@ def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
     mask = (1 << width) - 1
     key_weight: Dict[int, int] = {}
 
-    one_class = not any(rest_weights)
-
     def rows_norm(rows: Dict[int, PackedTerms]) -> NormValue:
         """Exact Gauss norm of a row map, on integer exponents over d, in
         one scan per row that also divides out the row's content in place:
         the smallest v_p(c) among a row's terms of one rest weight is v_p of
         their gcd, so each (row, weight) class takes one valuation, and the
-        content is the gcd of den and the class gcds.  With every rest
-        weight zero a row is one class."""
+        content is the gcd of den and the class gcds."""
         best = None
         for k, (den, row) in rows.items():
-            if one_class:
-                classes = {0: gcd(*row.values())}
-            else:
-                classes = {}
-                content = classes.get
-                for key, c in row.items():
-                    w = key_weight.get(key)
-                    if w is None:
-                        w = key_weight[key] = sum((key >> sh & mask) * x
-                                                  for sh, x in zip(shifts, rest_weights))
-                    classes[w] = gcd(content(w, 0), c)
-            g = gcd(den, *classes.values())
-            if g > 1:
+            classes: Dict[int, int] = {}
+            content = classes.get
+            for key, c in row.items():
+                w = key_weight.get(key)
+                if w is None:
+                    w = key_weight[key] = sum((key >> sh & mask) * x
+                                              for sh, x in zip(shifts, rest_weights))
+                classes[w] = gcd(content(w, 0), c)
+            common = gcd(den, *classes.values())
+            if common > 1:
                 for key in row:
-                    row[key] //= g
-                rows[k] = den // g, row
+                    row[key] //= common
+                rows[k] = den // common, row
             base = k * pivot_weight + d * _valuation(den, 1, p)
             for w, c in classes.items():
                 x = base + w - d * _valuation(c, 1, p)

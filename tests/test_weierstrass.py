@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -532,7 +533,7 @@ def _reference_divide(f, g, cert, eps):
             contraction)
 
 
-def _packing_instance(rng):
+def _packing_instance(rng, one_class=False):
     """A division on one to three variables, the pivot T anywhere among
     them, with rest exponents up to 2^31 (radius exponents 0 and -3/2
     only: a huge exponent of a variable of radius > 1 needs a coefficient
@@ -540,15 +541,15 @@ def _packing_instance(rng):
     lead on half the draws of two or three variables, its rest of one or
     two monomials (so that 1 - v g_s, v the lead's inverse, may have
     several terms) and the rows beside it, above the order too, free to
-    carry huge exponents.  On half the draws every rest variable has
-    radius 1, so that each row is one norm class; otherwise the radii are
-    mixed.  g is built pivot-distinguished of order s."""
+    carry huge exponents.  The radii are mixed; with ``one_class`` every
+    rest variable has radius 1, so that each row is one norm class.  g is
+    built pivot-distinguished of order s."""
     p = rng.choice([2, 3, 5])
     unit = {2: 3, 3: 2, 5: 3}[p]
     names = ["x", "y", "T"][3 - rng.randint(1, 3):]
     rng.shuffle(names)
     radii = {nm: Fraction(rng.choice(["0", "1/2", "-3/2"])) for nm in names}
-    if rng.random() < 0.5:
+    if one_class:
         radii.update((nm, Fraction(0)) for nm in names if nm != "T")
     sp = space(p, *[(nm, radii[nm]) for nm in names])
     rest = [nm for nm in names if nm != "T"]
@@ -596,10 +597,8 @@ def _packing_instance(rng):
     return f, g, s, f.main_norm() * nv(-rng.randint(0, 6))
 
 
-@given(st.integers(0, 2 ** 32 - 1))
-def test_packed_division_matches_tuple_reference_property(seed):
-    rng = random.Random(seed)
-    f, g, s, eps = _packing_instance(rng)
+def _check_packed_division(rng, one_class):
+    f, g, s, eps = _packing_instance(rng, one_class)
     cert = distinguished_order(g, "T")
     assert cert is not None and cert.order == s
     out = weierstrass_divide(f, g, cert, eps)
@@ -608,16 +607,28 @@ def test_packed_division_matches_tuple_reference_property(seed):
             out.contraction) == ref
 
 
+@given(st.integers(0, 2 ** 32 - 1))
+def test_packed_division_matches_tuple_reference_property(seed):
+    _check_packed_division(random.Random(seed), one_class=False)
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_packed_division_one_class_rows_matches_reference_property(seed):
+    # every rest radius 1: all of a row's terms have one rest weight
+    _check_packed_division(random.Random(seed), one_class=True)
+
+
 def test_division_outputs_are_pinned():
     # quotient, remainder, iteration norms, residual and contraction of 200
-    # packing instances, hashed; the sweep may change how it computes, not
-    # what (the benchmark's corpus digest covers only the inputs)
+    # packing instances, 100 of each kind, hashed; the sweep may change how
+    # it computes, not what (the benchmark's corpus digest covers only the
+    # inputs)
     digest = hashlib.sha256()
-    for seed in range(200):
-        f, g, _, eps = _packing_instance(random.Random(seed))
+    for seed, one_class in itertools.product(range(100), (False, True)):
+        f, g, _, eps = _packing_instance(random.Random(seed), one_class)
         out = weierstrass_divide(f, g, distinguished_order(g, "T"), eps)
         p = f.space.prime
         norms = [n.text(p) for n in (*out.iterations, out.residual, out.contraction)]
         digest.update("|".join([out.quotient.text(), out.remainder.text(), *norms,
                                 ""]).encode())
-    assert digest.hexdigest()[:16] == "3d70dea0d913ad14"
+    assert digest.hexdigest()[:16] == "390bc83b2d83e858"
