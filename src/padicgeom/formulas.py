@@ -651,11 +651,17 @@ def _build(node) -> IntTerms:
             out = ints_mul(out, _build(sub))
         return out
     if kind == "^":
-        # one * base is base; then k - 1 more factors (k >= 1: the parser
+        # square-and-multiply as in Series.pow, whose one * square is square:
+        # out takes base^(2^i) for each set bit i of k (k >= 1: the parser
         # reads f^0 as the leaf 1)
-        out = base = _build(node[1])
-        for _ in range(node[2] - 1):
-            out = ints_mul(out, base)
+        square, k = _build(node[1]), node[2]
+        out = None
+        while k:
+            if k & 1:
+                out = square if out is None else ints_mul(out, square)
+            k >>= 1
+            if k:
+                square = ints_mul(square, square)
         return out
     return node
 

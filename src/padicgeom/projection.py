@@ -21,12 +21,20 @@ formula, with no disjunctive normal form, and is a complete decision
 procedure over the Berkovich disc.  The split pass and the scan both walk
 the formula with ``formulas.truth``.
 
-Every value of a split polynomial is lead * prod max(rho, d)^m over the
-root distances d from the center (``_norm_product``).  ``SplitPoly.value_at``
-and ``SplitAtom.holds`` are the reference evaluation at one point: they
-value the lead and every distance again on each call.  The scan values
-each root's distance once per center instead, in one table that the grid,
-the crossing radii and every sample read.
+Every value of a split polynomial is lead * prod max(rho, d)^m over the root
+distances d from the center (``_norm_product``).  The helpers that order
+these values work on scaled exponents: a norm p^e is the int D e over a
+denominator D that each caller picks so that every value it forms is an
+int, and the zero norm is one sentinel below every int.  A product of norms
+is then a sum, a power a multiple, and the order that of ints; a root
+distance is read off integer cross-products with one valuation, and no
+``Fraction`` exponent and no ``NormValue`` is built on the way.
+``SplitPoly.value_at`` and ``SplitAtom.holds`` are the reference evaluation
+at one point: they value the lead and every distance again on each call and
+convert their answer at the end.  The scan takes one D per call and values
+each root's distance once per center, in one table that the grid, the
+crossing radii and every sample read; only its witness radius becomes a
+``NormValue``.
 
 Ultrametric lemniscates {|P| <= c} are finite unions of discs centered at
 roots; they are computed exactly as the per-root sublevel radii of the
@@ -36,10 +44,10 @@ increasing piecewise-monomial functions N_i.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from .scalars import NormValue, Value
+from .scalars import NormValue, Value, _valuation
 from .series import MonomialPoint, Point, RigidPoint, Series, Space, VarSpec
 from .formulas import (And, Atom, Formula, LE, LT, Not, Or, eval_formula,
                        formula_atoms, map_atoms, nnf, truth)
@@ -69,8 +77,8 @@ class SplitPoly(Value):
     def value_at(self, center: Fraction, rho: NormValue, p: int) -> NormValue:
         """|P| at the disc-tree point (center, rho): |P(center)| at rho = 0,
         the seminorm of the monomial point otherwise."""
-        return _norm_product(NormValue.of_scalar(self.lead, p),
-                             _distances(self, center, p), rho)
+        D = _denominator(rho)
+        return _norm(_norm_product(*_side(_ONE, self, center, p, D), _scaled(rho, D)), D)
 
 
 def split_series(f: Series) -> Optional[SplitPoly]:
@@ -210,7 +218,8 @@ def _rational_root_candidates(poly: List[int]) -> List[Tuple[int, int]]:
 # -- disc regions ----------------------------------------------------------------
 
 
-def _compare(lhs: NormValue, op: str, rhs: NormValue) -> bool:
+def _compare(lhs, op: str, rhs) -> bool:
+    """lhs op rhs for two norms, or two scaled exponents."""
     return lhs <= rhs if op == LE else lhs < rhs
 
 
@@ -255,39 +264,111 @@ def region_contains(region: DiscRegion, point: Point) -> bool:
 # distances d (with multiplicities m) is |P| at (center, rho).  On each
 # segment (lo, hi] between consecutive distances it is a monomial K rho^M,
 # with M the multiplicity of the roots within lo of the center.
+#
+# The helpers below read scaled exponents (``Exp``): the norm p^e is the int
+# D e, over a denominator D > 0 that the caller picks so that every value it
+# forms is an int, and the zero norm is NULL, below every int.  NULL is a
+# float, and an int above 2^1024 (D reaches that from degree 710 on) cannot
+# be converted to one, so NULL only takes part in comparisons: a helper
+# that would add or scale a zero norm returns NULL instead.  Each caller
+# converts at its own boundary: ``_scaled`` on the way in, ``_norm`` on the
+# way out.
+
+Exp = Union[int, float]  # an int, or NULL
+NULL = float("-inf")
+_ONE = NormValue.one()
 
 
-def _norm_product(lead: NormValue, dists: Sequence[Tuple[NormValue, int]],
-                  rho: NormValue) -> NormValue:
-    """N(rho) = lead * prod max(rho, d)^m: the one evaluation rule of a
-    split polynomial, from its lead norm and root distances."""
+def _denominator(*norms: NormValue) -> int:
+    """The lcm of the exponent denominators of the nonzero norms (1 for none)."""
+    return lcm(*(v.exp.denominator for v in norms if v.exp is not None))
+
+
+def _exact(a: int, b: int) -> int:
+    """a / b for integers with b | a.  The common denominator of the caller
+    is chosen to make each such quotient an int, so a remainder is an
+    internal error, raised rather than rounded into a wrong answer."""
+    q, rem = divmod(a, b)
+    if rem:
+        raise ArithmeticError(f"internal error: {a} / {b} is not an integer "
+                              f"over the common denominator")
+    return q
+
+
+def _scaled(v: NormValue, D: int) -> Exp:
+    """D times the exponent of v; NULL for the zero norm."""
+    return NULL if v.exp is None else _exact(v.exp.numerator * D, v.exp.denominator)
+
+
+def _norm(x: Exp, D: int) -> NormValue:
+    """The norm p^(x/D) of a scaled exponent; the zero norm for NULL."""
+    return NormValue.zero() if x == NULL else NormValue.of_scaled(x, D)
+
+
+def _log_norm(num: int, den: int, p: int, D: int) -> Exp:
+    """D times the exponent of |num/den| (den > 0); NULL for num = 0."""
+    return -D * _valuation(num, den, p) if num else NULL
+
+
+def _log_distance(c1: int, c2: int, a1: int, a2: int, p: int, D: int) -> Exp:
+    """The scaled exponent of |c1/c2 - a1/a2| (c2, a2 > 0), valued on the
+    integers as |c1 a2 - a1 c2| / |c2 a2|; NULL when the two are equal."""
+    return _log_norm(c1 * a2 - a1 * c2, c2 * a2, p, D)
+
+
+def _lead(scale: NormValue, poly: SplitPoly, p: int, D: int) -> Exp:
+    """The scaled exponent of scale * |lead of poly|."""
+    if scale.exp is None:
+        return NULL
+    lead = poly.lead
+    return _scaled(scale, D) + _log_norm(lead.numerator, lead.denominator, p, D)
+
+
+# A side of a split atom over one center: (scale * |lead|, [(d, m)]) with the
+# root distances d from the center, all scaled, so that its scaled value at
+# (center, rho) is _norm_product(*side, rho).  A zero side has lead NULL.
+SideTable = Tuple[Exp, List[Tuple[Exp, int]]]
+
+
+def _side(scale: NormValue, poly: Optional[SplitPoly], center: Fraction, p: int,
+          D: int) -> SideTable:
+    """The table of scale * |poly| over the center (None: the zero side)."""
+    if poly is None:
+        return NULL, []
+    c1, c2 = center.numerator, center.denominator
+    return _lead(scale, poly, p, D), [
+        (_log_distance(c1, c2, a.numerator, a.denominator, p, D), m) for a, m in poly.roots]
+
+
+def _norm_product(lead: Exp, dists: Sequence[Tuple[Exp, int]], rho: Exp) -> Exp:
+    """N(rho) = lead * prod max(rho, d)^m, scaled: lead + sum m max(rho, d),
+    and NULL when a factor is zero.  The one evaluation rule of a split
+    polynomial, from its lead norm and root distances."""
+    if lead == NULL:
+        return NULL
     out = lead
     for d, m in dists:
-        out = out * ((rho if d < rho else d) ** m)
+        x = rho if d < rho else d
+        if x == NULL:
+            return NULL
+        out += m * x
     return out
 
 
-def _distances(poly: SplitPoly, center: Fraction, p: int
-               ) -> List[Tuple[NormValue, int]]:
-    """(distance from center, multiplicity) for each root."""
-    return [(NormValue.of_scalar(center - a, p), m) for a, m in poly.roots]
-
-
-def _grid(dists: Sequence[Tuple[NormValue, int]], r: NormValue
-          ) -> List[NormValue]:
+def _grid(dists: Sequence[Tuple[Exp, int]], r: Exp) -> List[Exp]:
     """Segment tops up to r: the nonzero distances below r, then r."""
-    return sorted({d for d, _ in dists if not d.is_zero and d < r}) + [r]
+    return sorted({d for d, _ in dists if NULL < d < r}) + [r]
 
 
-def _segments(lead: NormValue, dists: Sequence[Tuple[NormValue, int]],
-              tops: Sequence[NormValue]
-              ) -> Iterator[Tuple[NormValue, NormValue, int, NormValue]]:
-    """(lo, hi, M, K) with N(rho) = K rho^M on each segment (lo, hi] of
-    the increasing tops, the first with lo = 0."""
-    lo = NormValue.zero()
+def _segments(lead: Exp, dists: Sequence[Tuple[Exp, int]], tops: Sequence[Exp]
+              ) -> Iterator[Tuple[Exp, Exp, int, Exp]]:
+    """(lo, hi, M, K) with N(rho) = K rho^M, i.e. K + M rho scaled, on each
+    segment (lo, hi] of the increasing tops, the first with lo = NULL; the
+    lead is nonzero."""
+    lo = NULL
     for hi in tops:
         M = sum(m for d, m in dists if d <= lo)
-        yield lo, hi, M, _norm_product(lead, dists, hi) / hi ** M
+        yield lo, hi, M, _norm_product(lead, dists, hi) - M * hi
         lo = hi
 
 
@@ -297,21 +378,27 @@ def _segments(lead: NormValue, dists: Sequence[Tuple[NormValue, int]],
 def _sublevel_radius(poly: SplitPoly, center: Fraction, cmp: str, c: NormValue,
                      r: NormValue, p: int) -> Optional[Tuple[NormValue, bool]]:
     """Largest rho in [0, r] with N(rho) cmp c, N(rho) = |P| on the sphere
-    of radius rho around the center.  Returns (radius, closed) or None."""
-    dists = _distances(poly, center, p)
-    lead = NormValue.of_scalar(poly.lead, p)
+    of radius rho around the center.  Returns (radius, closed) or None.
+
+    Over D = B lcm(1..deg P), B the lcm of the exponent denominators of c
+    and r, the distances and the lead are multiples of D and c, r and every
+    segment constant K multiples of D/B, so the solution (c - K)/M of each
+    segment is an int (M <= deg P)."""
+    D = _denominator(c, r) * lcm(*range(1, poly.degree + 1))
+    lead, dists = _side(_ONE, poly, center, p, D)
+    cs = _scaled(c, D)
     # scan segments (lo, hi] from the top down
-    for lo, hi, M, K in reversed(list(_segments(lead, dists, _grid(dists, r)))):
-        if _compare(K * hi ** M, cmp, c):
-            return hi, True
-        if M == 0 or c.is_zero:
+    for lo, hi, M, K in reversed(list(_segments(lead, dists, _grid(dists, _scaled(r, D))))):
+        if _compare(K + M * hi, cmp, cs):
+            return _norm(hi, D), True
+        if M == 0 or cs == NULL:
             continue
-        sol = (c / K) ** Fraction(1, M)
+        sol = _exact(cs - K, M)
         if lo < sol <= hi:
-            return sol, cmp == LE  # strict: the sup radius is not attained
+            return _norm(sol, D), cmp == LE  # strict: the sup radius is not attained
         # otherwise the crossing happens below this segment
     # bottom: the center itself
-    if _compare(poly.value_at(center, NormValue.zero(), p), cmp, c):
+    if _compare(_norm_product(lead, dists, NULL), cmp, cs):
         return NormValue.zero(), True
     return None
 
@@ -420,11 +507,11 @@ class SplitAtom(Value):
 
     def holds(self, center: Fraction, rho: NormValue, p: int) -> bool:
         """Truth at the disc-tree point (center, rho), rigid at rho = 0."""
-        lv = (self.left.value_at(center, rho, p) if self.left
-              else NormValue.zero())
-        rv = (self.right.value_at(center, rho, p) if self.right
-              else NormValue.zero())
-        return _compare(lv * self.scale_left, self.op, rv * self.scale_right)
+        D = _denominator(rho, self.scale_left, self.scale_right)
+        x = _scaled(rho, D)
+        return _compare(_norm_product(*_side(self.scale_left, self.left, center, p, D), x),
+                        self.op,
+                        _norm_product(*_side(self.scale_right, self.right, center, p, D), x))
 
 
 class Decision(Value):
@@ -436,18 +523,11 @@ class Decision(Value):
         object.__setattr__(self, "witness", witness)
 
 
-# A side of a split atom over one center: (scale * |lead|, [(d, m)]) with the
-# root distances d from the center, so that its scaled value at (center, rho)
-# is _norm_product(*side, rho).  A zero side has lead zero.
-SideTable = Tuple[NormValue, List[Tuple[NormValue, int]]]
-
-
-def _crossing_radii(left: SideTable, right: SideTable, r: NormValue
-                    ) -> List[NormValue]:
+def _crossing_radii(left: SideTable, right: SideTable, r: Exp) -> List[Exp]:
     """Radii in (0, r] where the two scaled side values can change order
     at the monomial points over the center of the two tables."""
     (lead_left, dists_left), (lead_right, dists_right) = left, right
-    if lead_left.is_zero or lead_right.is_zero:
+    if lead_left == NULL or lead_right == NULL:
         return []
     tops = _grid(dists_left + dists_right, r)
     out = []
@@ -456,8 +536,8 @@ def _crossing_radii(left: SideTable, right: SideTable, r: NormValue
             _segments(lead_right, dists_right, tops)):
         if m1 == m2:
             continue
-        # k1 rho^m1 = k2 rho^m2  =>  rho = (k2/k1)^(1/(m1-m2))
-        sol = (k2 / k1) ** Fraction(1, m1 - m2)
+        # k1 + m1 rho = k2 + m2 rho
+        sol = _exact(k2 - k1, m1 - m2)
         if lo < sol <= hi:
             out.append(sol)
     return out
@@ -485,13 +565,28 @@ def decide_exists(atoms: Union[Sequence[SplitAtom], SplitTree], space: Space
     always carries a verified witness, rigid whenever a sampled rigid
     refinement of the cell checks out.
 
+    The scan orders values on exponents scaled by one common denominator
+    D = 2 B lcm(1..n), B the lcm of the exponent denominators of r and of
+    every atom scale, n the largest side degree.  Every value it forms is
+    then an int:
+
+    - a root distance or |lead| is p^v with v an integer: a multiple of D;
+    - r, a scale, a side's lead table (scale * |lead|) and every segment
+      constant K (lead + sum m max(hi, d) - M hi) are multiples of D/B;
+    - a crossing radius (K2 - K1)/(m1 - m2) divides a multiple of D/B =
+      2 lcm(1..n) by |m1 - m2| <= n, leaving an even int;
+    - so every radius of the grid is even, and each midpoint (lo + hi)/2,
+      or hi - D below the smallest nonzero radius, is an int.
+
+    ``_exact`` makes each division and raises if one leaves a remainder.
     Per center, the distance |center - a| to every root a (and to 0) is
-    valued once, into a table that gives each side of each atom as
-    (scale * |lead|, [(d, m)]); the lead norms are valued once per call.
-    The grid, the crossing radii and the leaf rule at every sample read
-    that table and agree with ``SplitAtom.holds`` (the reference, which
-    values everything again); the rigid refinement checks its candidates,
-    points off the table, with ``holds``.
+    valued once, from integer cross-products, into a table that gives each
+    side of each atom as (scale * |lead|, [(d, m)]); the lead norms are
+    valued once per call.  The grid, the crossing radii and the leaf rule
+    at every sample read that table and agree with ``SplitAtom.holds`` (the
+    reference, which values everything again); the rigid refinement checks
+    its candidates, points off the table, with ``holds``.  Only the radius
+    of a monomial witness becomes a ``NormValue``.
     """
     tree = atoms if atoms is None or isinstance(atoms, (SplitAtom, And, Or)) \
         else And(tuple(atoms))
@@ -499,45 +594,51 @@ def decide_exists(atoms: Union[Sequence[SplitAtom], SplitTree], space: Space
     p = space.prime
     (r,) = space.radii
     zero = NormValue.zero()
+    n = max((poly.degree for a in leaves for poly in (a.left, a.right) if poly),
+            default=0)
+    D = 2 * lcm(*range(1, n + 1)) * _denominator(
+        r, *(s for a in leaves for s in (a.scale_left, a.scale_right)))
+    R = _scaled(r, D)
     centers: Set[Fraction] = {Fraction(0)}
     for atom in leaves:
         for poly in (atom.left, atom.right):
             if poly:
                 centers.update(a for a, _ in poly.roots)
     all_centers = sorted(centers)
-    inside = [a for a in all_centers if NormValue.of_scalar(a, p) <= r]
+    pairs = [(a.numerator, a.denominator) for a in all_centers]
+    inside = [k for k, (a1, a2) in enumerate(pairs) if _log_norm(a1, a2, p, D) <= R]
     # each side as (scale * |lead|, ((root index in all_centers, mult), ...)):
     # the lead norms are taken once, and no Fraction is hashed in the loops
     index = {a: i for i, a in enumerate(all_centers)}
 
     def side(scale: NormValue, poly: Optional[SplitPoly]):
         if poly is None:
-            return zero, ()
-        return (scale * NormValue.of_scalar(poly.lead, p),
-                tuple((index[a], m) for a, m in poly.roots))
+            return NULL, ()
+        return _lead(scale, poly, p, D), tuple((index[a], m) for a, m in poly.roots)
 
     sides = {id(a): (side(a.scale_left, a.left), a.op, side(a.scale_right, a.right))
              for a in leaves}
 
-    def rigid_refinement(center: Fraction, rho: NormValue) -> Optional[RigidPoint]:
+    def rigid_refinement(center: Fraction, rho: int) -> Optional[RigidPoint]:
         # |center + u p^-e| <= max(|center|, rho) <= r for rho = p^e and
         # u a unit, so every candidate lies in the disc
-        if rho.exp.denominator != 1:
+        if rho % D:
             return None
-        offset = Fraction(p) ** int(-rho.exp)
+        offset = Fraction(p) ** -(rho // D)
         for u in range(1, min(p, 6)):
             t = center + u * offset
             if truth(tree, lambda a: a is not None and a.holds(t, zero, p)):
                 return RigidPoint(space, (t,))
         return None
 
-    for center in inside:
+    for k in inside:
         # the distance table of this center: every root valued once
-        dist = [NormValue.of_scalar(center - a, p) for a in all_centers]
+        c1, c2 = pairs[k]
+        dist = [_log_distance(c1, c2, a1, a2, p, D) for a1, a2 in pairs]
         tables: Dict[int, Tuple[SideTable, str, SideTable]] = {
-            k: ((lead_left, [(dist[i], m) for i, m in left]), op,
-                (lead_right, [(dist[i], m) for i, m in right]))
-            for k, ((lead_left, left), op, (lead_right, right)) in sides.items()}
+            key: ((lead_left, [(dist[i], m) for i, m in left]), op,
+                  (lead_right, [(dist[i], m) for i, m in right]))
+            for key, ((lead_left, left), op, (lead_right, right)) in sides.items()}
 
         # reads the current sample rho of the loop below
         def leaf(a: Optional[SplitAtom]) -> bool:
@@ -546,27 +647,25 @@ def decide_exists(atoms: Union[Sequence[SplitAtom], SplitTree], space: Space
             left, op, right = tables[id(a)]
             return _compare(_norm_product(*left, rho), op, _norm_product(*right, rho))
 
-        # the center's own distance is zero
-        radii: Set[NormValue] = {d for d in dist if d <= r}
-        radii.add(r)
+        # the center's own distance is NULL
+        radii: Set[Exp] = {d for d in dist if d <= R}
+        radii.add(R)
         for left, _, right in tables.values():
-            radii.update(_crossing_radii(left, right, r))
+            radii.update(_crossing_radii(left, right, R))
         ordered = sorted(radii)
         # geometric midpoints of consecutive grid radii sample the open cells
-        samples: List[NormValue] = list(ordered)
+        samples: List[Exp] = list(ordered)
         for lo, hi in zip(ordered, ordered[1:]):
-            if lo.is_zero:
-                samples.append(hi * NormValue.power(-1))
-            else:
-                samples.append(NormValue.power(Fraction(lo.exp + hi.exp, 2)))
+            samples.append(hi - D if lo == NULL else _exact(lo + hi, 2))
         for rho in sorted(set(samples)):
             if not truth(tree, leaf):
                 continue
-            if rho.is_zero:
+            center = all_centers[k]
+            if rho == NULL:
                 return Decision("SAT", RigidPoint(space, (center,)))
             rigid = rigid_refinement(center, rho)
             return Decision("SAT", rigid if rigid is not None
-                            else MonomialPoint(space, (center,), (rho,)))
+                            else MonomialPoint(space, (center,), (_norm(rho, D),)))
     return Decision("UNSAT")
 
 

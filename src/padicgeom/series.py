@@ -567,9 +567,15 @@ class Series:
         if k * max(degree, 1) > MAX_POWER:
             raise ValueError(f"power {k} of a series of degree {degree} exceeds "
                              f"the degree limit {MAX_POWER}")
-        out = Series.one(self.space)
-        for _ in range(k):
-            out = out * self
+        # square-and-multiply: out takes self^(2^i) for each set bit i of k,
+        # about 2 log2(k) products instead of k
+        out, square = Series.one(self.space), self
+        while k:
+            if k & 1:
+                out = out * square
+            k >>= 1
+            if k:
+                square = square * square
         return out
 
     def drop_tail(self) -> "Series":

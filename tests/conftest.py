@@ -2,6 +2,8 @@
 
 import math
 import random
+import signal
+import threading
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,43 @@ settings.register_profile("padicgeom", derandomize=True, max_examples=100,
 settings.register_profile("padicgeom-deep", settings.get_profile("padicgeom"),
                           max_examples=2000)
 settings.load_profile("padicgeom")
+
+
+# Every test runs under a wall-clock bound, so that a fault which makes a
+# computation grow (division rows that never shrink, say) fails its test
+# instead of hanging the suite.  On a 2-core host the slowest test takes
+# about 4 s, and the slowest property on the deep profile's 2,000 examples
+# about 15 s, so the bound is far above either.  It is armed with
+# setitimer(ITIMER_REAL), so only on POSIX and in the main thread.  The
+# signal is handled between bytecodes: one long big-int operation (a single
+# huge product, say) runs to its end before the test is stopped.
+TEST_TIME_BOUND_S = 120
+
+
+class TimeBoundExceeded(BaseException):
+    """Raised in a test that ran past TEST_TIME_BOUND_S.  Not an Exception,
+    so hypothesis does not catch it and shrink (which would run the slow
+    example again with no timer armed): the test fails at once."""
+
+
+@pytest.fixture(autouse=True)
+def time_bound():
+    if (not hasattr(signal, "setitimer")
+            or threading.current_thread() is not threading.main_thread()):
+        yield
+        return
+
+    def expired(signum, frame):
+        raise TimeBoundExceeded(f"the test ran past its {TEST_TIME_BOUND_S} s "
+                                f"bound (tests/conftest.py)")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_BOUND_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def space(p, *specs):

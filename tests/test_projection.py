@@ -7,11 +7,12 @@ from hypothesis import given, strategies as st
 
 from padicgeom import (And, Atom, Decision, Disc, MonomialPoint, NormValue, Or,
                        RigidPoint, Series, Space, SplitAtom, SplitPoly, decide_exists,
-                       lemniscate_region, project_decision, qe_prepare,
-                       region_contains, split_series)
+                       lemniscate_region, project_decision, projection, qe_prepare,
+                       region_contains, scalars, split_series)
 from padicgeom.formulas import (eval_conjunct, eval_formula, formula_atoms,
                                 parse_formula, to_dnf, truth)
 from padicgeom.projection import _specialize_1var
+from padicgeom.series import MAX_POWER
 from conftest import (ONE, ZERO, nv, poly, rand_formula, rand_rigid, rand_series,
                       space)
 
@@ -182,12 +183,16 @@ split_atom = st.builds(SplitAtom, norm, st.one_of(st.none(), split_poly),
                        st.one_of(st.none(), split_poly))
 
 
-@given(st.sampled_from([2, 3]), st.integers(-2, 2),
+@given(st.sampled_from([2, 3]),
+       st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 3, 4])),
        st.lists(split_atom, min_size=1, max_size=3))
 def test_decide_exists_over_a_disc_matches_the_rescaled_unit_decision(p, e, atoms):
+    # t = p^-k s maps |t| <= p^e onto |s| <= p^(e - k), k = floor(e): the
+    # unit disc for an integral e, a disc of radius p^(e - k) < p otherwise
+    k = e.numerator // e.denominator
     disc = space(p, ("t", e))
     d = decide_exists(atoms, disc)
-    unit = decide_exists([rescaled(a, p, e) for a in atoms], unit_line(p))
+    unit = decide_exists([rescaled(a, p, k) for a in atoms], space(p, ("s", e - k)))
     assert d.status == unit.status
     if d.status == "SAT":
         d.witness.check_in(disc)
@@ -257,10 +262,11 @@ def reference_decide(tree, sp):
 
 
 # zero scales, zero sides (None), roots outside the disc (|1/2| = 2 at p = 2)
-# and leaves that did not split (None); scales near 1, half exponents
-# included, so that both answers and both kinds of witness occur
+# and leaves that did not split (None); scales near 1, exponents with
+# denominators up to 4 included, so that both answers and both kinds of
+# witness occur
 scale = st.one_of(st.just(ZERO), st.builds(lambda n, d: NormValue.power(Fraction(n, d)),
-                                           st.integers(-3, 2), st.sampled_from([1, 2])))
+                                           st.integers(-3, 2), st.sampled_from([1, 2, 3, 4])))
 split_side = st.one_of(st.none(), split_poly, split_poly)
 split_atom_leaf = st.builds(SplitAtom, scale, split_side, st.sampled_from(["<=", "<"]),
                             scale, split_side)
@@ -270,9 +276,12 @@ split_atom_leaf = st.builds(SplitAtom, scale, split_side, st.sampled_from(["<=",
 T_T1 = SplitPoly(Fraction(1), ((Fraction(0), 1), (Fraction(1), 1)))
 T_ONLY = SplitPoly(Fraction(1), ((Fraction(0), 1),))
 T_1 = SplitPoly(Fraction(1), ((Fraction(1), 1),))
+# p^-1 < |t|^3: the sides cross at rho = p^-1/3, a radius in thirds
+T_CUBE = SplitPoly(Fraction(1), ((Fraction(0), 3),))
 fixed_leaf = st.sampled_from([SplitAtom(ONE, CONST1, "<=", ONE, T_T1),
                               SplitAtom(ONE, CONST1, "<", ONE, T_ONLY),
-                              SplitAtom(ONE, T_1, "<=", nv(-2), CONST1)])
+                              SplitAtom(ONE, T_1, "<=", nv(-2), CONST1),
+                              SplitAtom(nv(-1), CONST1, "<", ONE, T_CUBE)])
 split_leaf = st.one_of(st.none(), fixed_leaf, split_atom_leaf, split_atom_leaf)
 
 
@@ -294,21 +303,27 @@ def test_decide_exists_matches_the_reference_scan_property(sp, tree):
 
 @given(split_disc, split_tree)
 def test_decide_exists_values_each_distance_once_per_center(sp, tree):
-    # one |center - a| per (center inside the disc, root or 0), one |lead|
-    # per side and one |a| per center for the inside filter; a rigid
-    # refinement checks its candidates with SplitAtom.holds, counted apart
+    # one valuation per (center inside the disc, root or 0), one per side's
+    # lead and one per center for the inside filter, and no norm built but
+    # the radius of a monomial witness; a rigid refinement checks its
+    # candidates with SplitAtom.holds, counted apart
     p, (r,) = sp.prime, sp.radii
     leaves = [a for a in formula_atoms(tree) if a is not None]
     sides = [poly for atom in leaves for poly in (atom.left, atom.right) if poly]
     centers = {Fraction(0)} | {a for poly in sides for a, _ in poly.roots}
     inside = [a for a in centers if NormValue.of_scalar(a, p) <= r]
-    calls, depth = [], [0]
-    of_scalar, holds = NormValue.of_scalar, SplitAtom.holds
+    calls, norms, depth = [], [], [0]
+    valuation, power, holds = projection._valuation, scalars._power, SplitAtom.holds
 
-    def counting(a, q):
+    def counting(n, d, q):
         if not depth[0]:
-            calls.append(a)
-        return of_scalar(a, q)
+            calls.append(n)
+        return valuation(n, d, q)
+
+    def building(e):
+        if not depth[0]:
+            norms.append(e)
+        return power(e)
 
     def reference(atom, center, rho, q):
         depth[0] += 1
@@ -318,10 +333,12 @@ def test_decide_exists_values_each_distance_once_per_center(sp, tree):
             depth[0] -= 1
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(NormValue, "of_scalar", staticmethod(counting))
+        mp.setattr(projection, "_valuation", counting)
+        mp.setattr(scalars, "_power", building)
         mp.setattr(SplitAtom, "holds", reference)
-        decide_exists(tree, sp)
+        d = decide_exists(tree, sp)
     assert len(calls) <= len(centers) + len(sides) + len(inside) * len(centers)
+    assert len(norms) == isinstance(d.witness, MonomialPoint)
 
 
 def test_specialize_1var_returns_the_side_itself_only_on_the_target_space(rng):
@@ -427,6 +444,29 @@ def test_decide_exists_of_a_bare_none_is_unsat():
     # an atom that did not split is false, also as the whole tree
     assert decide_exists(None, unit_line()) == Decision("UNSAT")
     assert decide_exists(Or((None,)), unit_line()) == Decision("UNSAT")
+
+
+def test_decide_exists_at_the_degree_limit():
+    # at degree MAX_POWER the scan's denominator 2 lcm(1..n) has about
+    # 1,440 bits, more than a float holds, so the zero norm (a float) may
+    # only be compared with the scaled exponents, never added to them
+    sp3 = space(3, ("t", "1/2"))
+    top = SplitPoly(Fraction(1), ((Fraction(0), MAX_POWER),))
+    big = SplitPoly(Fraction(1, 3), ((Fraction(0), 500), (Fraction(1), 499),
+                                     (Fraction(1, 3), 1)))
+    tree = Or((And((SplitAtom(nv("-7/4"), big, "<", ONE,
+                              SplitPoly(Fraction(1), ((Fraction(2), 997),))),
+                    SplitAtom(ONE, T_1, "<=", nv("-2/3"), None))),
+               SplitAtom(ZERO, big, "<", nv("-1/3"), top)))
+    assert decide_exists(tree, sp3) == reference_decide(tree, sp3)
+    # p^-1 < |t|^1000 < 1 holds only at monomial points, on the open
+    # annulus p^-1/1000 < |t| < 1: the witness is its geometric midpoint
+    unit = unit_line(3)
+    assert decide_exists([SplitAtom(nv(-1), CONST1, "<", ONE, top),
+                          SplitAtom(ONE, top, "<", ONE, CONST1)], unit) == Decision(
+        "SAT", MonomialPoint(unit, (Fraction(0),), (nv("-1/2000"),)))
+    assert lemniscate_region(top, "<=", nv(-1), unit) == (Disc(Fraction(0), nv("-1/1000")),)
+    assert lemniscate_region(top, "<", ZERO, unit) == ()
 
 
 def test_decide_exists_witnesses_verify(rng):
