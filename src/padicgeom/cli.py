@@ -74,12 +74,6 @@ def _three_valued(value: Optional[bool]) -> str:
     return "true" if value else "false"
 
 
-def _series_report(s: Series) -> str:
-    if s.tail.is_zero:
-        return s.text()
-    return f"{s.text()} (tail <= {s.tail.text(s.space.prime)})"
-
-
 def cmd_norm(doc: Document, args) -> int:
     s = _resolve_series(doc, args.series, args.space)
     est = s.gauss_norm()
@@ -114,7 +108,7 @@ def cmd_prepare(doc: Document, args) -> int:
         raise CommandError("the series is not pivot-distinguished")
     out = weierstrass_prepare(g, cert, eps)
     p = doc.prime
-    print(f"e = {_series_report(out.unit)}, w = {out.monic.text()}, "
+    print(f"e = {out.unit.text()}, w = {out.monic.text()}, "
           f"residual = {out.residual.text(p)}")
     return 0
 

@@ -225,8 +225,7 @@ def union(a: ConstructibleSet, b: ConstructibleSet) -> ConstructibleSet:
 
 
 def _fresh_name(used: Set[str], stem: str) -> str:
-    if stem not in used:
-        return stem
+    """The first of stem_2, stem_3, ... not in used."""
     k = 2
     while f"{stem}_{k}" in used:
         k += 1

@@ -23,6 +23,10 @@ each row's content; it decides whether to go on, is logged as that pass's
 iteration norm, and after the last pass, with the tail floor of the inputs,
 is the reported residual.  The certificate is thus the exact norm of
 f - (g q + R), never a forward error bound.
+
+Preparation is one pass of two divisions: one of t^s by g gives the monic
+factor w = t^s - R, and one exact division of g by w gives the unit and the
+defect; neither is retried (the argument is in ``weierstrass_prepare``).
 """
 
 from __future__ import annotations
@@ -54,9 +58,6 @@ class UnitCertificate(Value):
     def __init__(self, scale: Fraction, rest: Series):
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "rest", rest)
-
-    def series(self) -> Series:
-        return (Series.one(self.rest.space) + self.rest).scale(self.scale)
 
     def norm(self) -> NormValue:
         return NormValue.of_scalar(self.scale, self.rest.space.prime)
@@ -431,65 +432,47 @@ def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
     return DivisionResult(q, r_part, nv_max(defect, floor), tuple(iters), contraction)
 
 
-def _exact_division_by_monic(f: Series, w: Series, pivot: str
-                             ) -> Optional[Tuple[Series, Series]]:
-    """Exact Euclidean division by a monic polynomial in the pivot, or None
-    when the monic certificate does not hold."""
-    cert = distinguished_order(w, pivot)
-    if cert is None:
-        return None
-    try:
-        div = weierstrass_divide(f, w, cert, NormValue.zero())
-    except ValueError:
-        return None
-    return div.quotient, div.remainder
-
-
 def weierstrass_prepare(g: Series, cert: DistinguishedCertificate,
                         eps: NormValue) -> PreparationResult:
     """Factor a certified distinguished g as e * w with w monic of the
-    certified order and e a certified multiplicative unit.
+    certified order and e a certified multiplicative unit, in one pass.
 
-    w is pivot^s - R from the division of pivot^s by g; the unit is then
-    the exact Euclidean quotient of g by the monic w, whose remainder is
-    the whole preparation defect: ||R2|| <= (||g||/r^s) * division
-    tolerance by the ultrametric norm identity, and the reported residual
-    is the exact norm of that remainder (zero exactly when g = e w
+    w = t^s - R, R the remainder of one division of t^s by g (t the pivot,
+    s the order, r its radius); the unit e is the exact Euclidean quotient
+    of g by w, whose remainder is the whole preparation defect: its norm is
+    at most (||g||/r^s) times the division tolerance by the ultrametric
+    norm identity.  The reported residual is the larger of that
+    remainder's exact norm and g's tail (zero exactly when g = e w
     reconstructs, e.g. when g is a polynomial of degree s).
+
+    The exact division by w cannot fail.  The division contract
+    max(||g|| ||q||, ||R||) = ||t^s|| gives deg_t R < s and ||R|| <= r^s,
+    so the tail-free w has distinguished order s with lead row 1, and its
+    certificate exists.  Dividing the tail-free g by w (a scalar lead,
+    E = 0) eliminates every row >= s in one sweep, so the exact target
+    eps = 0 is reached.  g's tail bounds the residual from below, so
+    g.tail > eps is refused before any division; for eps p^-1 < g.tail <=
+    eps the division of t^s is widened to its tail floor
+    g.tail r^s/||g||.
     """
     cert = _own_certificate(g, cert)
+    if g.tail > eps:
+        raise ValueError("eps is below the tail floor of the preparation instance")
     pivot, s = cert.pivot, cert.order
     space = g.space
-    r = space.radius(pivot)
-    norm_g = cert.norm_witness
     t_s = Series.monomial(space, tuple(s if v.name == pivot else 0
                                        for v in space.vars))
-
-    if eps.is_zero:
-        eps_div = NormValue.zero()
-    else:
-        eps_div = eps * (r ** s) / norm_g * NormValue.power(-1)
-        if not g.tail.is_zero:
-            eps_div = nv_max(eps_div, g.tail * (r ** s) / norm_g)
-
-    last_error = "no attempt converged"
-    for _ in range(8):
-        div = weierstrass_divide(t_s, g, cert, eps_div)
-        w = t_s - div.remainder
-        exact = _exact_division_by_monic(g.drop_tail(), w, pivot)
-        if exact is None:
-            last_error = "the monic factor lost its certificate"
-        else:
-            quotient, remainder = exact
-            residual = nv_max(remainder.gauss_norm().value, g.tail)
-            ucert = certify_unit(quotient)
-            if ucert is None:
-                last_error = "the quotient failed the unit shape"
-            elif residual <= eps:
-                return PreparationResult(quotient, ucert, w, residual)
-            else:
-                last_error = "residual did not certify below eps"
-        if eps_div.is_zero:
-            break
-        eps_div = eps_div * NormValue.power(-4)
-    raise ValueError(f"preparation failed: {last_error}")
+    # the target eps p^-1 for the preparation defect, scaled by r^s/||g||,
+    # or the division's tail floor when g's tail is above that target
+    eps_div = (nv_max(eps * NormValue.power(-1), g.tail)
+               * space.radius(pivot) ** s / cert.norm_witness)
+    w = t_s - weierstrass_divide(t_s, g, cert, eps_div).remainder
+    exact = weierstrass_divide(g.drop_tail(), w, distinguished_order(w, pivot),
+                               NormValue.zero())
+    ucert = certify_unit(exact.quotient)
+    if ucert is None:
+        raise ValueError("preparation failed: the quotient failed the unit shape")
+    residual = nv_max(exact.remainder.gauss_norm().value, g.tail)
+    if residual > eps:
+        raise ValueError("preparation failed: residual did not certify below eps")
+    return PreparationResult(exact.quotient, ucert, w, residual)

@@ -65,6 +65,8 @@ def test_pushdown_examples():
     assert m == 1 and pt == poly(sp, {(0, 1): 1, (2, 0): -1})  # y - x^2
     m2, pt2 = pushdown_poly(poly(ch.space(), {(0, 2): 1}), ch)
     assert m2 == 2 and pt2 == poly(sp, {(0, 2): 1})  # y^2
+    m0, pt0 = pushdown_poly(Series.zero(ch.space()), ch)
+    assert m0 == 0 and pt0 == Series.zero(sp)  # no t-degree: M = 0
 
 
 def test_pushdown_identity(rng):
@@ -128,3 +130,5 @@ def test_local_divisibility():
                               MonomialUnitForm(u, 0, 1)) == "neither"
     assert local_divisibility(MonomialUnitForm(u, 1, 0),
                               MonomialUnitForm(v, 1, 0)) == "both"
+    assert local_divisibility(MonomialUnitForm(v, 2, 1),
+                              MonomialUnitForm(u, 1, 1)) == "g_divides_f"

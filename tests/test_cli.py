@@ -145,6 +145,24 @@ def test_prepare_and_distinguish(doc_path, capsys):
     assert code3 == 0 and out3 == "none"
 
 
+def test_prepare_of_a_tailed_series_reports_the_tail_as_residual(tmp_path, capsys):
+    # g = 4 + T + 2T^2 with tail 2^-3: the unit is the exact quotient of
+    # g's stored part by the monic factor, so the tail shows only in the
+    # residual; an eps below the tail is refused before any division
+    doc = {"prime": 2, "spaces": {"line": [{"name": "T", "radius": "2^0"}]},
+           "series": {"g": {"vars": [{"name": "T", "radius": "2^0"}],
+                            "coeffs": [{"mono": [0], "c": "4"}, {"mono": [1], "c": "1"},
+                                       {"mono": [2], "c": "2"}],
+                            "tail": "2^-3"}}}
+    path = tmp_path / "tailed.json"
+    path.write_text(json.dumps(doc))
+    argv = ["prepare", "-i", str(path), "--g", "g", "--pivot", "T", "--eps"]
+    assert run(capsys, argv + ["2^-3"]) == \
+        (0, "e = 2*T - 1095, w = T + 548, residual = 2^-3", "")
+    assert run(capsys, argv + ["2^-4"]) == \
+        (1, "", "error: eps is below the tail floor of the preparation instance")
+
+
 def test_sigma(doc_path, capsys):
     code, out, _ = run(capsys, [
         "sigma", "-i", doc_path, "--series", "f,g", "--pivot", "T"])
@@ -227,6 +245,38 @@ def test_qe1(doc_path, capsys):
     code2, out2, _ = run(capsys, [
         "qe1", "-i", doc_path, "--conjunct", "small", "--pivot", "T"])
     assert code2 == 0 and out2.startswith("SAT")
+
+
+SQRT2_AT_7 = "|T^2 - 2| <= 7^-1*|1| & |T - 3| < |1|"
+
+
+def sqrt2_doc(tmp_path, spaces=("line",)):
+    """|T^2 - 2| <= 1/7 and |T - 3| < 1 at p = 7 as a bare-string formula,
+    in a document with one unit disc per name in ``spaces``."""
+    doc = {"prime": 7,
+           "spaces": {name: [{"name": "T", "radius": "7^0"}] for name in spaces},
+           "formulas": {"phi": SQRT2_AT_7}}
+    path = tmp_path / "sqrt2.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_qe1_root_hints(tmp_path, capsys):
+    # sqrt(2) lies in Z_7 (3^2 = 2 mod 7) but not in Q: with no hint the
+    # fibre does not split and qe1 gives up; the hint 3 (alone, or after a
+    # hint that is no witness) is a rational point of the set
+    argv = ["qe1", "-i", sqrt2_doc(tmp_path), "--conjunct", "phi", "--pivot", "T"]
+    assert run(capsys, argv) == (2, "UNKNOWN", "")
+    for roots in ("3", "1/2,3"):
+        assert run(capsys, argv + ["--roots", roots]) == (0, "SAT witness = (3)", "")
+
+
+def test_bare_string_formula_reads_the_sole_space(tmp_path, capsys):
+    argv = ["eval", "-i", sqrt2_doc(tmp_path), "--formula", "phi", "--point", "(3)"]
+    assert run(capsys, argv) == (0, "true", "")
+    argv[2] = sqrt2_doc(tmp_path, ("line", "wide"))
+    assert run(capsys, argv) == \
+        (1, "", "error: document has several spaces; name one explicitly")
 
 
 def test_qe1_decides_over_a_wider_declared_disc(tmp_path, capsys):

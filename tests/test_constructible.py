@@ -64,6 +64,22 @@ def test_membership_reads_a_shared_region_at_each_chart_value():
     assert membership(ConstructibleSet(sp, chains), pt) is True
 
 
+def test_membership_is_unknown_when_a_tailed_region_atom_is_unknown():
+    # the link t = y/x is exact; at (2, 8), t = 4 and |t| = 2^-2 against
+    # 2^-2: a tail 2^-3 on the side keeps that value, a tail 2^-1 hides it
+    sp = B2()
+    ext = sp.extend(VarSpec("t", nv(1)))
+    t = Series.variable(ext, "t")
+    answers = []
+    for tail in (nv(-3), nv(-1)):
+        region = Atom(ONE, t.with_tail(tail), "<=", nv(-2), Series.one(ext))
+        d = ElementaryDatum("t", Series.variable(sp, "y"),
+                            Series.variable(sp, "x"), nv(1), ONE, region)
+        S = ConstructibleSet(sp, (DatumChain(sp, tautology(sp), (d,)),))
+        answers.append(membership(S, RigidPoint(sp, (2, 8))))
+    assert answers == [True, None]
+
+
 def other_space_atom(sp):
     """An atom over a space that differs from sp only in a radius."""
     other = space(sp.prime, *((v.name, 1) for v in sp.vars))

@@ -137,6 +137,7 @@ def test_order_respects_multiplication(rng):
 def test_literals():
     assert parse_norm("2^-3/2", 2) == nv("-3/2")
     assert parse_norm("0", 7) == ZERO
+    assert parse_norm(" 1 ", 7) == NormValue.one()
     assert nv("-3/2").text(2) == "2^-3/2"
     assert nv(2).text(3) == "3^2"
     assert ZERO.text(5) == "0"

@@ -104,6 +104,9 @@ def test_distinguished_order_respects_tail():
     f = poly(sp, {(1,): 1})
     assert distinguished_order(f.with_tail(ONE), "T") is None
     assert distinguished_order(f.with_tail(nv(-1)), "T").order == 1
+    # no term sets a witness for the zero series, so no tail is below it
+    assert distinguished_order(Series.zero(sp), "T") is None
+    assert distinguished_order(Series.zero(sp).with_tail(nv(-3)), "T") is None
 
 
 def test_divide_examples():
@@ -165,9 +168,9 @@ def test_prepare_rejects_forged_witness():
 
 def test_prepare_checks_the_certificate_once(monkeypatch):
     # a certificate read off g itself is trusted as is, so the only
-    # derivation is the monic factor's, once per attempt (eps = 0 makes
-    # exactly one attempt); a rebuilt equal certificate is derived again
-    # from g at entry, once, and the divisions inside do not repeat it
+    # derivation is the monic factor's, once; a rebuilt equal certificate
+    # is derived again from g at entry, once, and the divisions inside do
+    # not repeat it
     calls = []
     real = weierstrass.distinguished_order
 
@@ -245,6 +248,36 @@ def test_prepare_examples():
     assert out3.unit == Series.one(sp)
     assert out3.monic == g3
     assert out3.residual == ZERO
+
+
+def test_prepare_at_the_tail_floor(monkeypatch):
+    # g = 4 + T + 2T^2 with tail 2^-3: at eps = 2^-3 the tail lies in
+    # (eps p^-1, eps], so the division of T is widened to its tail floor and
+    # the preparation certifies with residual = tail, in two divisions (T by
+    # g, then g by the monic factor); below the tail no eps is reachable,
+    # and the preparation refuses before it divides
+    divisions = []
+    real = weierstrass.weierstrass_divide
+
+    def counting(f, g, cert, eps):
+        divisions.append((f, g))
+        return real(f, g, cert, eps)
+
+    sp = B1()
+    g = poly(sp, {(0,): 4, (1,): 1, (2,): 2}).with_tail(nv(-3))
+    cert = distinguished_order(g, "T")
+    monkeypatch.setattr(weierstrass, "weierstrass_divide", counting)
+    out = weierstrass_prepare(g, cert, nv(-3))
+    assert out.residual == nv(-3)
+    assert certify_unit(out.unit) is not None and out.unit.tail == ZERO
+    assert out.monic.degree_in("T") == 1
+    assert (g.drop_tail() - out.unit * out.monic).gauss_norm().value <= nv(-3)
+    assert divisions == [(Series.variable(sp, "T"), g), (g.drop_tail(), out.monic)]
+    for eps in (nv(-4), ZERO):
+        divisions.clear()
+        with pytest.raises(ValueError, match="tail floor of the preparation instance"):
+            weierstrass_prepare(g, cert, eps)
+        assert divisions == []
 
 
 def test_norm_multiplicativity_with_distinguished_factor(rng):
