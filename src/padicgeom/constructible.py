@@ -155,7 +155,9 @@ def _chain_membership(chain: DatumChain, base: Seminorms) -> Optional[bool]:
     from ``Seminorms.chart``: only t is checked there, since the prefix
     coordinates already were, and a chart prefix another chain (of this
     call or an earlier one at the same point) has walked is not walked
-    again.
+    again.  The g = 0 and tail tests read exponents (None is the zero
+    norm), and s|g| is built only for s != 1, as ``Seminorms.holds`` does
+    for an atom's scales.
     """
     out = truth(chain.base_region, base.holds)
     if out is False:
@@ -164,11 +166,14 @@ def _chain_membership(chain: DatumChain, base: Seminorms) -> Optional[bool]:
     for link in chain.links:
         f, g = link.f, link.g
         lhs, rhs = ev(f), ev(g)
-        if g.tail.is_zero and rhs.value.is_zero:
+        g_exact = g.tail.exp is None
+        if g_exact and rhs.value.exp is None:
             return False
-        if compare_le(lhs, rhs.scaled(link.s)) is False:
+        if link.s.exp != 0:
+            rhs = rhs.scaled(link.s)
+        if compare_le(lhs, rhs) is False:
             return False
-        if not (f.tail.is_zero and g.tail.is_zero):
+        if not (g_exact and f.tail.exp is None):
             # the chart value is uncertain: nothing deeper is decidable
             return None
         ev = ev.chart(f, g, link.extended)

@@ -227,6 +227,11 @@ class Seminorms:
     one child per chart prefix: charts with the same f and g objects, name
     and radius share it, and with it t, the extended point and every
     evaluation there.
+
+    ``holds`` decides an atom on the memoised estimates through
+    ``compare_le``/``compare_lt``; each estimate knows whether it is exact
+    from its construction, so once both sides are in the memo an exact
+    atom with unit scales costs one comparison of two exponents.
     """
 
     __slots__ = ("point", "_rows", "_spaces", "_memo", "_children")
@@ -274,10 +279,15 @@ class Seminorms:
 
     def holds(self, atom: Atom) -> Optional[bool]:
         """Kleene truth of the atom at the point: the leaf rule that
-        ``truth`` takes for evaluation."""
+        ``truth`` takes for evaluation.  A side whose scale is 1 is
+        compared as memoised, with no scaled copy."""
         memo = self._memo
-        lhs = (memo.get(id(atom.f)) or self._evaluate(atom.f))[1].scaled(atom.alpha)
-        rhs = (memo.get(id(atom.g)) or self._evaluate(atom.g))[1].scaled(atom.beta)
+        lhs = (memo.get(id(atom.f)) or self._evaluate(atom.f))[1]
+        rhs = (memo.get(id(atom.g)) or self._evaluate(atom.g))[1]
+        if atom.alpha.exp != 0:
+            lhs = lhs.scaled(atom.alpha)
+        if atom.beta.exp != 0:
+            rhs = rhs.scaled(atom.beta)
         if atom.op == LE:
             return compare_le(lhs, rhs)
         return compare_lt(lhs, rhs)

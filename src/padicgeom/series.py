@@ -43,8 +43,9 @@ Exponents = Tuple[int, ...]
 # polynomial only once all of its checks pass, so neither a huge exponent,
 # nested powers such as ((T+1)^1000)^2 nor long products such as
 # (T+1)^1000*(T+3)^1000 multiply anything out before they are refused.
-# Products inside the library (``Series.__mul__``, e.g. the geometric
-# series of ``invert_unit``) are not bounded.
+# Products inside the library (``Series.__mul__``) are not bounded, but
+# ``weierstrass.invert_unit`` refuses an eps that would ask its geometric
+# series for more than MAX_POWER products.
 MAX_POWER = 1000
 
 
@@ -327,7 +328,9 @@ class NormEstimate(Value):
 
     The true seminorm equals ``value`` whenever ``uncertainty`` is zero or
     strictly below ``value``; otherwise all that is known is that it lies
-    in [0, max(value, uncertainty)].
+    in [0, max(value, uncertainty)].  Which of the two holds is worked out
+    once here and kept on the instance as ``is_exact`` (not a field, so
+    equality and hashing ignore it): every comparison reads it.
     """
 
     value: NormValue
@@ -336,10 +339,9 @@ class NormEstimate(Value):
     def __init__(self, value: NormValue, uncertainty: NormValue):
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "uncertainty", uncertainty)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.uncertainty.is_zero or self.uncertainty < self.value
+        u = uncertainty.exp
+        object.__setattr__(self, "is_exact",
+                           u is None or (value.exp is not None and u < value.exp))
 
     def lower(self) -> NormValue:
         return self.value if self.is_exact else NormValue.zero()
@@ -348,15 +350,22 @@ class NormEstimate(Value):
         return nv_max(self.value, self.uncertainty)
 
     def scaled(self, a: NormValue) -> "NormEstimate":
-        if a.exp == 0:
-            return self
+        """The estimate of a|f| for a positive scale a or the zero norm;
+        its callers skip it for a = 1."""
         return NormEstimate(self.value * a, self.uncertainty * a)
 
 
 def compare_le(a: NormEstimate, b: NormEstimate) -> Optional[bool]:
-    """Three-valued `a <= b` on certified seminorms (None = unknown)."""
+    """Three-valued `a <= b` on certified seminorms (None = unknown).
+
+    When both sides are exact this is one comparison of their exponents,
+    with None (the zero norm) below every exponent: the order that
+    ``NormValue.__le__`` defines, without its call.  Otherwise `a <= b`
+    is certain when upper(a) <= lower(b), refuted when upper(b) <
+    lower(a), and unknown in between."""
     if a.is_exact and b.is_exact:
-        return a.value <= b.value
+        x, y = a.value.exp, b.value.exp
+        return x is None or (y is not None and x <= y)
     if a.upper() <= b.lower():
         return True
     if b.upper() < a.lower():
@@ -365,9 +374,11 @@ def compare_le(a: NormEstimate, b: NormEstimate) -> Optional[bool]:
 
 
 def compare_lt(a: NormEstimate, b: NormEstimate) -> Optional[bool]:
-    """Three-valued `a < b` on certified seminorms (None = unknown)."""
+    """Three-valued `a < b` on certified seminorms (None = unknown), with
+    the exponent rule of ``compare_le`` on exact sides."""
     if a.is_exact and b.is_exact:
-        return a.value < b.value
+        x, y = a.value.exp, b.value.exp
+        return y is not None and (x is None or x < y)
     if a.upper() < b.lower():
         return True
     if b.upper() <= a.lower():

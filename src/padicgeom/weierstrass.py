@@ -37,7 +37,7 @@ from operator import mul
 from typing import Dict, List, Optional, Tuple
 
 from .scalars import NormValue, Value, _valuation, nv_max, nv_min
-from .series import (Exponents, PackedTerms, Series, Space, ints_add_into,
+from .series import (MAX_POWER, Exponents, PackedTerms, Series, Space, ints_add_into,
                      ints_addmul_into, ints_addmul_rows, ints_reduce, norm_exp)
 
 _MAX_DIVISION_PASSES = 400
@@ -83,7 +83,8 @@ def invert_unit(cert: UnitCertificate, eps: NormValue) -> Series:
 
     Uses the geometric series sum (-w)^n truncated at the smallest N with
     ||w||^(N+1) <= eps.  Exact (tail-free) when w = 0.  The returned tail
-    eps/|c| bounds ||1/u - v||.
+    eps/|c| bounds ||1/u - v||.  An eps that needs N > ``MAX_POWER``
+    products is refused before the first one.
     """
     c, w = cert.scale, cert.rest
     space = w.space
@@ -100,6 +101,9 @@ def invert_unit(cert: UnitCertificate, eps: NormValue) -> Series:
         a = -omega.exp  # > 0 since ||w|| < 1
         b = -eps.exp
         n_terms = max(0, -(-b.numerator * a.denominator // (b.denominator * a.numerator)) - 1)
+    if n_terms > MAX_POWER:
+        raise ValueError(f"eps asks the unit inverse for {n_terms} products, "
+                         f"above the limit MAX_POWER = {MAX_POWER}")
     acc = Series.one(space)
     power = Series.one(space)
     w0 = w.drop_tail()
@@ -280,7 +284,8 @@ def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
     min(eps/||f||, p^-1): each sweep then contracts the defect by
     max(kappa, tau), and the inverse is never more precise than the target
     (a tiny row above the order would otherwise ask ``invert_unit`` for an
-    unbounded number of products).
+    unbounded number of products).  A target that still needs more than
+    ``MAX_POWER`` products of the inverse is refused by ``invert_unit``.
 
     Rows key each term by sum_j e_j << (width * j) over the exponents e_j of
     the variables other than the pivot, so a product's key is the sum of its

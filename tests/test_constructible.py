@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import weakref
 from fractions import Fraction
@@ -10,14 +11,14 @@ from padicgeom import (And, Atom, ConstructibleSet, DatumChain,
                        ElementaryDatum, Not, NormValue, Or, RigidPoint,
                        Series, Space, VarSpec, complement, eval_formula,
                        formula_set, intersect, membership, neighborhood_datum,
-                       parse_formula, simplify_divisible, union,
+                       parse_formula, simplify_divisible, to_dnf, union,
                        unit_coefficient_covering)
 from padicgeom.constructible import _const_atom_truth
-from padicgeom.formulas import (Seminorms, formula_atoms, rename_formula_var,
-                                tautology, truth)
+from padicgeom.formulas import (Seminorms, eval_conjunct, formula_atoms, map_atoms,
+                                rename_formula_var, tautology, truth)
 from padicgeom.series import compare_le
 from conftest import (ONE, ZERO, nv, poly, rand_constructible, rand_formula,
-                      rand_rigid, space)
+                      rand_monomial, rand_rigid, space)
 
 
 def B2(p=2):
@@ -207,6 +208,61 @@ def test_membership_matches_naive_walk_property(seed):
     for cs in sets:
         for x in points:
             assert membership(cs, x) is naive_membership(cs, x)
+
+
+# -- pinned read answers ------------------------------------------------------------
+
+READ_SCALES = (ONE, ONE, nv(1), nv(-1), nv("1/2"))
+
+
+def tailed(rng, f):
+    """f, or one time in four f with a tail 2^-3 .. 2^0."""
+    return f.with_tail(nv(-rng.randint(0, 3))) if rng.random() < 0.25 else f
+
+
+def tailed_atoms(rng, phi):
+    """phi with tails on some atom sides and scales drawn for every atom."""
+    return map_atoms(phi, lambda a: Atom(rng.choice(READ_SCALES), tailed(rng, a.f), a.op,
+                                         rng.choice(READ_SCALES), tailed(rng, a.g)))
+
+
+def tailed_set(rng, cs):
+    """cs with tails on some series, chart thresholds s in {1, p^-1, p^(1/2)}
+    and scaled region atoms."""
+    chains = []
+    for ch in cs.chains:
+        links = tuple(ElementaryDatum(link.t_name, tailed(rng, link.f), tailed(rng, link.g),
+                                      link.r, rng.choice((ONE, nv(-1), nv("1/2"))),
+                                      tailed_atoms(rng, link.region))
+                      for link in ch.links)
+        chains.append(DatumChain(cs.space, tailed_atoms(rng, ch.base_region), links))
+    return ConstructibleSet(cs.space, tuple(chains))
+
+
+def test_read_answers_are_pinned():
+    # membership, eval_formula and eval_conjunct answers of 150 seeded
+    # instances (six sets, a formula and its DNF, rigid and monomial points),
+    # hashed: reads may change how they decide, not what
+    digest = hashlib.sha256()
+    seen = set()
+    for seed in range(150):
+        rng = random.Random(seed)
+        p = rng.choice([2, 3])
+        sp = space(p, ("x", 0)) if rng.random() < 0.5 else space(p, ("x", 0), ("y", 0))
+        A = rand_constructible(rng, sp)
+        B = tailed_set(rng, rand_constructible(rng, sp))
+        A_tailed = tailed_set(rng, A)
+        sets = [A, complement(A), A_tailed, B, union(A_tailed, B), intersect(A_tailed, B)]
+        phi = tailed_atoms(rng, rand_formula(rng, sp, 4))
+        rigid = [rand_rigid(rng, sp) for _ in range(4)]
+        points = rigid + [rand_monomial(rng, sp) for _ in range(2)]
+        answers = [membership(cs, x) for cs in sets for x in rigid]
+        answers += [eval_formula(phi, x) for x in points]
+        answers += [eval_conjunct(c, x) for c in to_dnf(phi) for x in points]
+        seen.update(answers)
+        digest.update(repr(answers).encode())
+    assert seen == {True, False, None}
+    assert digest.hexdigest()[:16] == "98a5a18d33dcc647"
 
 
 # -- allocation and sharing guards: call counts, not timings ----------------------

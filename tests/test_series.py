@@ -5,13 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from padicgeom import (Atom, MonomialPoint, NormValue, RigidPoint, Series, Space,
                        VarSpec, gauss_point, pushforward_eval)
 from padicgeom.formulas import Seminorms
-from padicgeom.series import (MAX_POWER, NormEstimate, ints_add_into,
-                              ints_addmul_into, ints_mul)
+from padicgeom.series import (MAX_POWER, NormEstimate, compare_le, compare_lt,
+                              ints_add_into, ints_addmul_into, ints_mul)
 from padicgeom.weierstrass import (certify_unit, distinguished_order, invert_unit,
                                    weierstrass_divide)
 from padicgeom.scalars import Value
@@ -511,6 +511,107 @@ def test_tail_makes_comparisons_uncertain():
     assert est.lower() == ZERO
 
 
+# -- comparisons of estimates against the NormValue order ----------------------
+#
+# The reference below decides on bare (value, uncertainty) pairs through
+# NormValue's own <= and <, working out exactness at every call: an estimate
+# is exact when its uncertainty is zero or strictly below its value, exact
+# sides compare their values, and other sides compare the interval
+# [lower, upper].  NormEstimate works out exactness once, when it is built.
+
+
+def ref_exact(value, unc):
+    return unc.is_zero or unc < value
+
+
+def ref_compare(a, b, strict):
+    """Three-valued a <= b (strict: a < b) on (value, uncertainty) pairs."""
+    if ref_exact(*a) and ref_exact(*b):
+        return a[0] < b[0] if strict else a[0] <= b[0]
+    lower_a = a[0] if ref_exact(*a) else ZERO
+    lower_b = b[0] if ref_exact(*b) else ZERO
+    upper_a = a[0] if a[1] <= a[0] else a[1]
+    upper_b = b[0] if b[1] <= b[0] else b[1]
+    if strict:
+        if upper_a < lower_b:
+            return True
+        if upper_b <= lower_a:
+            return False
+    else:
+        if upper_a <= lower_b:
+            return True
+        if upper_b < lower_a:
+            return False
+    return None
+
+
+def ref_scaled(pair, a):
+    return pair[0] * a, pair[1] * a
+
+
+# exponents with denominators 1, 2 and 3, all reachable at the Gauss point
+# of |T| <= 2^(1/6) as |2^-q T^k|; one value in five is the zero norm, and
+# the scales include a unit that is not the shared one() instance
+compare_exps = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+compare_values = st.tuples(st.integers(0, 4), compare_exps).map(
+    lambda d: NormValue.power(d[1]) if d[0] else ZERO)
+compare_scales = st.one_of(st.sampled_from([ONE, NormValue(Fraction(0))]),
+                           compare_values)
+
+
+@st.composite
+def estimate_pairs(draw):
+    """(value, uncertainty) with the uncertainty zero, below, equal to or
+    above the value, or drawn apart."""
+    value = draw(compare_values)
+    where = draw(st.sampled_from(["zero", "below", "equal", "above", "apart"]))
+    step = draw(st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(1)]))
+    if where == "zero" or (where == "below" and value.is_zero):
+        return value, ZERO
+    if where == "equal":
+        return value, value
+    if where == "apart" or value.is_zero:
+        return value, draw(compare_values)
+    return value, NormValue.power(value.exp + (step if where == "above" else -step))
+
+
+@given(estimate_pairs(), estimate_pairs())
+@example((nv(1), ZERO), (nv(1), ZERO))
+@example((ZERO, ZERO), (nv(-3), ZERO))
+@example((nv(-1), nv(-1)), (nv(-2), ZERO))
+@example((nv("1/2"), nv("1/3")), (nv("1/2"), nv("2/3")))
+def test_comparisons_match_the_norm_value_order_property(a, b):
+    ea, eb = NormEstimate(*a), NormEstimate(*b)
+    assert ea.is_exact is ref_exact(*a)
+    assert ea.lower() == (a[0] if ref_exact(*a) else ZERO)
+    assert compare_le(ea, eb) is ref_compare(a, b, False)
+    assert compare_lt(ea, eb) is ref_compare(a, b, True)
+
+
+def series_with_estimate(sp, value, unc):
+    """A series whose estimate at the Gauss point of sp = {|T| <= 2^(1/6)}
+    is (value, unc): 2^-q T^k with q + k/6 the value's exponent."""
+    if value.is_zero:
+        return Series.zero(sp).with_tail(unc)
+    q, k = divmod(value.exp * 6, 6)
+    return Series.monomial(sp, (int(k),)).scale(Fraction(2) ** -int(q)).with_tail(unc)
+
+
+@given(estimate_pairs(), estimate_pairs(), compare_scales, compare_scales,
+       st.sampled_from(["<=", "<"]))
+@example((nv(-1), ZERO), (nv(-1), ZERO), nv(1), ONE, "<=")
+@example((nv(-1), ZERO), (nv(-2), ZERO), ONE, nv(-1), "<")
+def test_atoms_hold_by_the_norm_value_order_property(a, b, alpha, beta, op):
+    if alpha.is_zero and beta.is_zero:
+        beta = ONE
+    sp = space(2, ("T", "1/6"))
+    f, g = series_with_estimate(sp, *a), series_with_estimate(sp, *b)
+    x = gauss_point(sp)
+    assert (f.eval_seminorm(x), g.eval_seminorm(x)) == (NormEstimate(*a), NormEstimate(*b))
+    got = Seminorms(x).holds(Atom(alpha, f, op, beta, g))
+    assert got is ref_compare(ref_scaled(a, alpha), ref_scaled(b, beta), op == "<")
+
+
 def test_lift_to_an_equal_space_keeps_the_object():
     sp = B2()
     f = poly(sp, {(1, 0): 3, (0, 2): 1}).with_tail(nv(-2))
@@ -593,8 +694,8 @@ def test_constant_seminorm_is_the_seminorm_at_every_point_property(seed):
 
 
 def test_library_products_are_unbounded():
-    # MAX_POWER bounds Series.pow and the formula DSL (tests/test_formulas.py),
-    # not products inside the library, such as invert_unit's powers
+    # MAX_POWER bounds Series.pow, the formula DSL (tests/test_formulas.py)
+    # and the number of products invert_unit makes, not Series.__mul__ itself
     sp = B1()
     top = Series.monomial(sp, (MAX_POWER,))
     assert (top * top * Series.variable(sp, "T")).degree_in("T") == 2 * MAX_POWER + 1

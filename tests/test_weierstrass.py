@@ -58,6 +58,27 @@ def test_invert_unit_past_the_degree_limit():
     assert (u * v.drop_tail() - Series.one(sp)).gauss_norm().value <= nv(-400)
 
 
+def test_invert_unit_at_the_product_limit():
+    # 1/(1 + 2T) at p = 2: ||w|| = 2^-1, so eps = 2^-1001 asks for exactly
+    # MAX_POWER products and one step finer for one more, refused before any
+    sp = B1()
+    u = poly(sp, {(0,): 1, (1,): 2})
+    v = invert_unit(certify_unit(u), nv(-(MAX_POWER + 1)))
+    assert v.degree_in("T") == MAX_POWER
+    assert (u * v.drop_tail() - Series.one(sp)).gauss_norm().value <= nv(-(MAX_POWER + 1))
+    with pytest.raises(ValueError, match=f"1001 products, above the limit MAX_POWER = {MAX_POWER}$"):
+        invert_unit(certify_unit(u), nv(-(MAX_POWER + 2)))
+    with pytest.raises(ValueError, match="MAX_POWER"):
+        invert_unit(certify_unit(u), nv(-2000))
+    # a division whose series-unit lead (1 + 2y) T sits beside a row of norm
+    # 2^-2000 inverts it to 2^-2000 for eps = 2^-2000: refused the same way
+    sp2 = space(2, ("y", 0), ("T", 0))
+    g = poly(sp2, {(0, 1): 1, (1, 1): 2, (0, 2): Fraction(2) ** 2000})
+    f = poly(sp2, {(0, 3): 1, (1, 0): 1})
+    with pytest.raises(ValueError, match="1999 products, above the limit MAX_POWER"):
+        weierstrass_divide(f, g, distinguished_order(g, "T"), nv(-2000))
+
+
 def test_divide_by_series_unit_lead_with_high_degree_inverse():
     # g = (1 + 3y^3) T + 3^400 T^2: the row above the order is tiny, so
     # the lead's inverse is taken to precision 3^-400, past MAX_POWER
