@@ -77,21 +77,18 @@ class DistinguishResult(Value):
     base: int                  # the digit bound d
     s: NormValue               # pivot radius, > 1
     rho: Tuple[NormValue, ...]
-    mus: Tuple[Tuple[int, ...], ...]
     orders: Tuple[int, ...]
     certs: Tuple[DistinguishedCertificate, ...]
     transformed: Tuple[Series, ...]
 
     def __init__(self, shear: Shear, base: int, s: NormValue,
-                 rho: Tuple[NormValue, ...], mus: Tuple[Tuple[int, ...], ...],
-                 orders: Tuple[int, ...],
+                 rho: Tuple[NormValue, ...], orders: Tuple[int, ...],
                  certs: Tuple[DistinguishedCertificate, ...],
                  transformed: Tuple[Series, ...]):
         object.__setattr__(self, "shear", shear)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "mus", mus)
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "certs", certs)
         object.__setattr__(self, "transformed", transformed)
@@ -186,9 +183,8 @@ def make_distinguished(fs: Sequence[Series], pivot: str) -> DistinguishResult:
             certs.append(cert)
             transformed.append(sf)
         if ok:
-            return DistinguishResult(shear, d, s, tuple(rho), tuple(mus),
-                                     tuple(expected), tuple(certs),
-                                     tuple(transformed))
+            return DistinguishResult(shear, d, s, tuple(rho), tuple(expected),
+                                     tuple(certs), tuple(transformed))
     raise ValueError("no admissible pivot radius in the schedule "
                      "(pathological tails or radii)")
 

@@ -9,10 +9,11 @@ walking the chain outermost-in: each chart value t = f(x)/g(x) is uniquely
 determined, so the walk is deterministic and exact on tail-free data.
 
 The calculus implemented here: complement (by structural recursion on the
-chain), intersection (fibered product = chain concatenation), union, the
-divisibility rewrite that trades a datum for a Weierstrass or Laurent
-domain, affinoid-neighbourhood data, and the covering attached to a
-coefficient decomposition whose members generate the unit ideal.
+chain, each negated region kept whole), intersection (fibered product =
+chain concatenation), union, the divisibility rewrite that trades a datum
+for a Weierstrass or Laurent domain, affinoid-neighbourhood data, and the
+covering attached to a coefficient decomposition whose members generate
+the unit ideal.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .scalars import NormValue, Value
 from .series import RigidPoint, Series, Space, VarSpec, compare_le
-from .formulas import (And, Atom, Formula, LE, LT, Seminorms,
-                       dnf_to_formula, lift_formula, negate,
-                       rename_formula_var, tautology, to_dnf, truth)
+from .formulas import (And, Atom, Formula, LE, LT, Seminorms, lift_formula,
+                       negate, rename_formula_var, tautology, truth)
 
 
 class ElementaryDatum(Value):
@@ -280,17 +280,12 @@ def intersect(a: ConstructibleSet, b: ConstructibleSet) -> ConstructibleSet:
     return _pruned(a.space, chains)
 
 
-def _formula_chains(space: Space, phi: Formula) -> List[DatumChain]:
-    return [DatumChain(space, dnf_to_formula([conj]), ())
-            for conj in to_dnf(phi)]
-
-
 def _chain_complement(chain: DatumChain) -> ConstructibleSet:
     """Structural recursion on the complexity of the chain."""
     base = chain.base
-    pieces: List[DatumChain] = []
-    # the base region can fail outright
-    pieces.extend(_formula_chains(base, negate(chain.base_region)))
+    # the base region can fail outright: its negation stays one region,
+    # since membership ORs the chains under distributive Kleene logic
+    pieces = [DatumChain(base, negate(chain.base_region), ())]
     if not chain.links:
         return ConstructibleSet(base, tuple(pieces))
     head, rest = chain.links[0], chain.links[1:]

@@ -52,7 +52,7 @@ from .series import MonomialPoint, Point, RigidPoint, Series, Space, VarSpec
 from .formulas import (And, Atom, Formula, LE, LT, Not, Or, eval_formula,
                        formula_atoms, map_atoms, nnf, truth)
 from .weierstrass import weierstrass_prepare
-from .automorphisms import DistinguishResult, make_distinguished
+from .automorphisms import make_distinguished
 
 
 # -- split polynomials ---------------------------------------------------------
@@ -433,14 +433,12 @@ def lemniscate_region(poly: SplitPoly, cmp: str, c: NormValue, space: Space
 
 
 class QEPreparation(Value):
-    """Prepared atoms on the sheared space, and the shear that made them."""
+    """Prepared atoms on the sheared space."""
 
     atoms: Tuple[Atom, ...]
-    distinguish: DistinguishResult
 
-    def __init__(self, atoms: Tuple[Atom, ...], distinguish: DistinguishResult):
+    def __init__(self, atoms: Tuple[Atom, ...]):
         object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "distinguish", distinguish)
 
 
 def qe_prepare(conjunct: Sequence[Atom], pivot: str) -> QEPreparation:
@@ -484,7 +482,7 @@ def qe_prepare(conjunct: Sequence[Atom], pivot: str) -> QEPreparation:
         atoms_out.append(Atom(
             atom.alpha * pf.unit_cert.norm(), pf.monic, atom.op,
             atom.beta * pg.unit_cert.norm(), pg.monic))
-    return QEPreparation(tuple(atoms_out), dist)
+    return QEPreparation(tuple(atoms_out))
 
 
 class SplitAtom(Value):

@@ -689,7 +689,7 @@ class Series:
             if g.space != target:
                 raise ValueError("all substituted series must share one space")
         for v, g in zip(self.space.vars, images):
-            if g.gauss_norm().upper() > v.radius:
+            if nv_max(g.main_norm(), g.tail) > v.radius:
                 raise ValueError(
                     f"norm budget violated: |image of {v.name}| exceeds radius "
                     f"{v.radius.text(self.space.prime)}")

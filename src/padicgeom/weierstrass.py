@@ -73,7 +73,7 @@ def certify_unit(u: Series) -> Optional[UnitCertificate]:
     if c == 0:
         return None
     rest = u.scale(Fraction(1) / c) - Series.one(u.space)
-    if rest.gauss_norm().upper() >= NormValue.one():
+    if nv_max(rest.main_norm(), rest.tail) >= NormValue.one():
         return None
     return UnitCertificate(c, rest)
 
@@ -94,7 +94,7 @@ def invert_unit(cert: UnitCertificate, eps: NormValue) -> Series:
         raise ValueError("exact inversion is only available for constant units")
     if w.tail > eps:
         raise ValueError("eps is below the tail floor of the unit certificate")
-    omega = w.gauss_norm().upper()
+    omega = nv_max(w.main_norm(), w.tail)
     if omega <= eps:
         n_terms = 0
     else:
@@ -102,8 +102,8 @@ def invert_unit(cert: UnitCertificate, eps: NormValue) -> Series:
         b = -eps.exp
         n_terms = max(0, -(-b.numerator * a.denominator // (b.denominator * a.numerator)) - 1)
     if n_terms > MAX_POWER:
-        raise ValueError(f"eps asks the unit inverse for {n_terms} products, "
-                         f"above the limit MAX_POWER = {MAX_POWER}")
+        raise ValueError(f"the unit inverse to precision {eps.text(space.prime)} "
+                         f"needs {n_terms} products, above the limit MAX_POWER = {MAX_POWER}")
     acc = Series.one(space)
     power = Series.one(space)
     w0 = w.drop_tail()
@@ -477,7 +477,7 @@ def weierstrass_prepare(g: Series, cert: DistinguishedCertificate,
     ucert = certify_unit(exact.quotient)
     if ucert is None:
         raise ValueError("preparation failed: the quotient failed the unit shape")
-    residual = nv_max(exact.remainder.gauss_norm().value, g.tail)
+    residual = nv_max(exact.remainder.main_norm(), g.tail)
     if residual > eps:
         raise ValueError("preparation failed: residual did not certify below eps")
     return PreparationResult(exact.quotient, ucert, w, residual)

@@ -383,6 +383,23 @@ def test_blowup_and_pushdown(doc_path, capsys):
     assert code2 == 0 and out2 == "M = 1, pushdown = -x^2 + y"
 
 
+def test_pushdown_of_a_document_series(tmp_path, capsys):
+    # --poly may name a series of the document on the chart space (x, t):
+    # the same polynomial as inline text pushes down to the same output
+    doc = json.loads(json.dumps(DOC))
+    doc["series"]["tx"] = {"vars": [{"name": "x", "radius": "2^0"},
+                                    {"name": "t", "radius": "2^0"}],
+                           "coeffs": [{"mono": [0, 1], "c": "1"},
+                                      {"mono": [1, 0], "c": "-1"}],
+                           "tail": "0"}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    outs = [run(capsys, ["pushdown", "-i", str(path), "--chart", "1",
+                         "--poly", poly, "--base-space", "plane"])
+            for poly in ("tx", "t - x")]
+    assert outs[0] == outs[1] == (0, "M = 1, pushdown = -x^2 + y", "")
+
+
 def test_error_reporting(doc_path, capsys):
     code, out, err = run(capsys, [
         "norm", "-i", doc_path, "--series", "nosuch", "--space", "line"])
@@ -623,3 +640,30 @@ def test_stored_benchmark_case(case, monkeypatch, capsys, tmp_path):
     assert capsys.readouterr().out == stdout
     if case["ofile"]:
         assert ofile.read_text(encoding="utf-8") == case["ofile_text"]
+
+
+def test_repeated_complements_stay_small(tmp_path):
+    # each negated base region stays one region: complement after
+    # complement of doc2's C keeps 4 chains, where splitting those regions
+    # into DNF chains gave 32 at the second step and no answer in minutes
+    # at the third
+    source, name = str(REPO / "perfbench" / "cli" / "doc2.json"), "C"
+    outs = []
+    for k in range(3):
+        out = str(tmp_path / f"c{k + 1}.json")
+        proc = run_subprocess(["complement", "-i", source, "--set", name,
+                               "-o", out], timeout=30)
+        assert proc.returncode == 0 and not proc.stderr
+        assert proc.stdout == f"wrote 4 chain(s) to {out}\n"
+        outs.append(load_document(out).sets["out"])
+        source, name = out, "out"
+    C = load_document(str(REPO / "perfbench" / "cli" / "doc2.json")).sets["C"]
+    answers = set()
+    for x0 in range(8):
+        for y0 in (0, 1, 2, 3, 4, 6, Fraction(1, 3), Fraction(2, 5)):
+            x = RigidPoint(C.space, (Fraction(x0), Fraction(y0)))
+            inside = membership(C, x)
+            assert membership(outs[0], x) is membership(outs[2], x) is (not inside)
+            assert membership(outs[1], x) is inside
+            answers.add(inside)
+    assert answers == {True, False}

@@ -559,15 +559,33 @@ def rand_pair_and_points(seed, max_links=2, count=10):
 
 @given(st.integers(0, 2 ** 32 - 1))
 def test_complement_involution_property(seed):
-    # complement multiplies out chains: a first complement of 8 chains gives
-    # a second of up to 1024, and of 12 chains one of 393,216 (minutes of
-    # membership), so larger cases are left out to bound the run time
+    # complement multiplies out chains: a first complement of 12 chains
+    # gives a second of up to 6,144 (a third of a second of membership),
+    # and one of 16 chains up to 24,576, so larger cases are left out to
+    # bound the run time
     A, _, points = rand_pair_and_points(seed, max_links=1)
     C = complement(A)
-    assume(len(C.chains) <= 8)
+    assume(len(C.chains) <= 12)
     CC = complement(C)
     for x in points:
         assert membership(CC, x) is membership(A, x)
+
+
+def test_second_complement_keeps_each_negated_region_whole():
+    # a first complement of 12 chains: splitting each negated base region
+    # into DNF chains made its complement 393,216 chains and half a minute
+    A, _, points = rand_pair_and_points(130 * 7919, max_links=1)
+    C = complement(A)
+    assert len(C.chains) == 12
+    CC = complement(C)
+    assert len(CC.chains) <= 6144
+    # the instance's points lie outside A; these three lie in it
+    inside = [RigidPoint(A.space, (Fraction(a), Fraction(b)))
+              for a, b in ((1, 36), (-18, -81), (Fraction(-1, 2), 9))]
+    assert [membership(A, x) for x in inside] == [True] * 3
+    for x in points + inside:
+        assert membership(CC, x) is membership(A, x)
+        assert membership(C, x) is (not membership(A, x))
 
 
 @given(st.integers(0, 2 ** 32 - 1))

@@ -262,8 +262,7 @@ def value_examples():
         sp.extend(p.VarSpec("t", ONE))))
     chain = p.DatumChain(sp, atom, (datum,))
     split = p.SplitPoly(Fraction(1), ((Fraction(0), 2),))
-    dist = p.DistinguishResult(shear, 3, nv(1), (nv(1), nv(2)), ((0, 1),),
-                               (1,), (cert,), (T,))
+    dist = p.DistinguishResult(shear, 3, nv(1), (nv(1), nv(2)), (1,), (cert,), (T,))
     return {
         p.NormValue: (nv(3), nv("1/2")),
         p.VarSpec: (p.VarSpec("x", ONE), p.VarSpec("x", nv(1))),
@@ -281,7 +280,7 @@ def value_examples():
                               p.PreparationResult(one, ucert, T, nv(-5))),
         p.Shear: (shear, p.Shear("T", {"x": 3})),
         p.DistinguishResult: (dist, p.DistinguishResult(
-            shear, 4, nv(1), (nv(1), nv(2)), ((0, 1),), (1,), (cert,), (T,))),
+            shear, 4, nv(1), (nv(1), nv(2)), (1,), (cert,), (T,))),
         p.Atom: (atom, atom2),
         p.And: (p.And((atom, atom2)), p.And((atom2, atom))),
         p.Or: (p.Or((atom, atom2)), p.Or((atom,))),
@@ -296,7 +295,7 @@ def value_examples():
                           p.CoveringPiece(chain, None, None)),
         p.SplitPoly: (split, p.SplitPoly(Fraction(2), ((Fraction(0), 2),))),
         p.Disc: (p.Disc(Fraction(1), ONE), p.Disc(Fraction(1), ONE, False)),
-        p.QEPreparation: (p.QEPreparation((atom,), dist), p.QEPreparation((atom2,), dist)),
+        p.QEPreparation: (p.QEPreparation((atom,)), p.QEPreparation((atom2,))),
         p.SplitAtom: (p.SplitAtom(ONE, split, "<=", ONE, None),
                       p.SplitAtom(ONE, None, "<=", ONE, split)),
         p.Decision: (p.Decision("SAT", p.RigidPoint(line, (0,))),

@@ -355,6 +355,19 @@ def test_rigid_seminorms_match_fraction_reference(case):
         assert f.eval_seminorm(x) == ref
 
 
+def test_chart_point_on_another_space_is_refused():
+    # the chart space must be f's space plus one coordinate, on f's prime
+    sp = B2()
+    x = RigidPoint(sp, (1, 2))
+    f, g = Series.variable(sp, "T1"), Series.one(sp)
+    t = VarSpec("t", ONE)
+    for wrong in (Space(3, sp.vars + (t,)), sp.drop("T2").extend(t),
+                  Space(2, sp.vars[::-1] + (t,))):
+        with pytest.raises(ValueError, match="point/space mismatch"):
+            Seminorms(x).chart(f, g, wrong)
+    assert Seminorms(x).chart(f, g, sp.extend(t)).point.coords == (1, 2, 1)
+
+
 def test_points_with_the_wrong_coordinate_count_are_refused():
     sp = B2()
     f = Series.variable(sp, "T1")
@@ -699,6 +712,21 @@ def test_library_products_are_unbounded():
     sp = B1()
     top = Series.monomial(sp, (MAX_POWER,))
     assert (top * top * Series.variable(sp, "T")).degree_in("T") == 2 * MAX_POWER + 1
+
+
+def test_pow_at_the_degree_limit():
+    # k * deg <= MAX_POWER is built (a degree-0 series counts as degree 1),
+    # one more is refused before the first product
+    sp = B1()
+    T = Series.variable(sp, "T")
+    assert T.pow(MAX_POWER) == Series.monomial(sp, (MAX_POWER,))
+    assert Series.constant(sp, 2).pow(MAX_POWER) == Series.constant(sp, 2 ** MAX_POWER)
+    for f, k in ((T, MAX_POWER + 1), (T * T + Series.one(sp), MAX_POWER // 2 + 1),
+                 (Series.one(sp), MAX_POWER + 1)):
+        with pytest.raises(ValueError, match=f"exceeds the degree limit {MAX_POWER}$"):
+            f.pow(k)
+    with pytest.raises(ValueError, match="negative power"):
+        T.pow(-1)
 
 
 _packed_terms = st.tuples(

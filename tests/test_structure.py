@@ -79,3 +79,26 @@ def test_every_method_and_property_has_a_caller():
                 if not _used(texts, path, node, pattern):
                     unused.append(f"{os.path.basename(path)}:{cls.name}.{node.name}")
     assert unused == []
+
+
+def test_every_field_is_read():
+    """Every annotated field of a library ``Value`` class is read as
+    ``.name`` somewhere outside its own class body, in src, demos,
+    perfbench or tests: a field that is stored and never read is dead
+    state, and it still takes part in every ``==`` and ``hash``."""
+    texts = _texts()
+    unread = []
+    for path, tree in _library_trees(texts):
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef)
+                    and any(isinstance(b, ast.Name) and b.id == "Value"
+                            for b in cls.bases)):
+                continue
+            for node in cls.body:
+                if not (isinstance(node, ast.AnnAssign)
+                        and isinstance(node.target, ast.Name)):
+                    continue
+                name = node.target.id
+                if not _used(texts, path, cls, re.compile(rf"\.{name}\b")):
+                    unread.append(f"{os.path.basename(path)}:{cls.name}.{name}")
+    assert unread == []

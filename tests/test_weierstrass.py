@@ -77,6 +77,27 @@ def test_invert_unit_at_the_product_limit():
     f = poly(sp2, {(0, 3): 1, (1, 0): 1})
     with pytest.raises(ValueError, match="1999 products, above the limit MAX_POWER"):
         weierstrass_divide(f, g, distinguished_order(g, "T"), nv(-2000))
+    # the refusal names the precision the inverse was asked for: here
+    # eps/||f|| = 2^-1995, not the division's eps = 2^-2000
+    with pytest.raises(ValueError, match="^the unit inverse to precision 2\\^-1995 "
+                                         "needs 1994 products, above the limit"):
+        weierstrass_divide(f.scale(32), g, distinguished_order(g, "T"), nv(-2000))
+
+
+def test_division_refuses_past_the_pass_limit():
+    # g = T + 2T^2 at p = 2 contracts the defect by exactly 2^-1 per pass,
+    # so eps = ||f|| 2^-P takes the P = _MAX_DIVISION_PASSES passes allowed
+    # and one step finer is refused
+    sp = space(2, ("T", 0))
+    g = poly(sp, {(1,): 1, (2,): 2})
+    f = poly(sp, {(1,): 4, (0,): 8})
+    cert = distinguished_order(g, "T")
+    limit = weierstrass._MAX_DIVISION_PASSES
+    out = weierstrass_divide(f, g, cert, f.gauss_norm().value * nv(-limit))
+    assert out.contraction == nv(-1)
+    assert out.iterations == tuple(nv(-2 - k) for k in range(1, limit + 1))
+    with pytest.raises(ValueError, match=f"did not contract below eps after {limit} passes$"):
+        weierstrass_divide(f, g, cert, f.gauss_norm().value * nv(-limit - 1))
 
 
 def test_divide_by_series_unit_lead_with_high_degree_inverse():
