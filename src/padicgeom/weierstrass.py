@@ -10,13 +10,23 @@ shrinks by a fixed factor each round.  All intermediate arithmetic is exact:
 each pivot row is kept as integer numerators over one denominator, its terms
 keyed by packed exponent vectors (one int per term, so exponents add as one
 integer addition; Monagan-Pearce, CASC 2007), and multiplied and subtracted
-as integers in one fused kernel.  Eliminating row k of the defect takes
-q_k = h_k v, v the inverse of g's lead row g_s, subtracts q_k g_m from every
-row m != s of g in one call, and leaves h_k E in row k itself, where
-E = 1 - v g_s is formed once per division: zero for a scalar lead, whose
-rows are then dropped, and a short series for a series-unit lead (v is g_s's
-inverse to a precision), so row k is never multiplied by g_s.  The loop
-keeps f = g q + R + h exactly, and the Gauss norm of the defect h is
+as integers in one fused kernel.  The sweep divides by g/c0, c0 the
+constant coefficient of g's lead row g_s, as Euclidean division divides by
+the monic divisor (von zur Gathen-Gerhard, Modern Computer Algebra, 2.4):
+for a distinguished g the other rows' numerators carry at least c0's
+p-power, and dividing by g itself would put c0's numerator into every
+quotient row's denominator as well, so that the exact lcd arithmetic carries
+both copies through the sweep as content, which the row scan divides out
+only when the pass ends.  So g's rows are packed over c0, and the
+quotient's rows are scaled by 1/c0 once, when they are unpacked.
+Eliminating row k of the defect takes q_k = h_k v, v the inverse of the
+normalised lead row g_s/c0 = 1 + w, subtracts q_k g_m/c0 from every row
+m != s in one call, and leaves h_k E in row k itself, where
+E = 1 - v g_s/c0 is formed once per division.  For a scalar lead v = 1 and
+E = 0: q_k is row k itself, with no product, and the row is dropped.  For a
+series-unit lead v is (1 + w)'s inverse to a precision and E is a short
+series, so row k is never multiplied by g_s.  The loop keeps
+f = g q + R + h exactly, and the Gauss norm of the defect h is
 computed once per pass, on integer exponents, with one valuation per class
 of terms of one row and one rest weight, in the scan that also divides out
 each row's content; it decides whether to go on, is logged as that pass's
@@ -224,9 +234,11 @@ class PreparationResult(Value):
 # the division can reach (the argument is in ``weierstrass_divide``), so no
 # field carries.  Rows are packed once, split off a series' numerators
 # (``_rows_of``), and unpacked once, merged back into a series
-# (``_rows_to_series``), with no Fraction in between.  A row's norm takes one
-# valuation per class of terms of equal rest weight: the smallest v_p(c) in
-# a class is v_p of the class's gcd.  Each sweep ends with one scan per
+# (``_rows_to_series``), with no Fraction in between; a constant scale
+# (g's 1/c0 on the way in, the quotient's on the way out) is folded into the
+# numerators and the denominator as they are packed or unpacked.  A row's
+# norm takes one valuation per class of terms of equal rest weight: the
+# smallest v_p(c) in a class is v_p of the class's gcd.  Each sweep ends with one scan per
 # defect row that gives its norm and divides out its content, the gcd of
 # den and the class gcds.
 
@@ -237,18 +249,21 @@ def _rest_degree(nums: Dict[Exponents, int], pivot_index: Optional[int]) -> int:
     return max((x for e in nums for i, x in enumerate(e) if i != pivot_index), default=0)
 
 
-def _rows_of(h: Series, pivot_index: int, units: List[int]) -> Dict[int, PackedTerms]:
-    """h's rows, each rest exponent vector packed with the field units
-    ``units`` (1 << (width * j) for rest variable j)."""
+def _rows_of(h: Series, pivot_index: int, units: List[int],
+             scale: Fraction = Fraction(1)) -> Dict[int, PackedTerms]:
+    """The rows of scale * h, each rest exponent vector packed with the
+    field units ``units`` (1 << (width * j) for rest variable j)."""
     mults = units[:pivot_index] + [0] + units[pivot_index:]
+    num, den = scale.numerator, h.den * scale.denominator
     rows: Dict[int, Dict[int, int]] = {}
     for expo, c in h.nums.items():
-        rows.setdefault(expo[pivot_index], {})[sum(map(mul, expo, mults))] = c
-    return {k: ints_reduce((h.den, row)) for k, row in rows.items()}
+        rows.setdefault(expo[pivot_index], {})[sum(map(mul, expo, mults))] = c * num
+    return {k: ints_reduce((den, row)) for k, row in rows.items()}
 
 
 def _rows_to_series(rows: Dict[int, PackedTerms], space: Space, pivot_index: int,
-                    width: int) -> Series:
+                    width: int, scale: Fraction = Fraction(1)) -> Series:
+    """scale times the series of the rows."""
     shifts = [width * j for j in range(len(space.vars) - 1)]
     mask = (1 << width) - 1
 
@@ -259,9 +274,10 @@ def _rows_to_series(rows: Dict[int, PackedTerms], space: Space, pivot_index: int
 
     # rows never share a term, so each row is scaled once, to the lcm
     den = lcm(*(row[0] for row in rows.values()))
-    out = {expo(key, k): c * (den // rden)
+    num = scale.numerator
+    out = {expo(key, k): c * (den // rden) * num
            for k, (rden, row) in rows.items() for key, c in row.items()}
-    return Series._reduced(space, (den, out), NormValue.zero())
+    return Series._reduced(space, (den * scale.denominator, out), NormValue.zero())
 
 
 def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
@@ -278,7 +294,11 @@ def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
     The certificate, witness included, must be the one g has; it is
     derived again unless it was read off this g object (``_own_certificate``).
 
-    A lead row that is a series unit, not a scalar, is inverted to
+    The sweep divides by g/c0, c0 the constant coefficient of g's lead
+    row, and scales the quotient by 1/c0 at the end (the module docstring
+    says why): its lead row is then 1 + w, with inverse v = 1 for a scalar
+    lead, so that an eliminated row is its own quotient and no product is
+    formed.  A lead row that is a series unit, not a scalar, is inverted to
     precision tau = min(kappa, p^-1), kappa the norm of g's rows above the
     order over ||g||, and for eps > 0 tau is raised to at least
     min(eps/||f||, p^-1): each sweep then contracts the defect by
@@ -291,12 +311,14 @@ def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
     the variables other than the pivot, so a product's key is the sum of its
     factors' keys as long as no field carries.  None can: each elimination
     step (one row k of one sweep) forms q_k = row * v, subtracts q_k times
-    the rows of g other than the lead row g_s, and replaces row k by
-    row * E with E = 1 - v g_s (the same value as row - q_k g_s); each of
-    these raises the largest rest exponent by at most deg v + deg_rest g,
-    since deg_rest E <= deg v + deg_rest g_s.  A sweep visits at most
-    top_f + 1 + P * max(0, top_g - s) rows, since each sweep raises the top
-    pivot degree by at most top_g - s, and there are at most
+    the rows of g/c0 other than the lead row g_s/c0, and replaces row k by
+    row * E with E = 1 - v g_s/c0 (the same value as row - q_k g_s/c0); each
+    of these raises the largest rest exponent by at most deg v + deg_rest g,
+    since deg_rest E <= deg v + deg_rest g_s.  Scaling by the constant 1/c0
+    moves no exponent: g/c0 has g's terms, and v those of the inverse of
+    g_s, so the bound is that of a division by g itself.  A sweep visits at
+    most top_f + 1 + P * max(0, top_g - s) rows, since each sweep raises the
+    top pivot degree by at most top_g - s, and there are at most
     P = ``_MAX_DIVISION_PASSES`` sweeps, so at most
     N = P * (top_f + 1 + P * max(0, top_g - s)) steps.  Every
     exponent therefore stays within bound = deg_rest f + N * (deg v +
@@ -334,10 +356,11 @@ def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
     if floor > eps:
         raise ValueError("eps is below the tail floor of the division instance")
 
-    # g's lead row is certified as scale * (1 + rest), rest carrying g's tail
+    # g's lead row is certified as c0 * (1 + rest), rest carrying g's tail;
+    # the sweep divides by g / c0, whose lead row 1 + rest it inverts
     unit = cert.unit_cert
     if not unit.rest.nums:
-        v = Series.constant(unit.rest.space, 1 / unit.scale)
+        v = Series.one(unit.rest.space)
         tau = NormValue.zero()
     else:
         tau = kappa_stored if not kappa_stored.is_zero else NormValue.power(-1)
@@ -345,7 +368,7 @@ def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
         if not (eps.is_zero or norm_f.is_zero):
             tau = nv_max(tau, nv_min(eps / norm_f, NormValue.power(-1)))
         # invert the stored row: invert_unit refuses g's tail above tau
-        v = invert_unit(UnitCertificate(unit.scale, unit.rest.drop_tail()), tau).drop_tail()
+        v = invert_unit(UnitCertificate(Fraction(1), unit.rest.drop_tail()), tau).drop_tail()
 
     contraction = nv_max(kappa_logged, tau)
 
@@ -389,14 +412,18 @@ def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
                     best = x
         return NormValue.zero() if best is None else NormValue.of_scaled(best, d)
 
-    v_row = (v.den, {sum(map(mul, e, units)): c for e, c in v.nums.items()})
-    g_rows = _rows_of(g0, i, units)
-    # an eliminated row k is h_k (1 - v g_s): e_row, None when v inverts
-    # the lead exactly (a scalar lead), so that the row is dropped
+    # the rows of g / c0, whose lead row g_s is 1 + w; the quotient's rows
+    # are scaled by 1 / c0 once, when they are unpacked
+    c0_inv = 1 / unit.scale
+    g_rows = _rows_of(g0, i, units, c0_inv)
+    # an eliminated row k is h_k (1 - v g_s): e_row, None for a scalar lead,
+    # where g_s = v = 1, so that the row is its own quotient and is dropped
     lead = g_rows.pop(s)
-    e_row = ints_reduce(ints_addmul_into((lead[0] * v.den, {0: lead[0] * v.den}),
-                                         v_row, lead, -1))
-    e_row = e_row if e_row[1] else None
+    v_row = e_row = None
+    if unit.rest.nums:
+        v_row = (v.den, {sum(map(mul, e, units)): c for e, c in v.nums.items()})
+        e_row = ints_reduce(ints_addmul_into((lead[0] * v.den, {0: lead[0] * v.den}),
+                                             v_row, lead, -1))
     g_rows = sorted(g_rows.items())
     h_rows = _rows_of(f0, i, units)
     q_rows: Dict[int, PackedTerms] = {}
@@ -416,10 +443,12 @@ def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
             row = h_rows.pop(k, None)
             if row is None or not row[1]:
                 continue
-            q_k = ints_addmul_into(None, row, v_row, 1)
-            ints_addmul_rows(h_rows, k - s, q_k, g_rows, -1)
-            if e_row is not None:
+            if e_row is None:
+                q_k = row
+            else:
+                q_k = ints_addmul_into(None, row, v_row, 1)
                 h_rows[k] = ints_addmul_into(None, row, e_row, 1)
+            ints_addmul_rows(h_rows, k - s, q_k, g_rows, -1)
             acc = q_rows.get(k - s)
             q_rows[k - s] = q_k if acc is None else ints_add_into(acc, q_k, 1)
         # rows below the order move to the remainder
@@ -432,7 +461,7 @@ def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
         defect = rows_norm(h_rows)
         iters.append(defect)
 
-    q = _rows_to_series(q_rows, space, i, width)
+    q = _rows_to_series(q_rows, space, i, width, c0_inv)
     r_part = _rows_to_series(r_rows, space, i, width)
     return DivisionResult(q, r_part, nv_max(defect, floor), tuple(iters), contraction)
 

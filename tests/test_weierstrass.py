@@ -174,6 +174,24 @@ def test_divide_examples():
     defect = T - (g3 * out3.quotient + out3.remainder)
     assert defect.gauss_norm().value <= nv(-4)
 
+    # lead content: the lead row is the scalar 2/45, whose numerator a sweep
+    # by g itself would carry in every quotient row's denominator; 20 passes,
+    # the outputs of a division by g pinned (benchmark `divide`, seed 5,
+    # instance 70)
+    sp3 = B1(3)
+    f4 = poly(sp3, {(8,): "1/9", (0,): 45})
+    g4 = poly(sp3, {(8,): "1/15", (6,): 1, (5,): "2/45", (4,): "-1/9", (1,): "-1/6",
+                    (0,): "-1/9"})
+    out4 = weierstrass_divide(f4, g4, distinguished_order(g4, "T"), nv(-18))
+    assert _text_digest(out4.quotient) == "b141162d3736b20a"
+    assert _text_digest(out4.remainder) == "6e862ee8ed474658"
+    assert out4.iterations == tuple(nv(1 - j) for j in range(20))
+    assert out4.residual == nv(-18) and out4.contraction == nv(-1)
+
+
+def _text_digest(f):
+    return hashlib.sha256(f.text().encode()).hexdigest()[:16]
+
 
 def test_divide_rejects_stale_certificate():
     sp = B1()
@@ -290,6 +308,19 @@ def test_prepare_examples():
     assert out3.unit == Series.one(sp)
     assert out3.monic == g3
     assert out3.residual == ZERO
+
+    # lead content: the lead row is 25/4 (order 3), and the rows above and
+    # below it carry its 5-power; the outputs of the divisions by g pinned
+    # (benchmark `divide`, seed 5, instance 210)
+    sp5 = B1(5)
+    g4 = poly(sp5, {(6,): "-500/3", (5,): 625, (4,): "-9375/4", (3,): "25/4",
+                    (2,): 375, (1,): -25, (0,): -125})
+    cert4 = distinguished_order(g4, "T")
+    assert cert4.order == 3 and cert4.unit_cert.scale == Fraction(25, 4)
+    out4 = weierstrass_prepare(g4, cert4, nv(-22))
+    assert _text_digest(out4.unit) == "c691daeb8dbd7cd5"
+    assert _text_digest(out4.monic) == "76840caee0452fb8"
+    assert out4.residual == nv(-24)
 
 
 def test_prepare_at_the_tail_floor(monkeypatch):
@@ -508,6 +539,35 @@ def test_divide_by_scalar_lead_inverts_it():
     assert out.quotient.text() == "1/2*T - 1/4"
     assert out.remainder.text() == "1/4"
     assert out.residual == ZERO and len(out.iterations) == 1
+
+
+def test_divide_by_scalar_lead_makes_no_product_by_its_inverse(monkeypatch):
+    # the sweep divides by g/2, whose lead row is 1: each eliminated row is
+    # its own quotient, so the only kernel products are the subtractions of
+    # q_k times g's other rows (one call per eliminated row)
+    factors, calls = [], []
+    real_into, real_rows = weierstrass.ints_addmul_into, weierstrass.ints_addmul_rows
+
+    def into(acc, a, b, sign):
+        factors.append(b)
+        return real_into(acc, a, b, sign)
+
+    def rows(rows_, shift, a, bs, sign):
+        calls.append(shift)
+        return real_rows(rows_, shift, a, bs, sign)
+
+    monkeypatch.setattr(weierstrass, "ints_addmul_into", into)
+    monkeypatch.setattr(weierstrass, "ints_addmul_rows", rows)
+    sp = B1(5)
+    g = poly(sp, {(2,): 2, (1,): 5, (0,): 10})
+    f = poly(sp, {(6,): 1, (1,): 1, (0,): 1})
+    out = weierstrass_divide(f, g, distinguished_order(g, "T"), ZERO)
+    assert factors == []
+    assert calls == [4, 3, 2, 1, 0]
+    assert out.residual == ZERO and len(out.iterations) == 1
+    assert f == g * out.quotient + out.remainder
+    assert out.quotient.text() == "1/2*T^4 - 5/4*T^3 + 5/8*T^2 + 75/16*T - 475/32"
+    assert out.remainder.text() == "907/32*T + 2391/16"
 
 
 def test_divide_by_series_unit_lead_with_tail_above_tau():
