@@ -24,10 +24,9 @@ from .constructible import (ConstructibleSet, CoveringPiece, DatumChain,
                             intersect, membership, neighborhood_datum,
                             simplify_divisible, union,
                             unit_coefficient_covering)
-from .projection import (Decision, Disc, DiscRegion, QEPreparation, SplitAtom,
-                         SplitPoly, decide_exists, lemniscate_region,
-                         project_decision, qe_prepare, region_contains,
-                         split_series)
+from .projection import (Decision, Disc, DiscRegion, SplitAtom, SplitPoly,
+                         decide_exists, lemniscate_region, project_decision,
+                         qe_prepare, region_contains, split_series)
 from .blowup import (Chart, MonomialUnitForm, chart_transition, factor_x_power,
                      local_divisibility, pullback_chart, pushdown_poly,
                      translate)

@@ -522,7 +522,6 @@ class _Parser:
         """Optional norm literal followed by '*': `p^q *`, `0 *`, `1 *`."""
         if self.peek()[0] != "num":
             return NormValue.one()
-        start = self.i
         base_tok = self.take("num")
         if self.peek()[0] == "caret":
             self.take("caret")
@@ -549,8 +548,6 @@ class _Parser:
         elif base_tok[1] == "1":
             nv = NormValue.one()
         else:
-            # a bare number that is not a scale: backtrack, let poly fail
-            self.i = start
             raise FormulaSyntaxError(
                 f"expected a scale or a norm bar, found {base_tok[1]!r}",
                 base_tok[2])

@@ -37,14 +37,15 @@ crossing radii and every sample read; only its witness radius becomes a
 ``NormValue``.
 
 Ultrametric lemniscates {|P| <= c} are finite unions of discs centered at
-roots; they are computed exactly as the per-root sublevel radii of the
-increasing piecewise-monomial functions N_i.
+roots; each disc's radius is where the increasing piecewise-monomial
+function N_i of its root meets the level c, solved by the scan's own
+crossing rule (``_crossing_radii``) against the constant side c.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .scalars import NormValue, Value, _valuation
@@ -167,7 +168,7 @@ def _squarefree_part(poly: List[int]) -> List[int]:
 def _small_primes():
     n = 2
     while True:
-        if all(n % d for d in range(2, int(n ** 0.5) + 1)):
+        if all(n % d for d in range(2, isqrt(n) + 1)):
             yield n
         n += 1
 
@@ -372,6 +373,26 @@ def _segments(lead: Exp, dists: Sequence[Tuple[Exp, int]], tops: Sequence[Exp]
         lo = hi
 
 
+def _crossing_radii(left: SideTable, right: SideTable, r: Exp) -> List[Exp]:
+    """Radii in (0, r] where the two scaled side values can change order
+    at the monomial points over the center of the two tables."""
+    (lead_left, dists_left), (lead_right, dists_right) = left, right
+    if lead_left == NULL or lead_right == NULL:
+        return []
+    tops = _grid(dists_left + dists_right, r)
+    out = []
+    for (lo, hi, m1, k1), (_, _, m2, k2) in zip(
+            _segments(lead_left, dists_left, tops),
+            _segments(lead_right, dists_right, tops)):
+        if m1 == m2:
+            continue
+        # k1 + m1 rho = k2 + m2 rho
+        sol = _exact(k2 - k1, m1 - m2)
+        if lo < sol <= hi:
+            out.append(sol)
+    return out
+
+
 # -- lemniscates -------------------------------------------------------------------
 
 
@@ -380,25 +401,25 @@ def _sublevel_radius(poly: SplitPoly, center: Fraction, cmp: str, c: NormValue,
     """Largest rho in [0, r] with N(rho) cmp c, N(rho) = |P| on the sphere
     of radius rho around the center.  Returns (radius, closed) or None.
 
+    N is increasing; at a root center every segment has M >= 1, so N is
+    strictly increasing and meets the level c at most once, at the one
+    radius ``_crossing_radii`` finds against the constant side c (closed
+    for <=; for < the sup radius is not attained).  Without a root within
+    r of the center, N is constant on [0, r] and there is no crossing.
     Over D = B lcm(1..deg P), B the lcm of the exponent denominators of c
     and r, the distances and the lead are multiples of D and c, r and every
-    segment constant K multiples of D/B, so the solution (c - K)/M of each
-    segment is an int (M <= deg P)."""
+    segment constant K multiples of D/B, so that radius (c - K)/M is an
+    int (M <= deg P)."""
     D = _denominator(c, r) * lcm(*range(1, poly.degree + 1))
-    lead, dists = _side(_ONE, poly, center, p, D)
-    cs = _scaled(c, D)
-    # scan segments (lo, hi] from the top down
-    for lo, hi, M, K in reversed(list(_segments(lead, dists, _grid(dists, _scaled(r, D))))):
-        if _compare(K + M * hi, cmp, cs):
-            return _norm(hi, D), True
-        if M == 0 or cs == NULL:
-            continue
-        sol = _exact(cs - K, M)
-        if lo < sol <= hi:
-            return _norm(sol, D), cmp == LE  # strict: the sup radius is not attained
-        # otherwise the crossing happens below this segment
+    side = _side(_ONE, poly, center, p, D)
+    cs, R = _scaled(c, D), _scaled(r, D)
+    if _compare(_norm_product(*side, R), cmp, cs):
+        return r, True
+    crossing = _crossing_radii(side, (cs, []), R)
+    if crossing:
+        return _norm(crossing[0], D), cmp == LE
     # bottom: the center itself
-    if _compare(_norm_product(lead, dists, NULL), cmp, cs):
+    if _compare(_norm_product(*side, NULL), cmp, cs):
         return NormValue.zero(), True
     return None
 
@@ -410,8 +431,10 @@ def lemniscate_region(poly: SplitPoly, cmp: str, c: NormValue, space: Space
 
     For every point the product formula |P(t)| = N_i(|t - a_i|) holds with
     a_i the nearest root, and N_i is increasing, so the sublevel set is the
-    union over roots of the per-root solved discs.  c = 0 with <= yields
-    the root set as radius-zero discs.
+    union over roots of the per-root solved discs.  With no root in the
+    disc, |P| is constant on it and the one solve at center 0 gives the
+    whole disc or nothing.  c = 0 with <= yields the root set as
+    radius-zero discs.
     """
     if cmp not in (LE, LT):
         raise ValueError(f"bad comparison {cmp!r}")
@@ -419,29 +442,17 @@ def lemniscate_region(poly: SplitPoly, cmp: str, c: NormValue, space: Space
     (r,) = space.radii
     inside = [a for a, _ in poly.roots if NormValue.of_scalar(a, p) <= r]
     discs = []
-    for a in inside:
+    for a in inside or [Fraction(0)]:
         solved = _sublevel_radius(poly, a, cmp, c, r, p)
         if solved is not None:
             discs.append(Disc(a, *solved))
-    # no root in the disc: |P| is constant on it
-    if not inside and _compare(poly.value_at(Fraction(0), r, p), cmp, c):
-        discs.append(Disc(Fraction(0), r))
     return tuple(discs)
 
 
 # -- prepared atoms and the existential decision -------------------------------------
 
 
-class QEPreparation(Value):
-    """Prepared atoms on the sheared space."""
-
-    atoms: Tuple[Atom, ...]
-
-    def __init__(self, atoms: Tuple[Atom, ...]):
-        object.__setattr__(self, "atoms", atoms)
-
-
-def qe_prepare(conjunct: Sequence[Atom], pivot: str) -> QEPreparation:
+def qe_prepare(conjunct: Sequence[Atom], pivot: str) -> Tuple[Atom, ...]:
     """Rewrite a conjunction of atoms with constant scales and monic
     polynomial parts in the pivot, pointwise equivalent on the closed unit
     polydisc (through the shear, which restricts to an automorphism of it).
@@ -482,7 +493,7 @@ def qe_prepare(conjunct: Sequence[Atom], pivot: str) -> QEPreparation:
         atoms_out.append(Atom(
             atom.alpha * pf.unit_cert.norm(), pf.monic, atom.op,
             atom.beta * pg.unit_cert.norm(), pg.monic))
-    return QEPreparation(tuple(atoms_out))
+    return tuple(atoms_out)
 
 
 class SplitAtom(Value):
@@ -521,36 +532,14 @@ class Decision(Value):
         object.__setattr__(self, "witness", witness)
 
 
-def _crossing_radii(left: SideTable, right: SideTable, r: Exp) -> List[Exp]:
-    """Radii in (0, r] where the two scaled side values can change order
-    at the monomial points over the center of the two tables."""
-    (lead_left, dists_left), (lead_right, dists_right) = left, right
-    if lead_left == NULL or lead_right == NULL:
-        return []
-    tops = _grid(dists_left + dists_right, r)
-    out = []
-    for (lo, hi, m1, k1), (_, _, m2, k2) in zip(
-            _segments(lead_left, dists_left, tops),
-            _segments(lead_right, dists_right, tops)):
-        if m1 == m2:
-            continue
-        # k1 + m1 rho = k2 + m2 rho
-        sol = _exact(k2 - k1, m1 - m2)
-        if lo < sol <= hi:
-            out.append(sol)
-    return out
-
-
 SplitTree = Union[SplitAtom, And, Or, None]  # None: an atom that did not split
 
 
-def decide_exists(atoms: Union[Sequence[SplitAtom], SplitTree], space: Space
-                  ) -> Decision:
+def decide_exists(tree: SplitTree, space: Space) -> Decision:
     """Exact SAT/UNSAT for "some point of the closed disc |t| <= r satisfies
-    the atoms", r the radius of the one variable of the space: a sequence
-    of atoms means their conjunction, an And/Or tree any positive Boolean
-    combination (a None leaf, or a bare None, is false).  A witness is a
-    point of the space.
+    the tree", r the radius of the one variable of the space: an And/Or
+    tree of split atoms is any positive Boolean combination of them (a None
+    leaf, or a bare None, is false).  A witness is a point of the space.
 
     Complete over the Berkovich disc: every point shares its root-distance
     vector with a point (center, rho) at the nearest grid center, and atom
@@ -560,8 +549,11 @@ def decide_exists(atoms: Union[Sequence[SplitAtom], SplitTree], space: Space
     geometric midpoints), so every atom, and with it any Boolean
     combination of them, is constant on each cell between the samples.
     Each sample evaluates the tree with ``formulas.truth``.  A SAT answer
-    always carries a verified witness, rigid whenever a sampled rigid
-    refinement of the cell checks out.
+    always carries a verified witness: the first sample that satisfies the
+    tree, centers in increasing order and rho increasing over each.  Only
+    that sample's cell is refined to a rigid point (rho = 0 is one; a
+    value-group radius tries a few rational points on its sphere), so the
+    witness can be monomial although a later cell holds a rigid point.
 
     The scan orders values on exponents scaled by one common denominator
     D = 2 B lcm(1..n), B the lcm of the exponent denominators of r and of
@@ -586,8 +578,6 @@ def decide_exists(atoms: Union[Sequence[SplitAtom], SplitTree], space: Space
     its candidates, points off the table, with ``holds``.  Only the radius
     of a monomial witness becomes a ``NormValue``.
     """
-    tree = atoms if atoms is None or isinstance(atoms, (SplitAtom, And, Or)) \
-        else And(tuple(atoms))
     leaves = [a for a in formula_atoms(tree) if a is not None]
     p = space.prime
     (r,) = space.radii

@@ -5,8 +5,10 @@ valued field is passed explicitly (it is fixed per document / computation).
 Norms, radii and thresholds are ``NormValue`` instances: either the zero
 norm or an exact power p^e with rational exponent e, stored as an ``int``
 when e is integral (almost always) and as a ``Fraction`` otherwise.  Every
-comparison is exact; nothing in this package ever goes through floating
-point.
+comparison is exact and there is no float arithmetic: the floats +-inf
+appear only as order sentinels (``INFINITY`` below, the valuation of 0,
+and ``projection.NULL``, the scaled exponent of the zero norm), never in a
+sum or product.
 
 The package's immutable value types (norms, spaces, points, certificates,
 formulas, results) derive from ``Value`` below instead of being generated

@@ -671,10 +671,11 @@ class Series:
         the composite converges on the target polydisc.  The stored parts
         compose exactly; the tail of f passes through unchanged (composition
         is a sup-norm contraction) and the tails of the images enter through
-        the exact first-order ultrametric bound
-        max_nu |c_nu| * max_i tail_i * r^nu / r_i.  Under the norm budget
-        this bound dominates every tail the products c_nu g^nu would carry
-        under ``*``, so the composite is summed on integer numerators.
+        the exact first-order ultrametric bound max_i tail_i * |f_i| / r_i,
+        f_i the terms c_nu X^nu of f with nu_i >= 1 and |f_i| their Gauss
+        norm max |c_nu| r^nu (``main_norm``).  Under the norm budget this
+        bound dominates every tail the products c_nu g^nu would carry under
+        ``*``, so the composite is summed on integer numerators.
         """
         if set(assignment) != set(self.space.names):
             missing = set(self.space.names) - set(assignment)
@@ -694,7 +695,6 @@ class Series:
                     f"norm budget violated: |image of {v.name}| exceeds radius "
                     f"{v.radius.text(self.space.prime)}")
 
-        p = self.space.prime
         unit = (0,) * len(target.vars)
         # cache powers of each image's stored part
         max_exp = [max(col) for col in zip(*self.nums)] or [0] * len(images)
@@ -706,23 +706,20 @@ class Series:
             powers.append(row)
 
         out: IntTerms = (1, {})
-        tail = self.tail
         for expo, c in self.nums.items():
             term: IntTerms = (self.den, {unit: c})
             for i, e in enumerate(expo):
                 if e:
                     term = ints_mul(term, powers[i][e])
             out = ints_add_into(out, term, 1)
-            # first-order contribution of the image tails to this monomial
-            for i, e in enumerate(expo):
-                t = images[i].tail
-                if e and not t.is_zero:
-                    w = NormValue.of_ratio(c, self.den, p) * t
-                    for j, ej in enumerate(expo):
-                        k = ej - 1 if j == i else ej
-                        if k:
-                            w = w * (self.space.vars[j].radius ** k)
-                    tail = nv_max(tail, w)
+        # first-order contribution of the image tails: tail_i / r_i times
+        # the Gauss norm of the terms of f that contain variable i
+        tail = self.tail
+        for i, (v, g) in enumerate(zip(self.space.vars, images)):
+            if not g.tail.is_zero:
+                part = Series._reduced(self.space, (self.den, {
+                    e: c for e, c in self.nums.items() if e[i]}), NormValue.zero())
+                tail = nv_max(tail, g.tail * part.main_norm() / v.radius)
         return Series._reduced(target, out, tail)
 
     # -- evaluation --------------------------------------------------------------

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from padicgeom import (Atom, MonomialPoint, NormValue, RigidPoint, Series,
+from padicgeom import (And, Atom, MonomialPoint, NormValue, RigidPoint, Series,
                        Space, SplitAtom, SplitPoly, apply_shear, certify_unit,
                        complement, decide_exists, distinguished_order, eval_formula,
                        gauss_point, intersect, make_distinguished, membership,
@@ -263,13 +263,13 @@ def test_criterion_8_qe_preparation_equivalence():
                 rng.choice(["<=", "<"]),
                 NormValue.power(rng.randint(-2, 2)),
                 _exactly_preparable_side(rng, sp, "T")))
-        prep = qe_prepare(atoms, "T")
+        prepared = qe_prepare(atoms, "T")
         unit_sp = space(p, ("T", 0))
         for _ in range(100):
             t = rand_point_coord(rng, p, Fraction(0))
             x = RigidPoint(sp, (t,))
             ux = RigidPoint(unit_sp, (t,))
-            for atom, patom in zip(atoms, prep.atoms):
+            for atom, patom in zip(atoms, prepared):
                 lv = atom.f.eval_seminorm(x).value * atom.alpha
                 rv = atom.g.eval_seminorm(x).value * atom.beta
                 want = lv <= rv if atom.op == "<=" else lv < rv
@@ -423,7 +423,7 @@ def test_criterion_9_decision_vs_oracle():
         p = rng.choice([2, 3])
         atoms = _rand_split_instance(rng, p)
         sp = space(p, ("t", 0))
-        decision = decide_exists(atoms, sp)
+        decision = decide_exists(And(tuple(atoms)), sp)
         oracle = _oracle_decide(atoms, p)
         assert (decision.status == "SAT") == oracle
         if decision.status == "SAT":

@@ -642,12 +642,55 @@ def test_stored_benchmark_case(case, monkeypatch, capsys, tmp_path):
         assert ofile.read_text(encoding="utf-8") == case["ofile_text"]
 
 
+DOC2 = str(REPO / "perfbench" / "cli" / "doc2.json")
+XY_PIVOT = ["--pivot", "y", "--eps", "2^-5", "--space", "plane"]
+# a document whose one formula has two variables
+XY_DOC = {"prime": 2,
+          "spaces": {"plane": [{"name": "x", "radius": "2^0"},
+                               {"name": "y", "radius": "2^0"}]},
+          "formulas": {"xy": {"space": "plane", "text": "|x| <= |y|"}}}
+
+
+@pytest.mark.parametrize("doc, argv, message", [
+    (None, ["member", "--set", "F", "--point", "gauss(0,1,2)", "--space", "plane"],
+     "cannot read monomial point 'gauss(0,1,2)'"),
+    (None, ["member", "--set", "F", "--point", "zzz", "--space", "plane"],
+     "no point named 'zzz' and the literal form is not recognized"),
+    (None, ["divide", "--f", "x*y", "--g", "x*y"] + XY_PIVOT,
+     "the divisor is not pivot-distinguished"),
+    (None, ["prepare", "--g", "x*y"] + XY_PIVOT,
+     "the series is not pivot-distinguished"),
+    (None, ["member", "--set", "F", "--point", "gauss(0,0;1,1)", "--space", "plane"],
+     "membership is defined at rigid points only"),
+    (None, ["intersect", "--sets", "S", "-o", "out.json"],
+     "intersect needs at least two set names"),
+    (XY_DOC, ["qe1", "--conjunct", "xy", "--pivot", "y"],
+     "qe1 decides one-variable formulas; fix a base point first for relative "
+     "instances"),
+    (None, ["qe1", "--conjunct", "small", "--pivot", "X"],
+     "pivot 'X' is not the formula's variable"),
+], ids=["gauss-arity", "point-literal", "divide-undistinguished",
+        "prepare-undistinguished", "member-monomial", "intersect-one-set",
+        "qe1-two-variables", "qe1-wrong-pivot"])
+def test_command_refusal_is_a_one_line_error(tmp_path, doc, argv, message):
+    # each refusal a command raises itself, on doc2 or on the given
+    # document: exit 1, no output and exactly one error line (so no
+    # traceback), in a fresh interpreter
+    source = DOC2
+    if doc is not None:
+        source = str(tmp_path / "doc.json")
+        Path(source).write_text(json.dumps(doc), encoding="utf-8")
+    argv = [str(tmp_path / a) if a == "out.json" else a for a in argv]
+    proc = run_subprocess(argv[:1] + ["-i", source] + argv[1:], timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+
+
 def test_repeated_complements_stay_small(tmp_path):
     # each negated base region stays one region: complement after
     # complement of doc2's C keeps 4 chains, where splitting those regions
     # into DNF chains gave 32 at the second step and no answer in minutes
     # at the third
-    source, name = str(REPO / "perfbench" / "cli" / "doc2.json"), "C"
+    source, name = DOC2, "C"
     outs = []
     for k in range(3):
         out = str(tmp_path / f"c{k + 1}.json")
@@ -657,7 +700,7 @@ def test_repeated_complements_stay_small(tmp_path):
         assert proc.stdout == f"wrote 4 chain(s) to {out}\n"
         outs.append(load_document(out).sets["out"])
         source, name = out, "out"
-    C = load_document(str(REPO / "perfbench" / "cli" / "doc2.json")).sets["C"]
+    C = load_document(DOC2).sets["C"]
     answers = set()
     for x0 in range(8):
         for y0 in (0, 1, 2, 3, 4, 6, Fraction(1, 3), Fraction(2, 5)):

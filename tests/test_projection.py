@@ -191,8 +191,9 @@ def test_decide_exists_over_a_disc_matches_the_rescaled_unit_decision(p, e, atom
     # unit disc for an integral e, a disc of radius p^(e - k) < p otherwise
     k = e.numerator // e.denominator
     disc = space(p, ("t", e))
-    d = decide_exists(atoms, disc)
-    unit = decide_exists([rescaled(a, p, k) for a in atoms], space(p, ("s", e - k)))
+    d = decide_exists(And(tuple(atoms)), disc)
+    unit = decide_exists(And(tuple(rescaled(a, p, k) for a in atoms)),
+                         space(p, ("s", e - k)))
     assert d.status == unit.status
     if d.status == "SAT":
         d.witness.check_in(disc)
@@ -423,19 +424,71 @@ def test_lemniscate_matches_direct_evaluation(rng):
             assert region_contains(region, point) == want
 
 
+# roots u/w p^k of every size (0 among them), so that over radii p^e with
+# -4 <= e <= 4 some lie inside the disc and some outside
+lemniscate_roots = st.lists(st.tuples(st.sampled_from([1, -1, 2, 3, 7, 0]),
+                                      st.sampled_from([1, 2, 3, 5]),
+                                      st.integers(-3, 3), st.integers(1, 3)),
+                            min_size=1, max_size=4)
+# the level c: zero, a norm p^x, or p^k times |P| on the sphere |t| = r
+# (which with no root inside is |P| on the whole disc)
+lemniscate_level = st.one_of(
+    st.just(("zero", 0)),
+    st.tuples(st.just("norm"), st.builds(Fraction, st.integers(-9, 6),
+                                         st.sampled_from([1, 2, 3]))),
+    st.tuples(st.just("sphere"), st.integers(-1, 1)))
+
+
+@given(st.sampled_from([2, 3, 5]),
+       st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3])),
+       st.sampled_from([1, -2, 3, Fraction(1, 2), Fraction(2, 9)]),
+       lemniscate_level, lemniscate_roots, st.sampled_from(["<=", "<"]))
+def test_lemniscate_discs_sit_on_the_level_property(p, e, lead, level, roots, cmp):
+    # checked through the reference evaluation SplitPoly.value_at: each
+    # disc is closed iff |P| cmp c holds on its boundary sphere; a root in
+    # the disc with no disc of its own fails the comparison at the root
+    # itself; with no root in the disc, the region is all of it or nothing
+    sp, r = space(p, ("T", e)), nv(e)
+    mults = {}
+    for u, w, k, m in roots:
+        a = Fraction(u, w) * Fraction(p) ** k
+        mults[a] = mults.get(a, 0) + m
+    P = SplitPoly(Fraction(lead), tuple(sorted(mults.items())))
+    kind, x = level
+    c = {"zero": ZERO, "norm": nv(x),
+         "sphere": P.value_at(Fraction(0), r, p) * nv(x)}[kind]
+    region = lemniscate_region(P, cmp, c, sp)
+
+    def holds(center, rho):
+        value = P.value_at(center, rho, p)
+        return value <= c if cmp == "<=" else value < c
+
+    inside = [a for a in mults if NormValue.of_scalar(a, p) <= r]
+    if not inside:
+        assert region == ((Disc(Fraction(0), r),) if holds(Fraction(0), r) else ())
+        return
+    for d in region:
+        assert d.center in inside and d.radius <= r
+        assert d.closed == holds(d.center, d.radius)
+    centers = {d.center for d in region}
+    for a in inside:
+        if a not in centers:
+            assert not holds(a, ZERO)
+
+
 def test_decide_exists_examples():
     P = SplitPoly(Fraction(1), ((Fraction(0), 1), (Fraction(2), 1)))
     atom = SplitAtom(ONE, P, "<=", nv(-3), CONST1)
-    d = decide_exists([atom], unit_line())
+    d = decide_exists(And((atom,)), unit_line())
     assert d.status == "SAT"
     # pinned near 1: |t - 1| <= 2^-10
     pin = SplitAtom(ONE, SplitPoly(Fraction(1), ((Fraction(1), 1),)), "<=",
                     nv(-10), CONST1)
-    assert decide_exists([atom, pin], unit_line()).status == "UNSAT"
+    assert decide_exists(And((atom, pin)), unit_line()).status == "UNSAT"
 
     t_only = SplitAtom(ONE, SplitPoly(Fraction(1), ((Fraction(0), 1),)),
                        "<=", ONE, CONST1)
-    d3 = decide_exists([t_only], unit_line())
+    d3 = decide_exists(And((t_only,)), unit_line())
     assert d3.status == "SAT"
     assert isinstance(d3.witness, RigidPoint)
 
@@ -462,8 +515,8 @@ def test_decide_exists_at_the_degree_limit():
     # p^-1 < |t|^1000 < 1 holds only at monomial points, on the open
     # annulus p^-1/1000 < |t| < 1: the witness is its geometric midpoint
     unit = unit_line(3)
-    assert decide_exists([SplitAtom(nv(-1), CONST1, "<", ONE, top),
-                          SplitAtom(ONE, top, "<", ONE, CONST1)], unit) == Decision(
+    assert decide_exists(And((SplitAtom(nv(-1), CONST1, "<", ONE, top),
+                              SplitAtom(ONE, top, "<", ONE, CONST1))), unit) == Decision(
         "SAT", MonomialPoint(unit, (Fraction(0),), (nv("-1/2000"),)))
     assert lemniscate_region(top, "<=", nv(-1), unit) == (Disc(Fraction(0), nv("-1/1000")),)
     assert lemniscate_region(top, "<", ZERO, unit) == ()
@@ -486,7 +539,7 @@ def test_decide_exists_witnesses_verify(rng):
                 atoms.append(SplitAtom(ONE, P, op, c, CONST1))
             else:
                 atoms.append(SplitAtom(c, CONST1, op, ONE, P))
-        d = decide_exists(atoms, unit_line(p))
+        d = decide_exists(And(tuple(atoms)), unit_line(p))
         if d.status == "SAT":
             w = d.witness
             if isinstance(w, RigidPoint):
@@ -503,8 +556,8 @@ def test_decide_exists_threshold_monotone(rng):
         e = rng.randint(-6, 0)
         a1 = SplitAtom(ONE, P, "<=", NormValue.power(e), CONST1)
         a2 = SplitAtom(ONE, P, "<=", NormValue.power(e + 1), CONST1)
-        d1 = decide_exists([a1], unit_line(p))
-        d2 = decide_exists([a2], unit_line(p))
+        d1 = decide_exists(And((a1,)), unit_line(p))
+        d2 = decide_exists(And((a2,)), unit_line(p))
         if d1.status == "SAT":
             assert d2.status == "SAT"
 
@@ -513,8 +566,8 @@ def test_rigid_witness_preferred_on_value_group_radii():
     # the sphere |T| = 2^-1 contains rational points; the witness search
     # must surface one rather than fall back to a monomial point
     T = SplitPoly(Fraction(1), ((Fraction(0), 1),))
-    sphere = [SplitAtom(ONE, T, "<=", nv(-1), CONST1),
-              SplitAtom(nv(-1), CONST1, "<=", ONE, T)]
+    sphere = And((SplitAtom(ONE, T, "<=", nv(-1), CONST1),
+                  SplitAtom(nv(-1), CONST1, "<=", ONE, T)))
     d = decide_exists(sphere, unit_line())
     assert d.status == "SAT"
     assert isinstance(d.witness, RigidPoint)
@@ -523,12 +576,12 @@ def test_rigid_witness_preferred_on_value_group_radii():
 
 def test_gauss_circle_needs_monomial_witness():
     # |T| = 2^(-1/2) has no rigid points; the witness must be monomial
-    band = [
+    band = And((
         SplitAtom(ONE, SplitPoly(Fraction(1), ((Fraction(0), 1),)), "<=",
                   nv("-1/2"), CONST1),
         SplitAtom(nv("-1/2"), CONST1, "<=", ONE,
                   SplitPoly(Fraction(1), ((Fraction(0), 1),))),
-    ]
+    ))
     d = decide_exists(band, unit_line())
     assert d.status == "SAT"
     assert isinstance(d.witness, MonomialPoint)
@@ -551,17 +604,16 @@ def test_qe_prepare_worked_example():
     sp = space(2, ("T", 1))
     f = poly(sp, {(1,): 1, (2,): 2})
     atom = Atom(ONE, f, "<=", nv(-1), Series.one(sp))
-    prep = qe_prepare([atom], "T")
-    a = prep.atoms[0]
+    (a,) = qe_prepare([atom], "T")
     assert a.alpha == ONE
     assert a.f.coeffs == {(1,): Fraction(1)}
     assert a.beta == nv(-1)
 
     monic = poly(sp, {(3,): 1})
     atom2 = Atom(ONE, monic, "<=", ONE, Series.one(sp))
-    prep2 = qe_prepare([atom2], "T")
-    assert prep2.atoms[0].f.coeffs == {(3,): Fraction(1)}
-    assert prep2.atoms[0].alpha == ONE
+    (a2,) = qe_prepare([atom2], "T")
+    assert a2.f.coeffs == {(3,): Fraction(1)}
+    assert a2.alpha == ONE
 
 
 def test_qe_prepare_pointwise_equivalence(rng):
@@ -571,11 +623,11 @@ def test_qe_prepare_pointwise_equivalence(rng):
     g = poly(sp, {(0,): 4, (1,): 2})
     atoms = [Atom(ONE, f, "<=", nv(-1), Series.one(sp)),
              Atom(nv(1), g, "<", ONE, f)]
-    prep = qe_prepare(atoms, "T")
+    prepared = qe_prepare(atoms, "T")
     for _ in range(60):
         t = rand_rigid(rng, unit_space).coords[0]
         orig_pt = RigidPoint(sp, (t,))
-        for atom, patom in zip(atoms, prep.atoms):
+        for atom, patom in zip(atoms, prepared):
             lhs = atom.f.eval_seminorm(orig_pt).value * atom.alpha
             rhs = atom.g.eval_seminorm(orig_pt).value * atom.beta
             want = lhs <= rhs if atom.op == "<=" else lhs < rhs

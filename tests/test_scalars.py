@@ -295,7 +295,6 @@ def value_examples():
                           p.CoveringPiece(chain, None, None)),
         p.SplitPoly: (split, p.SplitPoly(Fraction(2), ((Fraction(0), 2),))),
         p.Disc: (p.Disc(Fraction(1), ONE), p.Disc(Fraction(1), ONE, False)),
-        p.QEPreparation: (p.QEPreparation((atom,)), p.QEPreparation((atom2,))),
         p.SplitAtom: (p.SplitAtom(ONE, split, "<=", ONE, None),
                       p.SplitAtom(ONE, None, "<=", ONE, split)),
         p.Decision: (p.Decision("SAT", p.RigidPoint(line, (0,))),
