@@ -7,6 +7,8 @@ rigid points is exact, and the class is closed under union, intersection
 and complement by explicit constructions.
 """
 
+from fractions import Fraction
+
 from padicgeom import (ConstructibleSet, DatumChain, ElementaryDatum,
                        MonomialPoint, NormValue, RigidPoint, Series, Space,
                        VarSpec, complement, eval_formula, formula_set,
@@ -20,7 +22,7 @@ line = Space(p, (VarSpec("T", NormValue.one()),))
 print("== parsing and evaluation ==")
 phi = parse_formula("|T| <= 2^-1/2*|1| & !(|T| < 2^-1/2*|1|)", line)
 print(f"  formula: {formula_text(phi)}")
-eta = MonomialPoint(line, (0,), (NormValue.power("-1/2"),))
+eta = MonomialPoint(line, (0,), (NormValue.power(Fraction(-1, 2)),))
 print(f"  at the radius-2^-1/2 monomial point: {eval_formula(phi, eta)}")
 print(f"  at the rigid points 0, 1, 2, 6: "
       f"{[eval_formula(phi, RigidPoint(line, (c,))) for c in (0, 1, 2, 6)]}")

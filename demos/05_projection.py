@@ -40,8 +40,8 @@ d2 = decide_exists(And((atom, pin)), line)
 print(f"  same, but t must be within 2^-10 of 1:  {d2.status}")
 
 band = And((SplitAtom(ONE, SplitPoly(Fraction(1), ((Fraction(0), 1),)), "<=",
-                       NormValue.power("-1/2"), CONST1),
-             SplitAtom(NormValue.power("-1/2"), CONST1, "<=", ONE,
+                       NormValue.power(Fraction(-1, 2)), CONST1),
+             SplitAtom(NormValue.power(Fraction(-1, 2)), CONST1, "<=", ONE,
                        SplitPoly(Fraction(1), ((Fraction(0), 1),)))))
 d3 = decide_exists(band, line)
 print(f"  the circle |t| = 2^-1/2:  {d3.status}, witness {d3.witness.text()} "

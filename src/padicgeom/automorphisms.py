@@ -12,8 +12,8 @@ pivot-distinguished of a predictable order.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .scalars import NormValue, Value, _valuation, nv_max
 from .series import Series
@@ -26,10 +26,10 @@ class Shear(Value):
     """T_i -> T_i +/- pivot^(exponents[i]) for non-pivot vars; pivot fixed."""
 
     pivot: str
-    exponents: Dict[str, int]
+    exponents: dict[str, int]
     inverse: bool
 
-    def __init__(self, pivot: str, exponents: Dict[str, int], inverse: bool = False):
+    def __init__(self, pivot: str, exponents: dict[str, int], inverse: bool = False):
         object.__setattr__(self, "pivot", pivot)
         object.__setattr__(self, "exponents", exponents)
         object.__setattr__(self, "inverse", inverse)
@@ -76,15 +76,15 @@ class DistinguishResult(Value):
     shear: Shear
     base: int                  # the digit bound d
     s: NormValue               # pivot radius, > 1
-    rho: Tuple[NormValue, ...]
-    orders: Tuple[int, ...]
-    certs: Tuple[DistinguishedCertificate, ...]
-    transformed: Tuple[Series, ...]
+    rho: tuple[NormValue, ...]
+    orders: tuple[int, ...]
+    certs: tuple[DistinguishedCertificate, ...]
+    transformed: tuple[Series, ...]
 
     def __init__(self, shear: Shear, base: int, s: NormValue,
-                 rho: Tuple[NormValue, ...], orders: Tuple[int, ...],
-                 certs: Tuple[DistinguishedCertificate, ...],
-                 transformed: Tuple[Series, ...]):
+                 rho: tuple[NormValue, ...], orders: tuple[int, ...],
+                 certs: tuple[DistinguishedCertificate, ...],
+                 transformed: tuple[Series, ...]):
         object.__setattr__(self, "shear", shear)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "s", s)
@@ -94,11 +94,11 @@ class DistinguishResult(Value):
         object.__setattr__(self, "transformed", transformed)
 
 
-def _lex_key(expo: Tuple[int, ...], nonpivot_idx: Sequence[int], pivot_idx: int):
+def _lex_key(expo: tuple[int, ...], nonpivot_idx: Sequence[int], pivot_idx: int):
     return tuple(expo[j] for j in nonpivot_idx) + (expo[pivot_idx],)
 
 
-def _encode(expo: Tuple[int, ...], nonpivot_idx: Sequence[int], pivot_idx: int,
+def _encode(expo: tuple[int, ...], nonpivot_idx: Sequence[int], pivot_idx: int,
             d: int) -> int:
     m = len(nonpivot_idx)
     total = expo[pivot_idx]
@@ -154,7 +154,7 @@ def make_distinguished(fs: Sequence[Series], pivot: str) -> DistinguishResult:
 
     # lex-greatest norm-maximal index of each series (coefficient norms;
     # the numerators share one denominator, so their valuations rank them)
-    mus: List[Tuple[int, ...]] = [
+    mus: list[tuple[int, ...]] = [
         max(f.nums, key=lambda e: (-_valuation(f.nums[e], 1, p),
                                    _lex_key(e, nonpivot_idx, pivot_idx)))
         for f in fs]
@@ -190,8 +190,8 @@ def make_distinguished(fs: Sequence[Series], pivot: str) -> DistinguishResult:
 
 
 def carrier_decompose(f: Series, eps: NormValue,
-                      forced: Optional[Tuple[int, ...]] = None
-                      ) -> Tuple[Set[Tuple[int, ...]], Dict[Tuple[int, ...], Series]]:
+                      forced: tuple[int, ...] | None = None
+                      ) -> tuple[set[tuple[int, ...]], dict[tuple[int, ...], Series]]:
     """Write f = sum over J of f_nu (T^nu + phi_nu) with small companions.
 
     J keeps the exponent vectors whose terms cannot be folded under the
@@ -215,7 +215,7 @@ def carrier_decompose(f: Series, eps: NormValue,
               for expo, c in f.nums.items()}
     top = nv_max(*weight.values())
     carrier = max(e for e, w in weight.items() if w == top)
-    members: Set[Tuple[int, ...]] = {carrier}
+    members: set[tuple[int, ...]] = {carrier}
     if forced is not None:
         forced = tuple(forced)
         if len(forced) != len(f.space.vars) or any(e < 0 for e in forced):
@@ -224,7 +224,7 @@ def carrier_decompose(f: Series, eps: NormValue,
     # phi_carrier = sum c/fc T^expo: the numerators over fc (den cancels)
     fc = f.nums[carrier]
     sign = 1 if fc > 0 else -1
-    phi_nums: Dict[Tuple[int, ...], int] = {}
+    phi_nums: dict[tuple[int, ...], int] = {}
     for expo, c in f.nums.items():
         if expo in members:
             continue

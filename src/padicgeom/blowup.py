@@ -9,8 +9,6 @@ variable has radius 1.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from .scalars import NormValue, Value
 from .series import RigidPoint, Series, Space, VarSpec
 from .weierstrass import UnitCertificate
@@ -39,11 +37,11 @@ class Chart(Value):
 
     @property
     def kept(self) -> VarSpec:
-        return self.base.vars[0] if self.index == 1 else self.base.vars[1]
+        return self.base.vars[self.index - 1]
 
     @property
     def replaced(self) -> VarSpec:
-        return self.base.vars[1] if self.index == 1 else self.base.vars[0]
+        return self.base.vars[2 - self.index]
 
     def space(self) -> Space:
         return Space(self.base.prime,
@@ -53,12 +51,9 @@ class Chart(Value):
     def to_base(self, q: RigidPoint) -> RigidPoint:
         """The image of a chart point in the base coordinates."""
         kept_val = q.coord(self.kept.name)
-        t_val = q.coord(self.t_name)
-        if self.index == 1:
-            coords = (kept_val, t_val * kept_val)
-        else:
-            coords = (t_val * kept_val, kept_val)
-        return RigidPoint(self.base, coords)
+        image = {self.kept.name: kept_val,
+                 self.replaced.name: q.coord(self.t_name) * kept_val}
+        return RigidPoint(self.base, tuple(image[v.name] for v in self.base.vars))
 
 
 def pullback_chart(h: Series, chart: Chart) -> Series:
@@ -72,11 +67,7 @@ def pullback_chart(h: Series, chart: Chart) -> Series:
     target = chart.space()
     kept = Series.variable(target, chart.kept.name)
     t = Series.variable(target, chart.t_name)
-    if chart.index == 1:
-        assignment = {chart.kept.name: kept, chart.replaced.name: t * kept}
-    else:
-        assignment = {chart.replaced.name: t * kept, chart.kept.name: kept}
-    return h.substitute(assignment)
+    return h.substitute({chart.kept.name: kept, chart.replaced.name: t * kept})
 
 
 def translate(h: Series, center: RigidPoint) -> Series:
@@ -90,7 +81,7 @@ def translate(h: Series, center: RigidPoint) -> Series:
     return h.substitute(assignment)
 
 
-def factor_x_power(h: Series, name: str) -> Tuple[int, Series]:
+def factor_x_power(h: Series, name: str) -> tuple[int, Series]:
     """Exact factorization h = x^b * h~ with h~ not divisible by x.
 
     The cofactor has some monomial free of x, so its restriction to x = 0
@@ -107,7 +98,7 @@ def factor_x_power(h: Series, name: str) -> Tuple[int, Series]:
     return b, Series._raw(h.space, h.den, out, NormValue.zero())
 
 
-def pushdown_poly(poly: Series, chart: Chart) -> Tuple[int, Series]:
+def pushdown_poly(poly: Series, chart: Chart) -> tuple[int, Series]:
     """Clear the chart denominator of a polynomial in the chart variable.
 
     For P polynomial in t over the kept coordinate x, returns (M, P~) with

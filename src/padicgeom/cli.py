@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .scalars import parse_norm, parse_scalar
 from .series import MonomialPoint, Point, RigidPoint, Series, Space
@@ -33,31 +33,30 @@ def _named(section: dict, kind: str, name: str):
     return section[name]
 
 
-def _space_for(doc: Document, name: Optional[str]) -> Space:
+def _space_for(doc: Document, name: str | None) -> Space:
     return doc.sole_space() if name is None else _named(doc.spaces, "space", name)
 
 
-def _resolve_series(doc: Document, text: str, space_name: Optional[str]) -> Series:
+def _resolve_series(doc: Document, text: str, space_name: str | None) -> Series:
     if text in doc.series:
         return doc.series[text]
     space = _space_for(doc, space_name)
     return parse_poly(text, space)
 
 
-def _resolve_point(doc: Document, text: str, space_name: Optional[str]) -> Point:
+def _resolve_point(doc: Document, text: str, space_name: str | None) -> Point:
     if text in doc.points:
         return doc.points[text]
     space = _space_for(doc, space_name)
     text = text.strip()
     if text.startswith("gauss(") and text.endswith(")"):
         inner = text[len("gauss("):-1]
-        if ";" in inner:
-            c_part, r_part = inner.split(";")
-        else:
+        parts = inner.split(";")
+        if len(parts) == 1 and len(space.vars) == 1:
             parts = inner.split(",")
-            if len(parts) != 2 or len(space.vars) != 1:
-                raise CommandError(f"cannot read monomial point {text!r}")
-            c_part, r_part = parts
+        if len(parts) != 2:
+            raise CommandError(f"cannot read monomial point {text!r}")
+        c_part, r_part = parts
         center = [parse_scalar(c) for c in c_part.split(",") if c.strip()]
         rho = [parse_norm(r, doc.prime) for r in r_part.split(",") if r.strip()]
         return MonomialPoint(space, center, rho)
@@ -68,7 +67,7 @@ def _resolve_point(doc: Document, text: str, space_name: Optional[str]) -> Point
                        "is not recognized")
 
 
-def _three_valued(value: Optional[bool]) -> str:
+def _three_valued(value: bool | None) -> str:
     if value is None:
         return "unknown"
     return "true" if value else "false"
@@ -301,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -18,13 +18,14 @@ the unit ideal.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .scalars import NormValue, Value
 from .series import RigidPoint, Series, Space, VarSpec, compare_le
-from .formulas import (And, Atom, Formula, LE, LT, Seminorms, lift_formula,
-                       negate, rename_formula_var, tautology, truth)
+from .formulas import (And, Atom, Formula, LT, Seminorms, compare, lift_formula,
+                       negate, nonzero, rename_formula_var, tautology, truth,
+                       vanishes)
 
 
 class ElementaryDatum(Value):
@@ -70,10 +71,10 @@ class DatumChain(Value):
 
     base: Space
     base_region: Formula
-    links: Tuple[ElementaryDatum, ...]
+    links: tuple[ElementaryDatum, ...]
 
     def __init__(self, base: Space, base_region: Formula,
-                 links: Tuple[ElementaryDatum, ...]):
+                 links: tuple[ElementaryDatum, ...]):
         space = base
         for link in links:
             if link.domain != space:
@@ -89,15 +90,15 @@ class DatumChain(Value):
     def complexity(self) -> int:
         return len(self.links)
 
-    def chart_names(self) -> List[str]:
+    def chart_names(self) -> list[str]:
         return [l.t_name for l in self.links]
 
 
 class ConstructibleSet(Value):
     space: Space
-    chains: Tuple[DatumChain, ...]
+    chains: tuple[DatumChain, ...]
 
-    def __init__(self, space: Space, chains: Tuple[DatumChain, ...]):
+    def __init__(self, space: Space, chains: tuple[DatumChain, ...]):
         for ch in chains:
             if ch.base != space:
                 raise ValueError("chain base does not match the set's space")
@@ -114,15 +115,13 @@ def formula_set(space: Space, phi: Formula) -> ConstructibleSet:
     return ConstructibleSet(space, (DatumChain(space, phi, ()),))
 
 
-def _const_atom_truth(atom: Atom) -> Optional[bool]:
+def _const_atom_truth(atom: Atom) -> bool | None:
     """Truth of an atom whose sides are exact constants, else None: the
     sides' norms are their kept ``Series.constant_seminorm``."""
     cf, cg = atom.f.constant_seminorm(), atom.g.constant_seminorm()
     if cf is None or cg is None or not (atom.f.tail.is_zero and atom.g.tail.is_zero):
         return None
-    lhs = atom.alpha * cf[0].value
-    rhs = atom.beta * cg[0].value
-    return lhs <= rhs if atom.op == LE else lhs < rhs
+    return compare(atom.alpha * cf[0].value, atom.op, atom.beta * cg[0].value)
 
 
 def _chain_obviously_empty(chain: DatumChain) -> bool:
@@ -146,7 +145,7 @@ def full_set(space: Space) -> ConstructibleSet:
 # -- membership -----------------------------------------------------------------
 
 
-def _chain_membership(chain: DatumChain, base: Seminorms) -> Optional[bool]:
+def _chain_membership(chain: DatumChain, base: Seminorms) -> bool | None:
     """Kleene truth of one chain, walked outermost-in from the base point.
 
     Each chart constraint (g != 0, |f| <= s|g|) and each region is read
@@ -185,7 +184,7 @@ def _chain_membership(chain: DatumChain, base: Seminorms) -> Optional[bool]:
     return out
 
 
-def membership(cs: ConstructibleSet, x: RigidPoint) -> Optional[bool]:
+def membership(cs: ConstructibleSet, x: RigidPoint) -> bool | None:
     """Kleene membership of a rigid point: OR over the chains.
 
     Unknown arises only from tail uncertainty; tail-free data evaluate
@@ -210,7 +209,7 @@ def membership(cs: ConstructibleSet, x: RigidPoint) -> Optional[bool]:
                          "points only")
     base = Seminorms(x)
     base.check(cs.space)
-    out: Optional[bool] = False
+    out: bool | None = False
     for chain in cs.chains:
         v = _chain_membership(chain, base)
         if v is True:
@@ -229,7 +228,7 @@ def union(a: ConstructibleSet, b: ConstructibleSet) -> ConstructibleSet:
     return ConstructibleSet(a.space, a.chains + b.chains)
 
 
-def _fresh_name(used: Set[str], stem: str) -> str:
+def _fresh_name(used: set[str], stem: str) -> str:
     """The first of stem_2, stem_3, ... not in used."""
     k = 2
     while f"{stem}_{k}" in used:
@@ -242,10 +241,8 @@ def _chain_intersect(c1: DatumChain, c2: DatumChain) -> DatumChain:
     used = set(base.names) | set(c1.chart_names())
     region = And((c1.base_region, c2.base_region))
     links = list(c1.links)
-    space = base
-    for link in c1.links:
-        space = link.extended
-    renames: Dict[str, str] = {}
+    space = c1.links[-1].extended if c1.links else base
+    renames: dict[str, str] = {}
     for link in c2.links:
         f, g, reg = link.f, link.g, link.region
         for old, new in renames.items():
@@ -292,9 +289,7 @@ def _chain_complement(chain: DatumChain) -> ConstructibleSet:
     f, g, s = head.f, head.g, head.s
     # |f| > s|g|  and  g = 0, both over the base
     pieces.append(DatumChain(base, Atom(s, g, LT, NormValue.one(), f), ()))
-    pieces.append(DatumChain(
-        base, Atom(NormValue.one(), g, LE, NormValue.zero(),
-                   Series.one(base)), ()))
+    pieces.append(DatumChain(base, vanishes(g), ()))
     # the chart satisfied but the region failed
     pieces.append(DatumChain(base, tautology(base), (
         ElementaryDatum(head.t_name, f, g, head.r, head.s,
@@ -316,7 +311,7 @@ def complement(cs: ConstructibleSet) -> ConstructibleSet:
     """Pointwise complement within the base polydisc."""
     if not cs.chains:
         return full_set(cs.space)
-    out: Optional[ConstructibleSet] = None
+    out: ConstructibleSet | None = None
     for chain in cs.chains:
         piece = _chain_complement(chain)
         out = piece if out is None else intersect(out, piece)
@@ -327,7 +322,7 @@ def complement(cs: ConstructibleSet) -> ConstructibleSet:
 
 
 def simplify_divisible(d: ElementaryDatum, h: Series, case: str
-                       ) -> Tuple[str, ElementaryDatum]:
+                       ) -> tuple[str, ElementaryDatum]:
     """Rewrite a datum whose chart functions divide each other.
 
     ``g_divides_f`` (f = g h): the chart collapses onto the Weierstrass
@@ -343,24 +338,22 @@ def simplify_divisible(d: ElementaryDatum, h: Series, case: str
         raise ValueError("h must live on the datum's domain")
     if not (d.f.tail.is_zero and d.g.tail.is_zero and h.tail.is_zero):
         raise ValueError("divisibility rewriting needs exact series")
-    # g != 0 encoded as 0*|1| < |g|
-    g_nonzero = Atom(NormValue.zero(), Series.one(domain), LT,
-                     NormValue.one(), d.g)
+    # the case picks the kind, the side h takes, and the identity to check:
+    # factor * h = product
+    one = Series.one(domain)
     if case == "g_divides_f":
-        if d.g * h != d.f:
-            raise ValueError("the identity f = g h does not hold")
-        new = ElementaryDatum(
-            d.t_name, h, Series.one(domain), d.r, d.s,
-            And((d.region, lift_formula(g_nonzero, d.extended))))
-        return "weierstrass", new
-    if case == "f_divides_g":
-        if d.f * h != d.g:
-            raise ValueError("the identity g = f h does not hold")
-        new = ElementaryDatum(
-            d.t_name, Series.one(domain), h, d.r, d.s,
-            And((d.region, lift_formula(g_nonzero, d.extended))))
-        return "laurent", new
-    raise ValueError(f"unknown case {case!r}")
+        kind, f, g, factor, product, identity = (
+            "weierstrass", h, one, d.g, d.f, "f = g h")
+    elif case == "f_divides_g":
+        kind, f, g, factor, product, identity = (
+            "laurent", one, h, d.f, d.g, "g = f h")
+    else:
+        raise ValueError(f"unknown case {case!r}")
+    if factor * h != product:
+        raise ValueError(f"the identity {identity} does not hold")
+    return kind, ElementaryDatum(
+        d.t_name, f, g, d.r, d.s,
+        And((d.region, lift_formula(nonzero(d.g), d.extended))))
 
 
 # -- affinoid neighbourhood data ---------------------------------------------------
@@ -396,20 +389,20 @@ def neighborhood_datum(space: Space, fs: Sequence[Series], g: Series,
 
 class CoveringPiece(Value):
     chain: DatumChain
-    index: Optional[Tuple[int, ...]]  # None for the residual vanishing piece
-    cofactor: Optional[Series]        # pullback factor with unit coefficient
+    index: tuple[int, ...] | None  # None for the residual vanishing piece
+    cofactor: Series | None  # pullback factor with unit coefficient
 
-    def __init__(self, chain: DatumChain, index: Optional[Tuple[int, ...]],
-                 cofactor: Optional[Series]):
+    def __init__(self, chain: DatumChain, index: tuple[int, ...] | None,
+                 cofactor: Series | None):
         object.__setattr__(self, "chain", chain)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "cofactor", cofactor)
 
 
 def unit_coefficient_covering(f: Series, fiber: Sequence[str],
-                              members: Sequence[Tuple[int, ...]],
-                              phis: Dict[Tuple[int, ...], Series]
-                              ) -> List[CoveringPiece]:
+                              members: Sequence[tuple[int, ...]],
+                              phis: dict[tuple[int, ...], Series]
+                              ) -> list[CoveringPiece]:
     """Covering of the base on whose pieces f pulls back to f_nu * g_nu
     with g_nu carrying coefficient 1 at nu.
 
@@ -422,69 +415,62 @@ def unit_coefficient_covering(f: Series, fiber: Sequence[str],
     """
     space = f.space
     chart_radius = NormValue.power(1)
-    members = [tuple(nu) for nu in members]
+    members = sorted(tuple(nu) for nu in members)
+    charts = {mu: VarSpec("t" + "_".join(str(e) for e in mu), chart_radius)
+              for mu in members}
     base = space
     for name in fiber:
         base = base.drop(name)
     rows = dict(f.coeff_view_multi(list(fiber)))
     coeffs = {nu: rows.get(nu, Series.zero(base)).drop_tail() for nu in members}
 
-    # consistency: f = sum f_nu (T^nu + phi_nu) exactly
+    # the carriers T^nu + phi_nu on f's space, and the consistency
+    # f = sum f_nu (T^nu + phi_nu) exactly
     fiber_expo = {}
+    carrier = {}
+    total = Series.zero(space)
     for nu in members:
         expo = [0] * len(space.vars)
         for name, e in zip(fiber, nu):
             expo[space.index(name)] = e
         fiber_expo[nu] = tuple(expo)
-    total = Series.zero(space)
-    for nu in members:
-        term = Series.monomial(space, fiber_expo[nu]) + phis[nu]
-        total = total + term * coeffs[nu].lift_to(space)
+        carrier[nu] = Series.monomial(space, fiber_expo[nu]) + phis[nu]
+        total = total + carrier[nu] * coeffs[nu].lift_to(space)
     if total != f.drop_tail():
         raise ValueError("decomposition is inconsistent with f")
 
-    def nonzero_region(series: Series, sp: Space) -> Formula:
-        return Atom(NormValue.zero(), Series.one(sp), LT,
-                    NormValue.one(), series)
-
-    pieces: List[CoveringPiece] = []
+    pieces: list[CoveringPiece] = []
     degenerate = False
-    for nu in sorted(members):
+    for nu in members:
         f_nu = coeffs[nu]
-        others = [mu for mu in sorted(members) if mu != nu]
+        others = [mu for mu in members if mu != nu]
         links = []
         domain = base
-        t_names = {}
         for mu in others:
-            t_name = "t" + "_".join(str(e) for e in mu)
-            t_names[mu] = t_name
-            ext = domain.extend(VarSpec(t_name, chart_radius))
+            ext = domain.extend(charts[mu])
             links.append(ElementaryDatum(
-                t_name, coeffs[mu].lift_to(domain), f_nu.lift_to(domain),
-                chart_radius, NormValue.one(), tautology(ext)))
+                charts[mu].name, coeffs[mu].lift_to(domain),
+                f_nu.lift_to(domain), chart_radius, NormValue.one(),
+                tautology(ext)))
             domain = ext
-        chain = DatumChain(base, nonzero_region(f_nu, base), tuple(links))
-        # cofactor over the full space extended by the chart variables
-        ext_space = space
+        chain = DatumChain(base, nonzero(f_nu), tuple(links))
+        # the cofactor over f's space extended by the chart variables
+        ext_space = space.extend(*(charts[mu] for mu in others))
+        lifted = {mu: carrier[mu].lift_to(ext_space) for mu in members}
+        t_vars = {mu: Series.variable(ext_space, charts[mu].name) for mu in others}
+        g_nu = lifted[nu]
         for mu in others:
-            ext_space = ext_space.extend(VarSpec(t_names[mu], chart_radius))
-        # the carriers T^mu + phi_mu over ext_space
-        pad = (0,) * len(others)
-        carrier = {mu: Series.monomial(ext_space, fiber_expo[mu] + pad)
-                   + phis[mu].lift_to(ext_space) for mu in members}
-        t_vars = {mu: Series.variable(ext_space, t_names[mu]) for mu in others}
-        g_nu = carrier[nu]
-        for mu in others:
-            g_nu = g_nu + t_vars[mu] * carrier[mu]
+            g_nu = g_nu + t_vars[mu] * lifted[mu]
         # exact identity: f_nu g_nu = f + sum (t_mu f_nu - f_mu)(T^mu + phi_mu)
-        f_nu_ext = coeffs[nu].lift_to(ext_space)
+        f_nu_ext = f_nu.lift_to(ext_space)
         lhs = f_nu_ext * g_nu
         rhs = f.drop_tail().lift_to(ext_space)
         for mu in others:
             diff = t_vars[mu] * f_nu_ext - coeffs[mu].lift_to(ext_space)
-            rhs = rhs + diff * carrier[mu]
+            rhs = rhs + diff * lifted[mu]
         if lhs != rhs:
             raise ValueError("pullback factorization failed to verify")
+        pad = (0,) * len(others)
         if g_nu.nums.get(fiber_expo[nu] + pad) != g_nu.den:
             raise ValueError("cofactor does not carry coefficient 1 at nu")
         sc = f_nu.as_scalar()
@@ -494,10 +480,7 @@ def unit_coefficient_covering(f: Series, fiber: Sequence[str],
 
     if not degenerate:
         if members:
-            zero_atoms = tuple(
-                Atom(NormValue.one(), coeffs[nu], LE, NormValue.zero(),
-                     Series.one(base))
-                for nu in sorted(members))
+            zero_atoms = tuple(vanishes(coeffs[nu]) for nu in members)
             region = zero_atoms[0] if len(zero_atoms) == 1 else And(zero_atoms)
         else:
             region = tautology(base)

@@ -9,7 +9,6 @@ identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
-from typing import Dict, Tuple
 
 from .scalars import parse_norm, parse_scalar, require_prime, scalar_text
 from .series import (MonomialPoint, Point, RigidPoint, Series, Space, VarSpec)
@@ -23,11 +22,11 @@ class Document:
 
     def __init__(self, prime: int):
         self.prime = prime
-        self.spaces: Dict[str, Space] = {}
-        self.series: Dict[str, Series] = {}
-        self.formulas: Dict[str, Formula] = {}
-        self.points: Dict[str, Point] = {}
-        self.sets: Dict[str, ConstructibleSet] = {}
+        self.spaces: dict[str, Space] = {}
+        self.series: dict[str, Series] = {}
+        self.formulas: dict[str, Formula] = {}
+        self.points: dict[str, Point] = {}
+        self.sets: dict[str, ConstructibleSet] = {}
 
     def sole_space(self) -> Space:
         if len(self.spaces) == 1:
@@ -61,7 +60,7 @@ def _entries(raw: dict, field: str):
             for name, obj in _section(raw, field).items()]
 
 
-def _load_varspecs(items, p: int) -> Tuple[VarSpec, ...]:
+def _load_varspecs(items, p: int) -> tuple[VarSpec, ...]:
     out = []
     for item in _expect(items, list, "vars"):
         item = _expect(item, dict, "vars")
@@ -93,7 +92,7 @@ def _dump_series(s: Series) -> dict:
     }
 
 
-def _load_point(obj, p: int, spaces: Dict[str, Space]) -> Point:
+def _load_point(obj, p: int, spaces: dict[str, Space]) -> Point:
     space = spaces[_expect(obj["space"], str, "space")]
     if "rigid" in obj:
         return RigidPoint(space, [parse_scalar(c)
@@ -103,7 +102,7 @@ def _load_point(obj, p: int, spaces: Dict[str, Space]) -> Point:
     return MonomialPoint(space, center, rho)
 
 
-def _load_chain(obj, p: int, base: Space, series: Dict[str, Series]) -> DatumChain:
+def _load_chain(obj, p: int, base: Space, series: dict[str, Series]) -> DatumChain:
     region_text = _section(obj, "region", str)
     region = (parse_formula(region_text, base) if region_text
               else tautology(base))
@@ -161,8 +160,8 @@ def save_set(path: str, cs: ConstructibleSet) -> None:
     """Write a one-set document, the set named "out"; link series get
     synthetic names."""
     p = cs.space.prime
-    series_entries: Dict[str, dict] = {}
-    names: Dict[str, str] = {}  # JSON text of a series -> its name
+    series_entries: dict[str, dict] = {}
+    names: dict[str, str] = {}  # JSON text of a series -> its name
 
     def series_name(s: Series) -> str:
         dumped = _dump_series(s)

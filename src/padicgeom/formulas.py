@@ -4,6 +4,9 @@ three-valued evaluation, and the surface-syntax parser.
 An atom states alpha*|f(x)| <= beta*|g(x)| (or <) with exact scale factors
 from the value group; equalities f = 0 are encoded as |f| <= 0*|1|.  Scales
 on both sides keep the class closed under negation with no special cases.
+``vanishes(g)`` and ``nonzero(g)`` build the atoms g = 0 and g != 0 (that
+is, 0*|1| < |g|), and ``compare(lhs, op, rhs)`` applies an atom's
+comparison to two values; the other modules state these rules through them.
 Evaluation is Kleene three-valued: `None` stands for unknown and can only
 arise from tail uncertainty of inexact series.
 ``truth(phi, leaf)`` is the one walker of And/Or/Not trees in the library:
@@ -14,8 +17,8 @@ pass and cell scan each supply only a leaf rule.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
 
 from .scalars import NormValue, Value, parse_norm, scalar_text
 from .series import (MAX_POWER, IntTerms, NormEstimate, Point, RigidPoint, Series,
@@ -52,16 +55,16 @@ class Atom(Value):
 
 
 class And(Value):
-    args: Tuple["Formula", ...]
+    args: tuple["Formula", ...]
 
-    def __init__(self, args: Tuple["Formula", ...]):
+    def __init__(self, args: tuple["Formula", ...]):
         object.__setattr__(self, "args", args)
 
 
 class Or(Value):
-    args: Tuple["Formula", ...]
+    args: tuple["Formula", ...]
 
-    def __init__(self, args: Tuple["Formula", ...]):
+    def __init__(self, args: tuple["Formula", ...]):
         object.__setattr__(self, "args", args)
 
 
@@ -72,15 +75,15 @@ class Not(Value):
         object.__setattr__(self, "arg", arg)
 
 
-Formula = Union[Atom, And, Or, Not]
+Formula = Atom | And | Or | Not
 
 
 class BasicConjunct(Value):
     """A negation-free conjunction of atoms."""
 
-    atoms: Tuple[Atom, ...]
+    atoms: tuple[Atom, ...]
 
-    def __init__(self, atoms: Tuple[Atom, ...]):
+    def __init__(self, atoms: tuple[Atom, ...]):
         object.__setattr__(self, "atoms", atoms)
 
 
@@ -89,7 +92,23 @@ def tautology(space: Space) -> Atom:
                 NormValue.one(), Series.one(space))
 
 
-def formula_atoms(phi: Formula) -> List[Atom]:
+def vanishes(g: Series) -> Atom:
+    """g = 0, as the atom |g| <= 0*|1|."""
+    return Atom(NormValue.one(), g, LE, NormValue.zero(), Series.one(g.space))
+
+
+def nonzero(g: Series) -> Atom:
+    """g != 0, as the atom 0*|1| < |g|."""
+    return Atom(NormValue.zero(), Series.one(g.space), LT, NormValue.one(), g)
+
+
+def compare(lhs, op: str, rhs) -> bool:
+    """lhs op rhs for op LE or LT, on any two values that order (norms,
+    scaled exponents)."""
+    return lhs <= rhs if op == LE else lhs < rhs
+
+
+def formula_atoms(phi: Formula) -> list[Atom]:
     """The leaves of phi, left to right: every node that is not And, Or or
     Not (the atoms of a formula, or projection's split atoms)."""
     t = type(phi)
@@ -149,7 +168,7 @@ def nnf(phi: Formula) -> Formula:
     return cls(tuple(nnf(a) for a in phi.args))
 
 
-def to_dnf(phi: Formula) -> List[BasicConjunct]:
+def to_dnf(phi: Formula) -> list[BasicConjunct]:
     """Disjunction of negation-free conjuncts, pointwise equivalent to phi.
 
     Pure distribution; no semantic pruning, so the size can be exponential
@@ -157,7 +176,7 @@ def to_dnf(phi: Formula) -> List[BasicConjunct]:
     """
     phi = nnf(phi)
 
-    def walk(node) -> List[Tuple[Atom, ...]]:
+    def walk(node) -> list[tuple[Atom, ...]]:
         if isinstance(node, Atom):
             return [(node,)]
         if isinstance(node, Or):
@@ -166,7 +185,7 @@ def to_dnf(phi: Formula) -> List[BasicConjunct]:
                 out.extend(walk(a))
             return out
         # And: distribute
-        combos: List[Tuple[Atom, ...]] = [()]
+        combos: list[tuple[Atom, ...]] = [()]
         for a in node.args:
             branches = walk(a)
             combos = [c + b for c in combos for b in branches]
@@ -277,7 +296,7 @@ class Seminorms:
     def __call__(self, f: Series) -> NormEstimate:
         return (self._memo.get(id(f)) or self._evaluate(f))[1]
 
-    def holds(self, atom: Atom) -> Optional[bool]:
+    def holds(self, atom: Atom) -> bool | None:
         """Kleene truth of the atom at the point: the leaf rule that
         ``truth`` takes for evaluation.  A side whose scale is 1 is
         compared as memoised, with no scaled copy."""
@@ -326,7 +345,7 @@ class Seminorms:
         return child
 
 
-def truth(phi: Formula, leaf) -> Optional[bool]:
+def truth(phi: Formula, leaf) -> bool | None:
     """Strong Kleene truth of the And/Or/Not tree phi: every other node is
     a leaf, and ``leaf(node)`` gives its truth, True, False or None
     (unknown).  Not swaps True and False and keeps None; And is False if
@@ -351,9 +370,9 @@ def truth(phi: Formula, leaf) -> Optional[bool]:
     return leaf(phi)
 
 
-def truth_all(args: Sequence[Formula], leaf) -> Optional[bool]:
+def truth_all(args: Sequence[Formula], leaf) -> bool | None:
     """Kleene conjunction of ``truth`` over args."""
-    out: Optional[bool] = True
+    out: bool | None = True
     for a in args:
         v = truth(a, leaf)
         if v is False:
@@ -363,7 +382,7 @@ def truth_all(args: Sequence[Formula], leaf) -> Optional[bool]:
     return out
 
 
-def eval_formula(phi: Formula, x: Point) -> Optional[bool]:
+def eval_formula(phi: Formula, x: Point) -> bool | None:
     """Kleene three-valued truth of phi at a rigid or monomial point.
 
     Exact (never None) whenever every atom series has a zero tail.  x is
@@ -375,7 +394,7 @@ def eval_formula(phi: Formula, x: Point) -> Optional[bool]:
     return truth(phi, Seminorms(x).holds)
 
 
-def eval_conjunct(conj: BasicConjunct, x: Point) -> Optional[bool]:
+def eval_conjunct(conj: BasicConjunct, x: Point) -> bool | None:
     return truth_all(conj.atoms, Seminorms(x).holds)
 
 
@@ -570,7 +589,7 @@ class _Parser:
         return Series._reduced(self.space, _build(self.poly_sum()[1]),
                                NormValue.zero())
 
-    def poly_sum(self) -> Tuple[int, tuple]:
+    def poly_sum(self) -> tuple[int, tuple]:
         sign = 1
         if self.peek()[0] == "minus":
             self.take("minus")
@@ -586,7 +605,7 @@ class _Parser:
             terms.append((sign, node))
         return degree, ("+", terms)
 
-    def poly_term(self) -> Tuple[int, tuple]:
+    def poly_term(self) -> tuple[int, tuple]:
         degree, node = self.poly_factor()
         factors = [node]
         while True:
@@ -604,7 +623,7 @@ class _Parser:
                                  f"degree limit {MAX_POWER}")
         return degree, factors[0] if len(factors) == 1 else ("*", factors)
 
-    def poly_factor(self) -> Tuple[int, tuple]:
+    def poly_factor(self) -> tuple[int, tuple]:
         """A primary and its exponent: the node ("^", base, k) for ``^k``."""
         degree, base = self.poly_primary()
         if self.peek()[0] != "caret":
@@ -617,7 +636,7 @@ class _Parser:
         # f^0 is 1, as in Series.pow
         return k * max(degree, 1), ("^", base, k) if k else (1, {self.origin: 1})
 
-    def poly_primary(self) -> Tuple[int, tuple]:
+    def poly_primary(self) -> tuple[int, tuple]:
         tok = self.take()
         if tok[0] == "num":
             num, den = int(tok[1]), 1

@@ -44,14 +44,14 @@ crossing rule (``_crossing_radii``) against the constant side c.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .scalars import NormValue, Value, _valuation
 from .series import MonomialPoint, Point, RigidPoint, Series, Space, VarSpec
-from .formulas import (And, Atom, Formula, LE, LT, Not, Or, eval_formula,
-                       formula_atoms, map_atoms, nnf, truth)
+from .formulas import (And, Atom, Formula, LE, LT, Not, Or, compare,
+                       eval_formula, formula_atoms, map_atoms, nnf, truth)
 from .weierstrass import weierstrass_prepare
 from .automorphisms import make_distinguished
 
@@ -63,9 +63,9 @@ class SplitPoly(Value):
     """lead * prod (T - root)^mult with rational roots."""
 
     lead: Fraction
-    roots: Tuple[Tuple[Fraction, int], ...]
+    roots: tuple[tuple[Fraction, int], ...]
 
-    def __init__(self, lead: Fraction, roots: Tuple[Tuple[Fraction, int], ...]):
+    def __init__(self, lead: Fraction, roots: tuple[tuple[Fraction, int], ...]):
         if lead == 0:
             raise ValueError("a split polynomial has a nonzero leading coefficient")
         object.__setattr__(self, "lead", lead)
@@ -82,7 +82,7 @@ class SplitPoly(Value):
         return _norm(_norm_product(*_side(_ONE, self, center, p, D), _scaled(rho, D)), D)
 
 
-def split_series(f: Series) -> Optional[SplitPoly]:
+def split_series(f: Series) -> SplitPoly | None:
     """Factor a one-variable polynomial into rational linear factors.
 
     Returns None iff f is zero, has a tail, or does not split over Q.  The
@@ -120,7 +120,7 @@ def split_series(f: Series) -> Optional[SplitPoly]:
 # a nonzero last entry.
 
 
-def _divide_linear(poly: List[int], a: int, b: int) -> Optional[List[int]]:
+def _divide_linear(poly: list[int], a: int, b: int) -> list[int] | None:
     """poly / (b T - a) for b > 0, or None when b T - a does not divide
     poly over Q (by Gauss's lemma the quotient is then integral)."""
     out = [0] * (len(poly) - 1)
@@ -133,14 +133,14 @@ def _divide_linear(poly: List[int], a: int, b: int) -> Optional[List[int]]:
     return out if poly[0] + a * acc == 0 else None
 
 
-def _primitive(poly: List[int]) -> List[int]:
+def _primitive(poly: list[int]) -> list[int]:
     g = gcd(*poly)
     if poly[-1] < 0:
         g = -g
     return [c // g for c in poly]
 
 
-def _pseudo_divmod(a: List[int], b: List[int]) -> Tuple[List[int], List[int]]:
+def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     """(q, r) with lead(b)^k a = q b + r and deg r < deg b (pseudo-division
     over the integers); r has no trailing zeros."""
     q, r, lb = [0] * max(len(a) - len(b) + 1, 0), a[:], b[-1]
@@ -156,7 +156,7 @@ def _pseudo_divmod(a: List[int], b: List[int]) -> Tuple[List[int], List[int]]:
     return q, r
 
 
-def _squarefree_part(poly: List[int]) -> List[int]:
+def _squarefree_part(poly: list[int]) -> list[int]:
     """The primitive squarefree part poly / gcd(poly, poly')."""
     g, b = poly, [k * c for k, c in enumerate(poly)][1:]
     while b:
@@ -173,14 +173,14 @@ def _small_primes():
         n += 1
 
 
-def _eval_mod(poly: List[int], t: int, m: int) -> int:
+def _eval_mod(poly: list[int], t: int, m: int) -> int:
     acc = 0
     for c in reversed(poly):
         acc = (acc * t + c) % m
     return acc
 
 
-def _rational_root_candidates(poly: List[int]) -> List[Tuple[int, int]]:
+def _rational_root_candidates(poly: list[int]) -> list[tuple[int, int]]:
     """(a, b) with b > 0 and gcd(a, b) = 1, including every rational root
     a / b of poly (a nonzero constant term; candidates need not be roots).
 
@@ -219,11 +219,6 @@ def _rational_root_candidates(poly: List[int]) -> List[Tuple[int, int]]:
 # -- disc regions ----------------------------------------------------------------
 
 
-def _compare(lhs, op: str, rhs) -> bool:
-    """lhs op rhs for two norms, or two scaled exponents."""
-    return lhs <= rhs if op == LE else lhs < rhs
-
-
 class Disc(Value):
     """The disc {|t - center| <= radius}, or < when open."""
 
@@ -240,13 +235,13 @@ class Disc(Value):
         """Whether the disc-tree point (center, rho) lies in the disc."""
         d = NormValue.of_scalar(center - self.center, p)
         d = rho if d < rho else d
-        return d <= self.radius if self.closed else d < self.radius
+        return compare(d, LE if self.closed else LT, self.radius)
 
 
-DiscRegion = Tuple[Disc, ...]
+DiscRegion = tuple[Disc, ...]
 
 
-def _center_rho(point: Point) -> Tuple[Fraction, NormValue]:
+def _center_rho(point: Point) -> tuple[Fraction, NormValue]:
     """A point of a one-variable space as (center, rho), rigid at rho = 0."""
     if isinstance(point, RigidPoint):
         return point.coords[0], NormValue.zero()
@@ -275,7 +270,7 @@ def region_contains(region: DiscRegion, point: Point) -> bool:
 # converts at its own boundary: ``_scaled`` on the way in, ``_norm`` on the
 # way out.
 
-Exp = Union[int, float]  # an int, or NULL
+Exp = int | float  # an int, or NULL
 NULL = float("-inf")
 _ONE = NormValue.one()
 
@@ -328,10 +323,10 @@ def _lead(scale: NormValue, poly: SplitPoly, p: int, D: int) -> Exp:
 # A side of a split atom over one center: (scale * |lead|, [(d, m)]) with the
 # root distances d from the center, all scaled, so that its scaled value at
 # (center, rho) is _norm_product(*side, rho).  A zero side has lead NULL.
-SideTable = Tuple[Exp, List[Tuple[Exp, int]]]
+SideTable = tuple[Exp, list[tuple[Exp, int]]]
 
 
-def _side(scale: NormValue, poly: Optional[SplitPoly], center: Fraction, p: int,
+def _side(scale: NormValue, poly: SplitPoly | None, center: Fraction, p: int,
           D: int) -> SideTable:
     """The table of scale * |poly| over the center (None: the zero side)."""
     if poly is None:
@@ -341,7 +336,7 @@ def _side(scale: NormValue, poly: Optional[SplitPoly], center: Fraction, p: int,
         (_log_distance(c1, c2, a.numerator, a.denominator, p, D), m) for a, m in poly.roots]
 
 
-def _norm_product(lead: Exp, dists: Sequence[Tuple[Exp, int]], rho: Exp) -> Exp:
+def _norm_product(lead: Exp, dists: Sequence[tuple[Exp, int]], rho: Exp) -> Exp:
     """N(rho) = lead * prod max(rho, d)^m, scaled: lead + sum m max(rho, d),
     and NULL when a factor is zero.  The one evaluation rule of a split
     polynomial, from its lead norm and root distances."""
@@ -356,13 +351,13 @@ def _norm_product(lead: Exp, dists: Sequence[Tuple[Exp, int]], rho: Exp) -> Exp:
     return out
 
 
-def _grid(dists: Sequence[Tuple[Exp, int]], r: Exp) -> List[Exp]:
+def _grid(dists: Sequence[tuple[Exp, int]], r: Exp) -> list[Exp]:
     """Segment tops up to r: the nonzero distances below r, then r."""
     return sorted({d for d, _ in dists if NULL < d < r}) + [r]
 
 
-def _segments(lead: Exp, dists: Sequence[Tuple[Exp, int]], tops: Sequence[Exp]
-              ) -> Iterator[Tuple[Exp, Exp, int, Exp]]:
+def _segments(lead: Exp, dists: Sequence[tuple[Exp, int]], tops: Sequence[Exp]
+              ) -> Iterator[tuple[Exp, Exp, int, Exp]]:
     """(lo, hi, M, K) with N(rho) = K rho^M, i.e. K + M rho scaled, on each
     segment (lo, hi] of the increasing tops, the first with lo = NULL; the
     lead is nonzero."""
@@ -373,7 +368,7 @@ def _segments(lead: Exp, dists: Sequence[Tuple[Exp, int]], tops: Sequence[Exp]
         lo = hi
 
 
-def _crossing_radii(left: SideTable, right: SideTable, r: Exp) -> List[Exp]:
+def _crossing_radii(left: SideTable, right: SideTable, r: Exp) -> list[Exp]:
     """Radii in (0, r] where the two scaled side values can change order
     at the monomial points over the center of the two tables."""
     (lead_left, dists_left), (lead_right, dists_right) = left, right
@@ -397,7 +392,7 @@ def _crossing_radii(left: SideTable, right: SideTable, r: Exp) -> List[Exp]:
 
 
 def _sublevel_radius(poly: SplitPoly, center: Fraction, cmp: str, c: NormValue,
-                     r: NormValue, p: int) -> Optional[Tuple[NormValue, bool]]:
+                     r: NormValue, p: int) -> tuple[NormValue, bool] | None:
     """Largest rho in [0, r] with N(rho) cmp c, N(rho) = |P| on the sphere
     of radius rho around the center.  Returns (radius, closed) or None.
 
@@ -413,13 +408,13 @@ def _sublevel_radius(poly: SplitPoly, center: Fraction, cmp: str, c: NormValue,
     D = _denominator(c, r) * lcm(*range(1, poly.degree + 1))
     side = _side(_ONE, poly, center, p, D)
     cs, R = _scaled(c, D), _scaled(r, D)
-    if _compare(_norm_product(*side, R), cmp, cs):
+    if compare(_norm_product(*side, R), cmp, cs):
         return r, True
     crossing = _crossing_radii(side, (cs, []), R)
     if crossing:
         return _norm(crossing[0], D), cmp == LE
     # bottom: the center itself
-    if _compare(_norm_product(*side, NULL), cmp, cs):
+    if compare(_norm_product(*side, NULL), cmp, cs):
         return NormValue.zero(), True
     return None
 
@@ -452,7 +447,7 @@ def lemniscate_region(poly: SplitPoly, cmp: str, c: NormValue, space: Space
 # -- prepared atoms and the existential decision -------------------------------------
 
 
-def qe_prepare(conjunct: Sequence[Atom], pivot: str) -> Tuple[Atom, ...]:
+def qe_prepare(conjunct: Sequence[Atom], pivot: str) -> tuple[Atom, ...]:
     """Rewrite a conjunction of atoms with constant scales and monic
     polynomial parts in the pivot, pointwise equivalent on the closed unit
     polydisc (through the shear, which restricts to an automorphism of it).
@@ -469,7 +464,7 @@ def qe_prepare(conjunct: Sequence[Atom], pivot: str) -> Tuple[Atom, ...]:
     for r in space.radii:
         if not r > one:
             raise ValueError("quantifier elimination needs radii > 1")
-    sides: List[Series] = []
+    sides: list[Series] = []
     for atom in conjunct:
         if atom.space != space:
             raise ValueError("atoms live on different spaces")
@@ -501,13 +496,13 @@ class SplitAtom(Value):
     polynomial)."""
 
     scale_left: NormValue
-    left: Optional[SplitPoly]
+    left: SplitPoly | None
     op: str
     scale_right: NormValue
-    right: Optional[SplitPoly]
+    right: SplitPoly | None
 
-    def __init__(self, scale_left: NormValue, left: Optional[SplitPoly], op: str,
-                 scale_right: NormValue, right: Optional[SplitPoly]):
+    def __init__(self, scale_left: NormValue, left: SplitPoly | None, op: str,
+                 scale_right: NormValue, right: SplitPoly | None):
         object.__setattr__(self, "scale_left", scale_left)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "op", op)
@@ -518,21 +513,21 @@ class SplitAtom(Value):
         """Truth at the disc-tree point (center, rho), rigid at rho = 0."""
         D = _denominator(rho, self.scale_left, self.scale_right)
         x = _scaled(rho, D)
-        return _compare(_norm_product(*_side(self.scale_left, self.left, center, p, D), x),
-                        self.op,
-                        _norm_product(*_side(self.scale_right, self.right, center, p, D), x))
+        return compare(_norm_product(*_side(self.scale_left, self.left, center, p, D), x),
+                       self.op,
+                       _norm_product(*_side(self.scale_right, self.right, center, p, D), x))
 
 
 class Decision(Value):
     status: str  # "SAT" | "UNSAT"
-    witness: Optional[Point]
+    witness: Point | None
 
-    def __init__(self, status: str, witness: Optional[Point] = None):
+    def __init__(self, status: str, witness: Point | None = None):
         object.__setattr__(self, "status", status)
         object.__setattr__(self, "witness", witness)
 
 
-SplitTree = Union[SplitAtom, And, Or, None]  # None: an atom that did not split
+SplitTree = SplitAtom | And | Or | None  # None: an atom that did not split
 
 
 def decide_exists(tree: SplitTree, space: Space) -> Decision:
@@ -587,7 +582,7 @@ def decide_exists(tree: SplitTree, space: Space) -> Decision:
     D = 2 * lcm(*range(1, n + 1)) * _denominator(
         r, *(s for a in leaves for s in (a.scale_left, a.scale_right)))
     R = _scaled(r, D)
-    centers: Set[Fraction] = {Fraction(0)}
+    centers: set[Fraction] = {Fraction(0)}
     for atom in leaves:
         for poly in (atom.left, atom.right):
             if poly:
@@ -599,7 +594,7 @@ def decide_exists(tree: SplitTree, space: Space) -> Decision:
     # the lead norms are taken once, and no Fraction is hashed in the loops
     index = {a: i for i, a in enumerate(all_centers)}
 
-    def side(scale: NormValue, poly: Optional[SplitPoly]):
+    def side(scale: NormValue, poly: SplitPoly | None):
         if poly is None:
             return NULL, ()
         return _lead(scale, poly, p, D), tuple((index[a], m) for a, m in poly.roots)
@@ -607,7 +602,7 @@ def decide_exists(tree: SplitTree, space: Space) -> Decision:
     sides = {id(a): (side(a.scale_left, a.left), a.op, side(a.scale_right, a.right))
              for a in leaves}
 
-    def rigid_refinement(center: Fraction, rho: int) -> Optional[RigidPoint]:
+    def rigid_refinement(center: Fraction, rho: int) -> RigidPoint | None:
         # |center + u p^-e| <= max(|center|, rho) <= r for rho = p^e and
         # u a unit, so every candidate lies in the disc
         if rho % D:
@@ -623,26 +618,26 @@ def decide_exists(tree: SplitTree, space: Space) -> Decision:
         # the distance table of this center: every root valued once
         c1, c2 = pairs[k]
         dist = [_log_distance(c1, c2, a1, a2, p, D) for a1, a2 in pairs]
-        tables: Dict[int, Tuple[SideTable, str, SideTable]] = {
+        tables: dict[int, tuple[SideTable, str, SideTable]] = {
             key: ((lead_left, [(dist[i], m) for i, m in left]), op,
                   (lead_right, [(dist[i], m) for i, m in right]))
             for key, ((lead_left, left), op, (lead_right, right)) in sides.items()}
 
         # reads the current sample rho of the loop below
-        def leaf(a: Optional[SplitAtom]) -> bool:
+        def leaf(a: SplitAtom | None) -> bool:
             if a is None:
                 return False
             left, op, right = tables[id(a)]
-            return _compare(_norm_product(*left, rho), op, _norm_product(*right, rho))
+            return compare(_norm_product(*left, rho), op, _norm_product(*right, rho))
 
         # the center's own distance is NULL
-        radii: Set[Exp] = {d for d in dist if d <= R}
+        radii: set[Exp] = {d for d in dist if d <= R}
         radii.add(R)
         for left, _, right in tables.values():
             radii.update(_crossing_radii(left, right, R))
         ordered = sorted(radii)
         # geometric midpoints of consecutive grid radii sample the open cells
-        samples: List[Exp] = list(ordered)
+        samples: list[Exp] = list(ordered)
         for lo, hi in zip(ordered, ordered[1:]):
             samples.append(hi - D if lo == NULL else _exact(lo + hi, 2))
         for rho in sorted(set(samples)):
@@ -665,7 +660,7 @@ def _specialize_1var(side: Series, x: RigidPoint, pivot: str,
     if side.space == target:
         # at an empty base point the pivot goes to itself: nothing changes
         return side
-    assignment: Dict[str, Series] = {}
+    assignment: dict[str, Series] = {}
     for v in side.space.vars:
         if v.name == pivot:
             assignment[v.name] = Series.variable(target, pivot)
@@ -674,9 +669,9 @@ def _specialize_1var(side: Series, x: RigidPoint, pivot: str,
     return side.substitute(assignment)
 
 
-def project_decision(phi: Union[Formula, Sequence[Atom]], x: RigidPoint,
+def project_decision(phi: Formula | Sequence[Atom], x: RigidPoint,
                      pivot: str, hints: Sequence[Fraction] = ()
-                     ) -> Tuple[str, Optional[Point]]:
+                     ) -> tuple[str, Point | None]:
     """Decide whether the fiber of phi (a formula, or a sequence of atoms
     meaning their conjunction) over the base point x meets the pivot's
     declared disc |pivot| <= r: ('SAT', witness) / ('UNSAT', None) /
@@ -704,10 +699,10 @@ def project_decision(phi: Union[Formula, Sequence[Atom]], x: RigidPoint,
     specialized = map_atoms(nnf(phi), lambda a: Atom(
         a.alpha, _specialize_1var(a.f, x, pivot, target), a.op,
         a.beta, _specialize_1var(a.g, x, pivot, target)))
-    split: Dict[int, SplitAtom] = {}
-    unsplit: List[Atom] = []
+    split: dict[int, SplitAtom] = {}
+    unsplit: list[Atom] = []
 
-    def split_atom(a: Atom) -> Optional[bool]:
+    def split_atom(a: Atom) -> bool | None:
         # unknown once both sides split (the scan decides it); false at the
         # first side that does not, and nothing more of it is split
         sides = []
@@ -726,7 +721,7 @@ def project_decision(phi: Union[Formula, Sequence[Atom]], x: RigidPoint,
         if decision.status == "SAT" or not unsplit:
             return decision.status, decision.witness
     # sampling fallback: a verified witness proves SAT; nothing proves UNSAT
-    candidates: List[Fraction] = [Fraction(0)]
+    candidates: list[Fraction] = [Fraction(0)]
     candidates.extend(hints)
     for k in range(0, 6):
         candidates.append(Fraction(1, p ** k))

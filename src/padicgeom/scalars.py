@@ -24,9 +24,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from operator import attrgetter
-from typing import Optional, Tuple, Union
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 
 INFINITY = float("inf")  # valuation of 0
 
@@ -35,8 +34,6 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
@@ -135,7 +132,7 @@ class Value:
     ``operator.attrgetter`` over its fields, when it is defined.
     """
 
-    _fields: Tuple[str, ...] = ()
+    _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
         cls._fields = fields = tuple(cls.__dict__.get("__annotations__", ()))
@@ -190,9 +187,9 @@ class NormValue(Value):
     takes p.
     """
 
-    exp: Optional[Rational]
+    exp: Rational | None
 
-    def __init__(self, exp: Optional[Rational]):
+    def __init__(self, exp: Rational | None):
         object.__setattr__(self, "exp", exp)
 
     # -- constructors ------------------------------------------------------
@@ -367,7 +364,7 @@ def parse_scalar(text: str) -> Fraction:
         raise ValueError(f"bad scalar literal: {text!r}")
     try:
         return Fraction(text.strip())
-    except ZeroDivisionError:
+    except (ValueError, ZeroDivisionError):
         raise ValueError(f"bad scalar literal: {text!r}") from None
 
 

@@ -26,15 +26,15 @@ the Gauss point.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import add, mul
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .scalars import (NormValue, Rational, Value, _as_fraction, _valuation,
                       nv_max, require_prime, scalar_text)
 
-Exponents = Tuple[int, ...]
+Exponents = tuple[int, ...]
 
 # Largest degree a Series.pow result may have: f^k is refused before any
 # multiplication when k * max(degree of f, 1) exceeds it.  The formula DSL
@@ -66,9 +66,9 @@ class Space(Value):
     """A polydisc: the prime of the ground field plus ordered coordinates."""
 
     prime: int
-    vars: Tuple[VarSpec, ...]
+    vars: tuple[VarSpec, ...]
 
-    def __init__(self, prime: int, vars: Tuple[VarSpec, ...]):
+    def __init__(self, prime: int, vars: tuple[VarSpec, ...]):
         require_prime(prime)
         names = [v.name for v in vars]
         if len(set(names)) != len(names):
@@ -77,11 +77,11 @@ class Space(Value):
         object.__setattr__(self, "vars", vars)
 
     @property
-    def names(self) -> Tuple[str, ...]:
+    def names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.vars)
 
     @property
-    def radii(self) -> Tuple[NormValue, ...]:
+    def radii(self) -> tuple[NormValue, ...]:
         return tuple(v.radius for v in self.vars)
 
     def index(self, name: str) -> int:
@@ -122,7 +122,7 @@ class Space(Value):
                 w = w * (v.radius ** e)
         return w
 
-    def scaled_radii(self) -> Tuple[int, Tuple[int, ...]]:
+    def scaled_radii(self) -> tuple[int, tuple[int, ...]]:
         """(D, (D e_1, ..., D e_n)) for radii p^e_i, with D the lcm of the
         denominators of the e_i: the radius exponents as integers over D.
 
@@ -137,7 +137,7 @@ class Space(Value):
         return scaled
 
 
-def scaled_exponents(radii: Sequence[NormValue]) -> Tuple[int, Tuple[int, ...]]:
+def scaled_exponents(radii: Sequence[NormValue]) -> tuple[int, tuple[int, ...]]:
     """(D, (D e_1, ..., D e_n)) for nonzero norms p^e_i, D the lcm of the
     denominators of the e_i."""
     exps = [r.exp for r in radii]
@@ -157,12 +157,12 @@ def scaled_exponents(radii: Sequence[NormValue]) -> Tuple[int, Tuple[int, ...]]:
 # operation pays; the caller divides out the content (``ints_reduce``) when
 # it chooses.
 
-IntTerms = Tuple[int, Dict[Exponents, int]]
+IntTerms = tuple[int, dict[Exponents, int]]
 # the same pair keyed by packed exponent vectors (ints)
-PackedTerms = Tuple[int, Dict[int, int]]
+PackedTerms = tuple[int, dict[int, int]]
 
 # (coordinate index i, degree K) -> ([a^j b^(K-j) for j <= K], b^K) at x_i = a/b
-PowerRows = Dict[Tuple[int, int], Tuple[List[int], int]]
+PowerRows = dict[tuple[int, int], tuple[list[int], int]]
 
 
 def ints_of(coeffs: Mapping[Exponents, Fraction]) -> IntTerms:
@@ -184,7 +184,7 @@ def ints_mul(a: IntTerms, b: IntTerms) -> IntTerms:
         # times a monomial: exponents shift injectively, nothing cancels
         (e2, c2), = b[1].items()
         return a[0] * b[0], {tuple(map(add, e1, e2)): c1 * c2 for e1, c1 in a[1].items()}
-    out: Dict[Exponents, int] = {}
+    out: dict[Exponents, int] = {}
     get = out.get
     for e1, c1 in a[1].items():
         for e2, c2 in b[1].items():
@@ -193,7 +193,7 @@ def ints_mul(a: IntTerms, b: IntTerms) -> IntTerms:
     return a[0] * b[0], {e: c for e, c in out.items() if c}
 
 
-def ints_add_into(a: Optional[IntTerms], b: IntTerms, sign: int) -> IntTerms:
+def ints_add_into(a: IntTerms | None, b: IntTerms, sign: int) -> IntTerms:
     """a + sign * b, updating a's numerator map in place (a None stands for
     the zero map).  Rescales to the lcm only when the denominators differ."""
     db, tb = b
@@ -219,7 +219,7 @@ def ints_add_into(a: Optional[IntTerms], b: IntTerms, sign: int) -> IntTerms:
     return da, ta
 
 
-def ints_addmul_into(acc: Optional[PackedTerms], a: PackedTerms, b: PackedTerms,
+def ints_addmul_into(acc: PackedTerms | None, a: PackedTerms, b: PackedTerms,
                      sign: int) -> PackedTerms:
     """acc + sign * a * b on packed keys, updating acc's numerator map in
     place (a None stands for the zero map) without building the product.
@@ -233,8 +233,8 @@ def ints_addmul_into(acc: Optional[PackedTerms], a: PackedTerms, b: PackedTerms,
     return rows[0]
 
 
-def ints_addmul_rows(rows: Dict[int, PackedTerms], shift: int, a: PackedTerms,
-                     bs: Sequence[Tuple[int, PackedTerms]], sign: int) -> None:
+def ints_addmul_rows(rows: dict[int, PackedTerms], shift: int, a: PackedTerms,
+                     bs: Sequence[tuple[int, PackedTerms]], sign: int) -> None:
     """rows[shift + m] += sign * a * b for every (m, b) in bs, each target
     row's numerator map updated in place (a missing row stands for the zero
     map) without building the products.  Each target row is rescaled on
@@ -287,8 +287,8 @@ def ints_reduce(a: IntTerms) -> IntTerms:
     return den, terms
 
 
-def taylor_shift(terms: Dict[Exponents, int], i: int, u: int, w: int
-                 ) -> Tuple[Dict[Exponents, int], int]:
+def taylor_shift(terms: dict[Exponents, int], i: int, u: int, w: int
+                 ) -> tuple[dict[Exponents, int], int]:
     """(w^K f(X + u/w e_i), K) for integer terms f, K the degree in X_i:
     each c X^k spreads to c C(k, j) u^(k-j) w^(K-k+j) X^j, j <= k."""
     big = max(e[i] for e in terms) if terms else 0
@@ -296,7 +296,7 @@ def taylor_shift(terms: Dict[Exponents, int], i: int, u: int, w: int
     for _ in range(big):
         upow.append(upow[-1] * u)
         wpow.append(wpow[-1] * w)
-    out: Dict[Exponents, int] = {}
+    out: dict[Exponents, int] = {}
     get = out.get
     for e, c in terms.items():
         k = e[i]
@@ -309,7 +309,7 @@ def taylor_shift(terms: Dict[Exponents, int], i: int, u: int, w: int
 
 
 def norm_exp(terms: Mapping[Exponents, int], p: int,
-             scaled: Tuple[int, Tuple[int, ...]]) -> Optional[int]:
+             scaled: tuple[int, tuple[int, ...]]) -> int | None:
     """D times the Gauss-norm exponent max_nu (-v_p(c_nu) + sum nu_i e_i)
     of integer numerators, None for the empty map; ``scaled`` is the
     space's ``scaled_radii()`` = (D, (D e_i)).  For an ``IntTerms`` pair
@@ -355,7 +355,7 @@ class NormEstimate(Value):
         return NormEstimate(self.value * a, self.uncertainty * a)
 
 
-def compare_le(a: NormEstimate, b: NormEstimate) -> Optional[bool]:
+def compare_le(a: NormEstimate, b: NormEstimate) -> bool | None:
     """Three-valued `a <= b` on certified seminorms (None = unknown).
 
     When both sides are exact this is one comparison of their exponents,
@@ -373,7 +373,7 @@ def compare_le(a: NormEstimate, b: NormEstimate) -> Optional[bool]:
     return None
 
 
-def compare_lt(a: NormEstimate, b: NormEstimate) -> Optional[bool]:
+def compare_lt(a: NormEstimate, b: NormEstimate) -> bool | None:
     """Three-valued `a < b` on certified seminorms (None = unknown), with
     the exponent rule of ``compare_le`` on exact sides."""
     if a.is_exact and b.is_exact:
@@ -402,7 +402,7 @@ class Series:
 
     def __init__(self, space: Space, coeffs: Mapping[Exponents, Rational],
                  tail: NormValue = NormValue.zero()):
-        clean: Dict[Exponents, Fraction] = {}
+        clean: dict[Exponents, Fraction] = {}
         n = len(space.vars)
         for expo, c in coeffs.items():
             expo = tuple(int(e) for e in expo)
@@ -429,7 +429,7 @@ class Series:
         return Series._raw, (self.space, self.den, dict(self.nums), self.tail)
 
     @staticmethod
-    def _raw(space: Space, den: int, nums: Dict[Exponents, int],
+    def _raw(space: Space, den: int, nums: dict[Exponents, int],
              tail: NormValue) -> "Series":
         """Internal fast path: (den, nums) must already be reduced (correct
         arity, no zero numerator, gcd(den, *nums) = 1, den > 0)."""
@@ -447,7 +447,7 @@ class Series:
         return Series._raw(space, *ints_reduce(a), tail)
 
     @property
-    def coeffs(self) -> Dict[Exponents, Fraction]:
+    def coeffs(self) -> dict[Exponents, Fraction]:
         """The stored coefficients as Fractions, in a new dict on each call."""
         den = self.den
         return {e: Fraction(c, den) for e, c in self.nums.items()}
@@ -491,13 +491,13 @@ class Series:
     def constant_term(self) -> Fraction:
         return Fraction(self.nums.get((0,) * len(self.space.vars), 0), self.den)
 
-    def as_scalar(self) -> Optional[Fraction]:
+    def as_scalar(self) -> Fraction | None:
         """The value of an exact constant series, else None."""
         if not self.tail.is_zero or any(any(expo) for expo in self.nums):
             return None
         return self.constant_term()
 
-    def constant_seminorm(self) -> Optional[Tuple[NormEstimate, Tuple[int, int]]]:
+    def constant_seminorm(self) -> tuple[NormEstimate, tuple[int, int]] | None:
         """For a series with no non-constant term, stored part c = num/den:
         (NormEstimate(|c|, tail), (num, den)), its seminorm at every point
         of the polydisc (a point's seminorm extends the absolute value of
@@ -638,12 +638,12 @@ class Series:
 
     # -- coefficient view along one variable ----------------------------------
 
-    def coeff_view(self, pivot: str) -> List[Tuple[int, "Series"]]:
+    def coeff_view(self, pivot: str) -> list[tuple[int, "Series"]]:
         """Present f as sum_n c_n * pivot^n with c_n over the remaining vars
         (``coeff_view_multi`` along the pivot alone)."""
         return [(nu[0], c) for nu, c in self.coeff_view_multi([pivot])]
 
-    def coeff_view_multi(self, fiber: Sequence[str]) -> List[Tuple[Exponents, "Series"]]:
+    def coeff_view_multi(self, fiber: Sequence[str]) -> list[tuple[Exponents, "Series"]]:
         """Present f as sum_nu c_nu * fiber^nu with c_nu over the remaining
         vars, sorted by nu.
 
@@ -654,7 +654,7 @@ class Series:
         for v in fiber:
             rest = rest.drop(v)
         keep = [j for j in range(len(self.space.vars)) if j not in idx]
-        buckets: Dict[Exponents, Dict[Exponents, int]] = {}
+        buckets: dict[Exponents, dict[Exponents, int]] = {}
         for expo, c in self.nums.items():
             nu = tuple(expo[j] for j in idx)
             e2 = tuple(expo[j] for j in keep)
@@ -698,7 +698,7 @@ class Series:
         unit = (0,) * len(target.vars)
         # cache powers of each image's stored part
         max_exp = [max(col) for col in zip(*self.nums)] or [0] * len(images)
-        powers: List[List[IntTerms]] = []
+        powers: list[list[IntTerms]] = []
         for g, m in zip(images, max_exp):
             row = [(1, {unit: 1})]
             for _ in range(m):
@@ -732,7 +732,7 @@ class Series:
         return Fraction(*self.eval_ints(coords, {}))
 
     def eval_ints(self, coords: Sequence[Fraction], rows: PowerRows
-                  ) -> Tuple[int, int]:
+                  ) -> tuple[int, int]:
         """The value at Fraction coordinates x_i = a_i/b_i as an unreduced
         (num, den): with K_i the degree in x_i, num = sum_nu c_nu prod
         a_i^nu_i b_i^(K_i - nu_i) over den = self.den * prod b_i^K_i.  Pass
@@ -846,7 +846,7 @@ class RigidPoint(Value):
     """A point with exact rational coordinates."""
 
     space: Space
-    coords: Tuple[Fraction, ...]
+    coords: tuple[Fraction, ...]
 
     def __init__(self, space: Space, coords: Sequence[Rational]):
         object.__setattr__(self, "space", space)
@@ -881,8 +881,8 @@ class MonomialPoint(Value):
     """
 
     space: Space
-    center: Tuple[Fraction, ...]
-    rho: Tuple[NormValue, ...]
+    center: tuple[Fraction, ...]
+    rho: tuple[NormValue, ...]
 
     def __init__(self, space: Space, center: Sequence[Rational], rho: Sequence[NormValue]):
         object.__setattr__(self, "space", space)
@@ -910,7 +910,7 @@ class MonomialPoint(Value):
         return f"gauss({c}; {r})"
 
 
-Point = Union[RigidPoint, MonomialPoint]
+Point = RigidPoint | MonomialPoint
 
 
 def gauss_point(space: Space) -> MonomialPoint:

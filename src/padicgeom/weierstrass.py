@@ -44,7 +44,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Dict, List, Optional, Tuple
 
 from .scalars import NormValue, Value, _valuation, nv_max, nv_min
 from .series import (MAX_POWER, Exponents, PackedTerms, Series, Space, ints_add_into,
@@ -73,7 +72,7 @@ class UnitCertificate(Value):
         return NormValue.of_scalar(self.scale, self.rest.space.prime)
 
 
-def certify_unit(u: Series) -> Optional[UnitCertificate]:
+def certify_unit(u: Series) -> UnitCertificate | None:
     """Certificate for u = c(1 + w) with nonzero constant c and ||w|| < 1.
 
     Returns None when the shape test fails; this is a sufficient criterion
@@ -147,7 +146,7 @@ class DistinguishedCertificate(Value):
         object.__setattr__(self, "norm_witness", norm_witness)
 
 
-def distinguished_order(f: Series, pivot: str) -> Optional[DistinguishedCertificate]:
+def distinguished_order(f: Series, pivot: str) -> DistinguishedCertificate | None:
     """The unique order at which f is pivot-distinguished, or None.
 
     One integer pass over ``f.nums``: the order is the largest pivot degree
@@ -196,11 +195,11 @@ class DivisionResult(Value):
     quotient: Series
     remainder: Series
     residual: NormValue
-    iterations: Tuple[NormValue, ...]
+    iterations: tuple[NormValue, ...]
     contraction: NormValue  # the factor bounding each defect drop
 
     def __init__(self, quotient: Series, remainder: Series, residual: NormValue,
-                 iterations: Tuple[NormValue, ...], contraction: NormValue):
+                 iterations: tuple[NormValue, ...], contraction: NormValue):
         object.__setattr__(self, "quotient", quotient)
         object.__setattr__(self, "remainder", remainder)
         object.__setattr__(self, "residual", residual)
@@ -243,25 +242,25 @@ class PreparationResult(Value):
 # den and the class gcds.
 
 
-def _rest_degree(nums: Dict[Exponents, int], pivot_index: Optional[int]) -> int:
+def _rest_degree(nums: dict[Exponents, int], pivot_index: int | None) -> int:
     """The largest exponent of a variable other than the pivot (0 for none);
     a pivot_index of None counts every variable."""
     return max((x for e in nums for i, x in enumerate(e) if i != pivot_index), default=0)
 
 
-def _rows_of(h: Series, pivot_index: int, units: List[int],
-             scale: Fraction = Fraction(1)) -> Dict[int, PackedTerms]:
+def _rows_of(h: Series, pivot_index: int, units: list[int],
+             scale: Fraction = Fraction(1)) -> dict[int, PackedTerms]:
     """The rows of scale * h, each rest exponent vector packed with the
     field units ``units`` (1 << (width * j) for rest variable j)."""
     mults = units[:pivot_index] + [0] + units[pivot_index:]
     num, den = scale.numerator, h.den * scale.denominator
-    rows: Dict[int, Dict[int, int]] = {}
+    rows: dict[int, dict[int, int]] = {}
     for expo, c in h.nums.items():
         rows.setdefault(expo[pivot_index], {})[sum(map(mul, expo, mults))] = c * num
     return {k: ints_reduce((den, row)) for k, row in rows.items()}
 
 
-def _rows_to_series(rows: Dict[int, PackedTerms], space: Space, pivot_index: int,
+def _rows_to_series(rows: dict[int, PackedTerms], space: Space, pivot_index: int,
                     width: int, scale: Fraction = Fraction(1)) -> Series:
     """scale times the series of the rows."""
     shifts = [width * j for j in range(len(space.vars) - 1)]
@@ -382,9 +381,9 @@ def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
     shifts = [width * j for j in range(len(rest_weights))]
     units = [1 << sh for sh in shifts]
     mask = (1 << width) - 1
-    key_weight: Dict[int, int] = {}
+    key_weight: dict[int, int] = {}
 
-    def rows_norm(rows: Dict[int, PackedTerms]) -> NormValue:
+    def rows_norm(rows: dict[int, PackedTerms]) -> NormValue:
         """Exact Gauss norm of a row map, on integer exponents over d, in
         one scan per row that also divides out the row's content in place:
         the smallest v_p(c) among a row's terms of one rest weight is v_p of
@@ -392,7 +391,7 @@ def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
         content is the gcd of den and the class gcds."""
         best = None
         for k, (den, row) in rows.items():
-            classes: Dict[int, int] = {}
+            classes: dict[int, int] = {}
             content = classes.get
             for key, c in row.items():
                 w = key_weight.get(key)
@@ -426,9 +425,9 @@ def weierstrass_divide(f: Series, g: Series, cert: DistinguishedCertificate,
                                              v_row, lead, -1))
     g_rows = sorted(g_rows.items())
     h_rows = _rows_of(f0, i, units)
-    q_rows: Dict[int, PackedTerms] = {}
-    r_rows: Dict[int, PackedTerms] = {}
-    iters: List[NormValue] = []
+    q_rows: dict[int, PackedTerms] = {}
+    r_rows: dict[int, PackedTerms] = {}
+    iters: list[NormValue] = []
     defect = rows_norm(h_rows)
     while defect > eps:
         if len(iters) >= _MAX_DIVISION_PASSES:

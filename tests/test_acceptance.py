@@ -455,9 +455,10 @@ def test_criterion_10_blowup_commutation():
         x = rng.choice([Fraction(1), Fraction(2), Fraction(3), Fraction(6),
                         Fraction(5)])
         t = rand_point_coord(rng, 2, Fraction(0))
-        q = RigidPoint(ch1.space(), (x, t))
-        assert pullback_chart(h, ch1).eval_exact(q.coords) == \
-            h.eval_exact(ch1.to_base(q).coords)
+        for ch in (ch1, ch2):
+            q = RigidPoint(ch.space(), (x, t))
+            assert pullback_chart(h, ch).eval_exact(q.coords) == \
+                h.eval_exact(ch.to_base(q).coords)
     xvar = Series.variable(ch1.space(), "x")
     for _ in range(100):
         P = rand_nonzero_series(rng, ch1.space(), max_terms=4, max_deg=4,

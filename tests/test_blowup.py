@@ -25,15 +25,17 @@ def test_pullback_examples():
 
 def test_pullback_commutes_with_evaluation(rng):
     sp = bidisc()
-    ch = Chart(1, sp)
+    charts = (Chart(1, sp), Chart(2, sp))
     for _ in range(60):
         h = rand_nonzero_series(rng, sp, vmin=0)
         x = Fraction(rng.choice([1, 2, 3, 5, 6]))
         t = Fraction(rng.choice([0, 1, 2, 3, 7]))
-        q = RigidPoint(ch.space(), (x, t))
-        lhs = pullback_chart(h, ch).eval_exact(q.coords)
-        rhs = h.eval_exact(ch.to_base(q).coords)
-        assert lhs == rhs
+        # the same (kept, t) on each chart
+        for ch in charts:
+            q = RigidPoint(ch.space(), (x, t))
+            lhs = pullback_chart(h, ch).eval_exact(q.coords)
+            rhs = h.eval_exact(ch.to_base(q).coords)
+            assert lhs == rhs
 
 
 def test_factor_x_power_examples():

@@ -94,17 +94,33 @@ def run_subprocess(argv, timeout):
                           timeout=timeout)
 
 
-def test_cli_import_loads_no_dataclasses():
-    # start-up guard: the CLI runs as a fresh process per command, and the
-    # dataclasses module (with inspect, ast, ...) dominated its import time;
-    # -S keeps site hooks out, so only the package's own imports count
+def run_without_site(code):
+    """The stripped stdout of ``code`` in a fresh ``python -S``: site hooks
+    (``.pth`` files) stay out, so only the package's own imports count."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(padicgeom.__file__)))
-    code = ("import sys, padicgeom.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_loads_no_dataclasses():
+    # start-up guard: the CLI runs as a fresh process per command, and the
+    # dataclasses module (with inspect, ast, ...) dominated its import time
+    assert run_without_site(
+        "import sys, padicgeom.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))") == "[]"
+
+
+def test_cli_import_loads_no_typing():
+    # the standard modules the CLI needs (argparse, json, fractions, re,
+    # math, operator) leave typing out, so annotations and type aliases
+    # must not load it either
+    assert run_without_site(
+        "import argparse, json, fractions, re, math, operator, sys; "
+        "print('typing' in sys.modules)") == "False"
+    assert run_without_site(
+        "import padicgeom.cli, sys; print('typing' in sys.modules)") == "False"
 
 
 def ring_doc(tmp_path, radius, text="|T| <= 2^1*|1| & 1*|1| < |T|"):
@@ -654,6 +670,10 @@ XY_DOC = {"prime": 2,
 @pytest.mark.parametrize("doc, argv, message", [
     (None, ["member", "--set", "F", "--point", "gauss(0,1,2)", "--space", "plane"],
      "cannot read monomial point 'gauss(0,1,2)'"),
+    (None, ["eval", "--formula", "small", "--point", "gauss(0;1;2)", "--space", "line"],
+     "cannot read monomial point 'gauss(0;1;2)'"),
+    (None, ["eval", "--formula", "small", "--point", "gauss(x;2^1)", "--space", "line"],
+     "bad scalar literal: 'x'"),
     (None, ["member", "--set", "F", "--point", "zzz", "--space", "plane"],
      "no point named 'zzz' and the literal form is not recognized"),
     (None, ["divide", "--f", "x*y", "--g", "x*y"] + XY_PIVOT,
@@ -669,7 +689,7 @@ XY_DOC = {"prime": 2,
      "instances"),
     (None, ["qe1", "--conjunct", "small", "--pivot", "X"],
      "pivot 'X' is not the formula's variable"),
-], ids=["gauss-arity", "point-literal", "divide-undistinguished",
+], ids=["gauss-arity", "gauss-parts", "gauss-centre", "point-literal", "divide-undistinguished",
         "prepare-undistinguished", "member-monomial", "intersect-one-set",
         "qe1-two-variables", "qe1-wrong-pivot"])
 def test_command_refusal_is_a_one_line_error(tmp_path, doc, argv, message):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import padicgeom
-from padicgeom import NormValue, parse_norm, valuation, weierstrass_divide
+from padicgeom import (MonomialPoint, NormValue, RigidPoint, Series, parse_norm,
+                       parse_scalar, valuation, weierstrass_divide)
 from padicgeom.scalars import nv_max, nv_min
 from padicgeom.series import NormEstimate
 from conftest import (nv, ZERO, ONE, rand_distinguished, rand_monomial,
@@ -145,6 +146,22 @@ def test_literals():
         parse_norm("3^1", 2)
     with pytest.raises(ValueError):
         parse_norm("junk", 2)
+
+
+def test_text_is_not_an_exact_rational():
+    # text enters through parse_scalar; a coefficient, a coordinate or a
+    # valued scalar is an int or a Fraction
+    sp = space(2, ("x", 0))
+    for build in (lambda: Series(sp, {(1,): "1/2"}),
+                  lambda: RigidPoint(sp, ("1/2",)),
+                  lambda: MonomialPoint(sp, ("1/2",), (ONE,)),
+                  lambda: valuation("4", 2)):
+        with pytest.raises(TypeError, match="^not an exact rational: '"):
+            build()
+    assert parse_scalar(" 1/2 ") == Fraction(1, 2)
+    for text in ("x", "1/0", "1;2"):
+        with pytest.raises(ValueError, match=f"^bad scalar literal: '{text}'$"):
+            parse_scalar(text)
 
 
 def test_compare_against_rational_constants():
